@@ -13,9 +13,8 @@ Library layout:
 """
 
 from .core import (CYCLOTRON_COEFF, ELECTRON, HBAR2_OVER_2M0, HOLE,
-                   DeviceSpec, FieldPoint, ParticleSpecies, PhysConstants,
-                   SolverOptions, cyclotron_energy, default_device,
-                   kinetic_coefficient)
+                   DeviceSpec, FieldPoint, ParticleSpecies, SolverOptions,
+                   cyclotron_energy, default_device, kinetic_coefficient)
 from .fitting import (CalibrationResult, CalibrationTarget, PowerLawParams,
                       calibrate_depths, eval_powerlaw, fit_powerlaw)
 from .lateral import LateralBasis, build_basis, renormalized_y_quantum, \

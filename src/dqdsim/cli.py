@@ -15,38 +15,6 @@ from . import config as cfg
 from . import errors, fitting, molecular, spectroscopy, svgplot
 from .core import FieldPoint
 
-_MODULE_OF = {
-    errors.ConfigError: "config",
-    errors.DomainTooSmallError: "vertical",
-    errors.NoBoundStateError: "vertical",
-    errors.BasisMismatchError: "molecular",
-    errors.NotHermitianError: "molecular",
-    errors.AmbiguousContinuationError: "molecular",
-    errors.MissingLabelError: "spectroscopy",
-    errors.OutOfRangeError: "spectroscopy",
-    errors.NoConvergenceError: "fitting",
-    errors.SingularFitError: "fitting",
-    errors.UnboundDotError: "fitting",
-}
-
-_EXIT_CONFIG = 2
-_EXIT_SOLVER = 3
-_EXIT_FIT = 4
-
-_EXIT_OF = {
-    errors.ConfigError: _EXIT_CONFIG,
-    errors.DomainTooSmallError: _EXIT_SOLVER,
-    errors.NoBoundStateError: _EXIT_SOLVER,
-    errors.BasisMismatchError: _EXIT_SOLVER,
-    errors.NotHermitianError: _EXIT_SOLVER,
-    errors.AmbiguousContinuationError: _EXIT_SOLVER,
-    errors.MissingLabelError: _EXIT_SOLVER,
-    errors.OutOfRangeError: _EXIT_SOLVER,
-    errors.NoConvergenceError: _EXIT_FIT,
-    errors.SingularFitError: _EXIT_FIT,
-    errors.UnboundDotError: _EXIT_FIT,
-}
-
 
 def _write_csv(path, header: str, rows) -> None:
     with open(path, "w", newline="\n") as fh:
@@ -273,16 +241,11 @@ def main(argv=None) -> int:
             raise errors.ConfigError(f"field --b must be >= 0, got {args.b}")
         return args.func(args)
     except errors.DqdError as exc:
-        module = _MODULE_OF.get(type(exc), "dqdsim")
-        code = _EXIT_OF.get(type(exc), _EXIT_SOLVER)
-        print(f"error ({module}): {exc}", file=sys.stderr)
-        return code
-    except FileNotFoundError as exc:
+        print(f"error ({exc.module}): {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error (config): {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except ValueError as exc:
-        print(f"error (config): {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
+        return errors.ConfigError.exit_code
 
 
 if __name__ == "__main__":

@@ -27,12 +27,6 @@ CYCLOTRON_COEFF = _HBAR * _E_CHARGE / _M0 / _MEV_IN_J
 
 
 @dataclass(frozen=True)
-class PhysConstants:
-    hbar2_over_2m0: float = HBAR2_OVER_2M0  # meV nm^2
-    cyclotron_coeff: float = CYCLOTRON_COEFF  # meV/T at m = m0
-
-
-@dataclass(frozen=True)
 class ParticleSpecies:
     """One carrier type: effective mass, lateral confinement and the sign
     of its magnetic y*d/dz coupling term (electron -1, hole +1)."""

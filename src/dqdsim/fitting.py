@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
+from scipy.optimize import brentq, minimize_scalar
 
 from .core import ELECTRON, HOLE, ParticleSpecies
 from .errors import NoBoundStateError, NoConvergenceError, SingularFitError, \
@@ -44,16 +44,18 @@ def eval_powerlaw(params: PowerLawParams, l: float) -> float:
     return params.amplitude_a / shifted ** 3 + params.offset_c
 
 
-def fit_powerlaw(points, delta_init: float = 4.5,
-                 ) -> tuple[PowerLawParams, np.ndarray]:
-    """Least-squares fit of (A, delta, C) to (L, gap) samples.
+def fit_powerlaw(points) -> tuple[PowerLawParams, np.ndarray]:
+    """Least-squares fit of gap = A/(L + delta)^3 + C to (L, gap) samples.
 
-    Needs at least three distinct distances. Initialization: delta from
-    the dot thickness scale, C from the smallest gap, A from the
-    smallest-L point; refinement by Levenberg-Marquardt with step
-    tolerance 1e-10, then a final variable-projection polish (linear
-    solve for A, C at scanned delta) if the damped solver stalls on an
-    exactly consistent 3-point system.
+    Variable projection (Golub & Pereyra 1973): at fixed delta the model is
+    linear in (A, C), which linear least squares gives in closed form, so
+    only delta is searched. A vectorised scan of delta over [0, 10 max L]
+    picks the best grid cell and a bounded 1-D minimiser refines delta
+    inside it; delta >= 0 always. Needs at least three distinct distances.
+    Raises SingularFitError unless the fitted 1/L^3 term at the smallest
+    distance, A/(L_min + delta)^3, exceeds 1e-9 max(|gap|, 1): flat data
+    (A ~ 0) and data rising with L (A < 0) are rejected.
+    Returns the parameters and the residuals fit - gap.
     """
     ls = np.array([float(l) for l, _ in points])
     gaps = np.array([float(g) for _, g in points])
@@ -62,52 +64,33 @@ def fit_powerlaw(points, delta_init: float = 4.5,
     if len(np.unique(ls)) != len(ls):
         raise SingularFitError("distances must be distinct")
 
-    def residual(x):
-        a, delta, c = x
-        return a / (ls + delta) ** 3 + c - gaps
+    def project(deltas):
+        """(A, C) by linear least squares at each delta, and the residuals."""
+        x = 1.0 / (ls + deltas[:, None]) ** 3
+        xc = x - x.mean(axis=1, keepdims=True)
+        a = xc @ (gaps - gaps.mean()) / np.sum(xc ** 2, axis=1)
+        c = gaps.mean() - a * x.mean(axis=1)
+        return a, c, a[:, None] * x + c[:, None] - gaps
 
-    c0 = float(np.min(gaps))
-    i0 = int(np.argmin(ls))
-    a0 = max((gaps[i0] - c0), 1.0) * (ls[i0] + delta_init) ** 3
-    result = least_squares(residual, x0=[a0, delta_init, c0], method="lm",
-                           xtol=1e-10, ftol=1e-12, gtol=1e-12,
-                           max_nfev=200 * 3)
-    best = result.x
-    if len(ls) == 3 and np.sqrt(np.mean(residual(best) ** 2)) > 1e-8:
-        best = _varpro_polish(ls, gaps, best)
-    a, delta, c = best
-    if a <= 0 or delta < -1e-12 or not np.all(np.isfinite(best)):
+    def sse(deltas):
+        return np.sum(project(deltas)[2] ** 2, axis=1)
+
+    grid = np.linspace(0.0, 10.0 * ls.max(), 201)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # nan where the grid meets the pole L + delta = 0: never the best
+        k = int(np.argmin(np.nan_to_num(sse(grid), nan=np.inf)))
+        delta = minimize_scalar(
+            lambda d: sse(np.array([d]))[0], method="bounded",
+            bounds=(grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]),
+            options={"xatol": 1e-12}).x
+    (a,), (c,), (residuals,) = project(np.array([delta]))
+    # negated so that nan parameters are rejected too
+    if not a / (ls.min() + delta) ** 3 > 1e-9 * max(np.abs(gaps).max(), 1.0):
         raise SingularFitError(
             f"degenerate fit: A={a:.4g}, delta={delta:.4g}, C={c:.4g}")
-    params = PowerLawParams(amplitude_a=float(a),
-                            offset_delta=float(max(delta, 0.0)),
+    params = PowerLawParams(amplitude_a=float(a), offset_delta=float(delta),
                             offset_c=float(c))
-    return params, residual(best)
-
-
-def _varpro_polish(ls, gaps, start):
-    """Scan delta, solving the then-linear (A, C) subproblem, to escape a
-    stalled damped step on exactly consistent 3-point data."""
-    def rms_at(delta):
-        basis = np.column_stack([1.0 / (ls + delta) ** 3, np.ones_like(ls)])
-        coef, *_ = np.linalg.lstsq(basis, gaps, rcond=None)
-        return float(np.sqrt(np.mean((basis @ coef - gaps) ** 2))), coef
-
-    top = max(50.0, 4 * start[1]) if start[1] > 0 else 50.0
-    deltas = np.linspace(0.0, top, 2001)
-    k = int(np.argmin([rms_at(d)[0] for d in deltas]))
-    lo = deltas[max(k - 1, 0)]
-    hi = deltas[min(k + 1, len(deltas) - 1)]
-    for _ in range(80):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if rms_at(m1)[0] <= rms_at(m2)[0]:
-            hi = m2
-        else:
-            lo = m1
-    delta = 0.5 * (lo + hi)
-    _, coef = rms_at(delta)
-    return np.array([coef[0], delta, coef[1]])
+    return params, residuals
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ class GapCurve:
 
     axis: str
     samples: tuple[tuple[float, float], ...]
-    metadata: tuple[tuple[str, float], ...] = ()
 
     def xs(self) -> np.ndarray:
         return np.array([x for x, _ in self.samples])
@@ -155,8 +154,7 @@ def sweep_l(device_template: DeviceSpec, l_values,
     else:
         points = [run(l) for l in l_list]
     curve = GapCurve(axis="L_nm",
-                     samples=tuple((p.barrier_l, p.gap) for p in points),
-                     metadata=(("B_T", 0.0),))
+                     samples=tuple((p.barrier_l, p.gap) for p in points))
     return curve, points
 
 
@@ -182,8 +180,7 @@ def sweep_b(device: DeviceSpec, b_values,
             barrier_l=device.barrier_l, b=b, electron=e_spec, hole=h_spec,
             lines=emission_lines(e_spec, h_spec, device)))
     curve = GapCurve(axis="B_T",
-                     samples=tuple((p.b, p.gap) for p in points),
-                     metadata=(("L_nm", device.barrier_l),))
+                     samples=tuple((p.b, p.gap) for p in points))
     return curve, points
 
 

@@ -167,11 +167,6 @@ def classify_states(energies: np.ndarray, wavefunctions: np.ndarray,
     return tuple(labels), weights
 
 
-def dominant_dot(spectrum: VerticalSpectrum) -> np.ndarray:
-    """Index (1 or 2) of the well carrying most of each state's weight."""
-    return np.argmax(spectrum.localization, axis=1) + 1
-
-
 def solve_vertical(potential: np.ndarray, grid: Grid1D,
                    species: ParticleSpecies, n_states: int = 4,
                    well_spec: DoubleWellSpec | None = None,
@@ -238,16 +233,3 @@ def dz_matrix(spectrum: VerticalSpectrum) -> np.ndarray:
         for j in range(psi.shape[1]):
             d[i, j] = np.trapezoid(psi[:, i] * dpsi[:, j], dx=h)
     return (d - d.T) / 2.0
-
-
-def dump_debug_csv(path, grid: Grid1D, potential: np.ndarray,
-                   spectrum: VerticalSpectrum) -> None:
-    """Write (z, V(z), psi_i(z)) columns for plotting or inspection."""
-    names = ",".join(f"psi_{i}" for i in range(spectrum.wavefunctions.shape[1]))
-    z = grid.nodes()
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"z_nm,V_meV,{names}\n")
-        for i in range(grid.n_points):
-            row = [f"{z[i]:.6f}", f"{potential[i]:.6f}"]
-            row += [f"{v:.6f}" for v in spectrum.wavefunctions[i, :]]
-            fh.write(",".join(row) + "\n")

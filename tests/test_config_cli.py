@@ -2,7 +2,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from dqdsim import default_device, solve_point
+from dqdsim import default_device, errors, solve_point, spectroscopy
 from dqdsim.cli import main
 from dqdsim.config import parse_config
 from dqdsim.errors import ConfigError
@@ -228,6 +228,30 @@ class TestCliFitPowerlaw:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["fit-powerlaw", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("error, module, code", [
+    (errors.DqdError, "dqdsim", 3),
+    (errors.ConfigError, "config", 2),
+    (errors.DomainTooSmallError, "vertical", 3),
+    (errors.NoBoundStateError, "vertical", 3),
+    (errors.BasisMismatchError, "molecular", 3),
+    (errors.NotHermitianError, "molecular", 3),
+    (errors.AmbiguousContinuationError, "molecular", 3),
+    (errors.MissingLabelError, "spectroscopy", 3),
+    (errors.OutOfRangeError, "spectroscopy", 3),
+    (errors.NoConvergenceError, "fitting", 4),
+    (errors.SingularFitError, "fitting", 4),
+    (errors.UnboundDotError, "fitting", 4),
+])
+def test_error_exit_code_and_prefix(error, module, code, tmp_path, capsys,
+                                    monkeypatch):
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(spectroscopy, "solve_point", fail)
+    assert main(["solve", "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err == f"error ({module}): injected\n"
 
 
 def test_svg_writer_standalone(tmp_path):

@@ -100,6 +100,8 @@ class TestFitPowerLaw:
             fit_powerlaw([(3.0, 50.0), (7.0, 40.0)])
         with pytest.raises(SingularFitError):
             fit_powerlaw([(3.0, 27.0), (7.0, 27.0), (9.5, 27.0)])
+        with pytest.raises(SingularFitError):
+            fit_powerlaw([(3.0, 27.0), (7.0, 28.0), (9.5, 29.0)])
 
 
 class TestCalibration:

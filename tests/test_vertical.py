@@ -5,8 +5,8 @@ import oracles
 from dqdsim import ELECTRON, ParticleSpecies
 from dqdsim.errors import DomainTooSmallError, NoBoundStateError
 from dqdsim.vertical import (DoubleWellSpec, Grid1D, build_potential,
-                             dominant_dot, dz_matrix, grid_for_wells,
-                             solve_double_well, solve_vertical)
+                             dz_matrix, grid_for_wells, solve_double_well,
+                             solve_vertical)
 
 DEFAULT_WELL = DoubleWellSpec(width_h=4.5, barrier_l=7.0,
                             depth1=239.0, depth2=203.0)
@@ -155,7 +155,6 @@ class TestClassification:
         # evanescent tails, so dominance is a ratio over the well weights
         assert w[0, 0] / (w[0, 0] + w[0, 1]) > 0.9  # ground: deep dot
         assert w[1, 1] / (w[1, 0] + w[1, 1]) > 0.9  # excited: shallow dot
-        assert list(dominant_dot(spectrum)[:2]) == [1, 2]
         # oracle: integrate |psi|^2 over the deep well directly
         h = spectrum.grid.step
         z = spectrum.grid.nodes()
@@ -233,17 +232,3 @@ class TestDzMatrix:
         spectrum = solve_double_well(spec, ELECTRON, n_states=1)
         with pytest.raises(ValueError):
             dz_matrix(spectrum)
-
-
-def test_debug_csv_dump(tmp_path):
-    from dqdsim.vertical import dump_debug_csv
-
-    grid = grid_for_wells(DEFAULT_WELL)
-    potential = build_potential(DEFAULT_WELL, grid)
-    spectrum = solve_vertical(potential, grid, ELECTRON, n_states=2,
-                              well_spec=DEFAULT_WELL)
-    path = tmp_path / "debug.csv"
-    dump_debug_csv(path, grid, potential, spectrum)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "z_nm,V_meV,psi_0,psi_1"
-    assert len(lines) == grid.n_points + 1
