@@ -51,6 +51,12 @@ class NotHermitianError(DqdError):
     module = "molecular"
 
 
+class EigenResidualError(DqdError):
+    """Eigenpairs returned by the eigensolver fail the residual check."""
+
+    module = "molecular"
+
+
 class AmbiguousContinuationError(DqdError):
     """Adiabatic labeling overlap fell below threshold; reduce the field step."""
 

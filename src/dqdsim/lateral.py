@@ -64,17 +64,27 @@ def build_basis(species: ParticleSpecies, field: FieldPoint,
                         states=states)
 
 
+def y_zero_point(species: ParticleSpecies, quantum_y: float) -> float:
+    """<0|y|1> = sqrt(hbar^2 / (2 m hbar*Omega_y)), in nm."""
+    return math.sqrt(kinetic_coefficient(species) / quantum_y)
+
+
+def y_ladder(states) -> np.ndarray:
+    """<n_x,n_y| y |n_x',n_y'> over `states` in units of <0|y|1>.
+
+    Nonzero only for n_x = n_x' and |n_y - n_y'| = 1, where it is
+    sqrt(max(n_y, n_y')). The pattern is field-free; the field enters
+    only through the scale y_zero_point.
+    """
+    nx, ny = np.array(states, dtype=int).reshape(-1, 2).T
+    coupled = (nx[:, None] == nx) & (np.abs(ny[:, None] - ny) == 1)
+    return np.where(coupled, np.sqrt(np.maximum(ny[:, None], ny)), 0.0)
+
+
 def y_matrix(basis: LateralBasis, species: ParticleSpecies) -> np.ndarray:
     """<n_x,n_y| y |n_x',n_y'> over the basis, in nm.
 
     Ladder structure: nonzero only for n_x = n_x' and |n_y - n_y'| = 1,
     with <n|y|n+1> = sqrt((n+1) * hbar^2 / (2 m hbar*Omega_y)).
     """
-    y01 = math.sqrt(kinetic_coefficient(species) / basis.quantum_y)
-    n = len(basis)
-    mat = np.zeros((n, n))
-    for i, (nxi, nyi) in enumerate(basis.states):
-        for j, (nxj, nyj) in enumerate(basis.states):
-            if nxi == nxj and abs(nyi - nyj) == 1:
-                mat[i, j] = math.sqrt(max(nyi, nyj)) * y01
-    return mat
+    return y_ladder(basis.states) * y_zero_point(species, basis.quantum_y)

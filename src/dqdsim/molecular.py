@@ -5,26 +5,36 @@ lateral motions through (sign) * i * hbar*Omega_c * y * d/dz. In the
 product basis {vertical bound states} x {lateral oscillator states} this
 is a kron of the d/dz matrix with the y ladder matrix, purely imaginary
 off-diagonal, Hermitian overall. n_x is conserved, so the Hamiltonian is
-block-diagonal in n_x and the blocks are diagonalized independently.
+block-diagonal in n_x and the blocks are diagonalized independently; the
+field-independent parts are built once per vertical spectrum and a set of
+fields is diagonalized with one batched call per block.
 
 Level identities are tracked two ways: at zero field straight from the
-basis indices, and across a field sweep by maximum-overlap (adiabatic)
-continuation between consecutive field steps.
+basis indices, and across a field sweep by an optimal one-to-one overlap
+assignment (adiabatic continuation) between consecutive field steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .core import FieldPoint, ParticleSpecies, SolverOptions, cyclotron_energy
 from .errors import AmbiguousContinuationError, BasisMismatchError, \
-    NotHermitianError
-from .lateral import LateralBasis, build_basis, y_matrix
+    EigenResidualError, NotHermitianError
+from .lateral import LateralBasis, build_basis, renormalized_y_quantum, \
+    y_ladder, y_zero_point
 from .vertical import VerticalSpectrum
 
 OVERLAP_THRESHOLD = 0.7
+MAX_HALVINGS = 10
+# fields per batched solve in adiabatic_sweep: a fine field_step can ask
+# for thousands of march points, and the block stacks take about 9 kB per
+# field and array with two bound states and the default lateral basis
+FIELD_CHUNK = 128
 
 
 def shell_name(nx: int, ny: int) -> str:
@@ -91,17 +101,23 @@ def assemble(vertical: VerticalSpectrum, dz: np.ndarray,
 
 
 def diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix.
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix, or
+    of each matrix in a stack of shape (..., m, m), in one LAPACK call.
 
-    Checks Hermiticity up front and the residual ||Hx - Ex|| afterwards.
+    Checks every matrix for Hermiticity up front and for the residual
+    ||Hx - Ex|| afterwards, each against that matrix's own max|H|.
     """
-    scale = np.max(np.abs(h)) or 1.0
-    if np.max(np.abs(h - h.conj().T)) >= 1e-10 * scale:
+    scale = np.abs(h).max(axis=(-2, -1))
+    scale = np.where(scale == 0.0, 1.0, scale)
+    skew = np.abs(h - h.swapaxes(-2, -1).conj()).max(axis=(-2, -1))
+    if (skew >= 1e-10 * scale).any():
         raise NotHermitianError("matrix is not Hermitian within 1e-10")
     energies, vectors = np.linalg.eigh(h)
-    residual = np.max(np.abs(h @ vectors - vectors * energies))
-    if residual > 1e-8 * scale:
-        raise RuntimeError(f"eigen residual {residual:.2e} exceeds tolerance")
+    residual = np.abs(h @ vectors - vectors * energies[..., None, :]).max(
+        axis=(-2, -1))
+    if (residual > 1e-8 * scale).any():
+        raise EigenResidualError(
+            f"eigen residual {residual.max():.2e} exceeds tolerance")
     return energies, vectors
 
 
@@ -134,80 +150,195 @@ class MolecularSpectrum:
         return None if idx is None else float(self.energies[idx])
 
 
+class Block(NamedTuple):
+    """One conserved-n_x block: its positions in the product basis; the
+    vertical energy and n_y + 1/2 of each position, and its n_x + 1/2;
+    the y ladder of its lateral states."""
+
+    index: np.ndarray
+    vertical_energy: np.ndarray
+    half_nx: float
+    half_ny: np.ndarray
+    ladder: np.ndarray
+
+
+class BlockHamiltonian:
+    """The field-independent parts of H for one vertical spectrum.
+
+    The field enters H only through the dressed lateral quantum
+    hbar*Omega_y(B), in the diagonal and in the scale <0|y|1> of the y
+    ladder, and through the prefactor sign * i * hbar*Omega_c(B) of the
+    cross term. Everything else (the product basis, the n_x block index
+    arrays and each block's y ladder) is built here once, and any set of
+    fields is then solved with one batched eigensolve per n_x block.
+    """
+
+    def __init__(self, vertical: VerticalSpectrum, dz: np.ndarray,
+                 species: ParticleSpecies, lateral_quanta: int = 6):
+        lateral = build_basis(species, FieldPoint(0.0),
+                              max_total_quanta=lateral_quanta)
+        n_v, n_lat = vertical.n_bound, len(lateral)
+        self.species = species
+        self.quantum_x = lateral.quantum_x
+        self.dz = dz[:n_v, :n_v]
+        self.entries = tuple((v, nx, ny) for v in range(n_v)
+                             for nx, ny in lateral.states)
+        self.vertical_labels = vertical.labels[:n_v]
+        lateral_nx, lateral_ny = np.array(lateral.states).T
+        ladder = y_ladder(lateral.states)
+        nx = np.tile(lateral_nx, n_v)
+        vertical_energy = np.repeat(vertical.bound_energies, n_lat)
+        half_ny = np.tile(lateral_ny + 0.5, n_v)
+        self.blocks = []
+        for n in range(lateral_quanta + 1):
+            index = np.flatnonzero(nx == n)
+            own = np.flatnonzero(lateral_nx == n)
+            self.blocks.append(Block(index, vertical_energy[index], n + 0.5,
+                                     half_ny[index], ladder[own][:, own]))
+        dim = len(self.entries)
+        # where the blocks' concatenated levels and raveled eigenvectors
+        # land in the full basis
+        self.level_slots = np.concatenate([b.index for b in self.blocks])
+        self.vector_slots = np.concatenate(
+            [(b.index[:, None] * dim + b.index).ravel() for b in self.blocks])
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def hamiltonians(self, b_values) -> list[np.ndarray]:
+        """Per n_x block, the stacked Hamiltonians of all fields, in meV:
+        one array of shape (fields, m, m) per block, in block order."""
+        species = self.species
+        # the field scalars come from the same scalar functions as in
+        # assemble, so every entry matches it bit for bit (math.hypot and
+        # np.hypot need not round alike)
+        hoc = [cyclotron_energy(species, FieldPoint(b)) for b in b_values]
+        q_y = [renormalized_y_quantum(species.lateral_quantum, c) for c in hoc]
+        y01 = np.array([y_zero_point(species, q) for q in q_y])
+        prefactor = species.hyz_sign * 1j * np.array(hoc)
+        q_y = np.array(q_y)
+        stacks = []
+        for index, vertical_energy, half_nx, half_ny, ladder in self.blocks:
+            m = len(index)
+            e0 = vertical_energy + (half_nx * self.quantum_x
+                                    + half_ny * q_y[:, None])
+            # kron(dz, ladder * y01) at every field
+            ymat = ladder * y01[:, None, None]
+            cross = (self.dz[None, :, None, :, None]
+                     * ymat[:, None, :, None, :]).reshape(-1, m, m)
+            h = np.zeros((len(b_values), m, m), dtype=complex)
+            h[:, np.arange(m), np.arange(m)] = e0
+            h += prefactor[:, None, None] * cross
+            stacks.append(h)
+        return stacks
+
+    def solve(self, b_values) -> FieldStack:
+        """Eigenpairs at every field, one diagonalize call per n_x block.
+
+        Solving the conserved-n_x blocks independently keeps eigenvectors
+        from mixing across blocks when levels of different n_x cross.
+        """
+        b_values = tuple(b_values)
+        e0, energies, vectors = [], [], []
+        for h in self.hamiltonians(b_values):
+            block_e, block_v = diagonalize(h)
+            e0.append(h.diagonal(axis1=1, axis2=2).real)
+            energies.append(block_e)
+            vectors.append(block_v.reshape(len(b_values), -1))
+        return FieldStack(self, b_values, np.concatenate(e0, axis=1),
+                          np.concatenate(energies, axis=1),
+                          np.concatenate(vectors, axis=1))
+
+
+@dataclass(frozen=True)
+class FieldStack:
+    """Block eigenpairs of a set of fields, from BlockHamiltonian.solve.
+
+    Row i of each array belongs to b_values[i]: the diagonal E0 of H
+    (the energies without the cross term) and the eigenvalues of the
+    blocks concatenated in block order, and their eigenvectors raveled
+    and concatenated.
+    """
+
+    hamiltonian: BlockHamiltonian
+    b_values: tuple[float, ...]
+    e0: np.ndarray
+    energies: np.ndarray
+    vectors: np.ndarray
+
+    def spectrum(self, i: int) -> MolecularSpectrum:
+        """The full spectrum at field b_values[i], levels in ascending order.
+
+        Labels are assigned from the dominant basis component when B = 0
+        and left None otherwise (use label_states / adiabatic_sweep).
+        """
+        ham = self.hamiltonian
+        dim = len(ham)
+        e0 = np.empty(dim)
+        e0[ham.level_slots] = self.e0[i]
+        all_e = np.empty(dim)
+        all_e[ham.level_slots] = self.energies[i]
+        all_v = np.zeros(dim * dim, dtype=complex)
+        all_v[ham.vector_slots] = self.vectors[i]
+        order = np.argsort(all_e, kind="stable")
+        basis = ProductBasis(entries=ham.entries, e0=tuple(e0.tolist()),
+                             vertical_labels=ham.vertical_labels)
+        spectrum = MolecularSpectrum(basis=basis, b=self.b_values[i],
+                                     energies=all_e[order],
+                                     vectors=all_v.reshape(dim, dim)[:, order])
+        if spectrum.b == 0.0:
+            spectrum.labels = dominant_labels(spectrum)
+        return spectrum
+
+
 def solve_molecular(vertical: VerticalSpectrum, dz: np.ndarray,
                     species: ParticleSpecies, field: FieldPoint,
                     lateral_quanta: int = 6) -> MolecularSpectrum:
-    """Assemble and diagonalize at one field point, block by block in n_x.
+    """The spectrum at one field point: the one-field case of
+    BlockHamiltonian.solve, diagonalized block by block in n_x.
 
-    Solving the conserved-n_x blocks independently keeps eigenvectors from
-    mixing across blocks when levels of different n_x cross. Labels are
-    assigned from the dominant basis component when B = 0 and left None
-    otherwise (use label_states / adiabatic_sweep).
+    Labels are assigned from the dominant basis component when B = 0 and
+    left None otherwise (use label_states / adiabatic_sweep).
     """
-    lateral = build_basis(species, field, max_total_quanta=lateral_quanta)
-    ymat = y_matrix(lateral, species)
-    h = assemble(vertical, dz, lateral, ymat, species, field)
-    basis = product_basis(vertical, lateral)
-    dim = len(basis)
-    nxs = np.array([nx for _, nx, _ in basis.entries])
-    all_e = np.empty(dim)
-    all_v = np.zeros((dim, dim), dtype=complex)
-    for nx in sorted(set(nxs.tolist())):
-        idx = np.flatnonzero(nxs == nx)
-        energies, vectors = diagonalize(h[np.ix_(idx, idx)])
-        all_e[idx] = energies
-        all_v[np.ix_(idx, idx)] = vectors
-    order = np.argsort(all_e, kind="stable")
-    spectrum = MolecularSpectrum(basis=basis, b=field.b,
-                                 energies=all_e[order],
-                                 vectors=all_v[:, order])
-    if field.b == 0.0:
-        spectrum.labels = dominant_labels(spectrum)
-    return spectrum
+    ham = BlockHamiltonian(vertical, dz, species, lateral_quanta)
+    return ham.solve([field.b]).spectrum(0)
 
 
 def dominant_labels(spectrum: MolecularSpectrum) -> tuple[str, ...]:
     """Label every level by its largest basis component."""
-    weights = np.abs(spectrum.vectors) ** 2
-    return tuple(spectrum.basis.label_of(int(np.argmax(weights[:, k])))
-                 for k in range(len(spectrum.basis)))
+    dominant = np.argmax(np.abs(spectrum.vectors) ** 2, axis=0)
+    return tuple(spectrum.basis.label_of(k) for k in dominant.tolist())
 
 
 def label_states(spectrum: MolecularSpectrum,
                  reference: MolecularSpectrum,
                  threshold: float = OVERLAP_THRESHOLD) -> MolecularSpectrum:
-    """Adiabatic labels: inherit from max-overlap ancestors in `reference`.
+    """Adiabatic labels: each level inherits the label of its ancestor in
+    `reference` under the optimal one-to-one overlap assignment.
 
-    Overlaps are taken between eigenvector columns over the shared product
-    basis. The assignment is one to one, greedy by descending overlap;
-    if any matched pair falls below `threshold` the continuation is
-    ambiguous and the caller must reduce the field step.
+    Overlaps |<ref_i|new_j>| are taken between eigenvector columns over
+    the shared product basis, and the assignment maximizing their sum is
+    found by the Hungarian method (scipy's linear_sum_assignment). If any
+    matched pair falls below `threshold` the continuation is ambiguous
+    and the caller must reduce the field step. The overlaps are the
+    moduli of a unitary matrix, so whenever every matched overlap exceeds
+    1/sqrt(2) the assignment is also the greedy largest-overlap-first one.
     """
     if reference.labels is None:
         raise ValueError("reference spectrum is unlabeled")
     if len(reference.basis) != len(spectrum.basis):
         raise BasisMismatchError("reference basis size differs")
     overlap = np.abs(reference.vectors.conj().T @ spectrum.vectors)
-    n = overlap.shape[0]
-    labels: list[str | None] = [None] * n
-    order = np.argsort(overlap, axis=None)[::-1]
-    used_ref = np.zeros(n, dtype=bool)
-    used_new = np.zeros(n, dtype=bool)
-    assigned = 0
-    for flat in order:
-        i, j = divmod(int(flat), n)
-        if used_ref[i] or used_new[j]:
-            continue
-        if overlap[i, j] < threshold:
-            raise AmbiguousContinuationError(
-                f"overlap {overlap[i, j]:.3f} below {threshold} between "
-                f"B={reference.b} T and B={spectrum.b} T")
-        labels[j] = reference.labels[i]
-        used_ref[i] = used_new[j] = True
-        assigned += 1
-        if assigned == n:
-            break
-    return replace(spectrum, labels=tuple(labels))
+    ref_index, new_index = linear_sum_assignment(overlap, maximize=True)
+    worst = overlap[ref_index, new_index].min()
+    if worst < threshold:
+        raise AmbiguousContinuationError(
+            f"overlap {worst:.3f} below {threshold} between "
+            f"B={reference.b} T and B={spectrum.b} T")
+    ancestor = np.empty_like(new_index)
+    ancestor[new_index] = ref_index
+    return replace(spectrum, labels=tuple(
+        reference.labels[i] for i in ancestor.tolist()))
 
 
 def adiabatic_sweep(vertical: VerticalSpectrum, dz: np.ndarray,
@@ -216,8 +347,13 @@ def adiabatic_sweep(vertical: VerticalSpectrum, dz: np.ndarray,
                     ) -> list[MolecularSpectrum]:
     """Labeled spectra at the requested fields, continued from B = 0.
 
-    Marches in steps of options.field_step from zero, inserting midpoints
-    (up to 10 halvings) wherever the overlap assignment turns ambiguous.
+    The grid is a march in steps of options.field_step from zero plus the
+    requested fields. It is solved FIELD_CHUNK fields at a time, one
+    batched eigensolve per n_x block, and labels are continued along it
+    by label_states, building each field's full spectrum only when the
+    march reaches it. Where a step turns ambiguous, its midpoint is
+    solved and both halves continued (up to MAX_HALVINGS deep), reusing
+    the spectrum already solved at the far end.
     """
     requested = [round(float(b), 9) for b in b_values]
     if not requested:
@@ -227,31 +363,28 @@ def adiabatic_sweep(vertical: VerticalSpectrum, dz: np.ndarray,
     march = np.arange(0.0, max(requested) + options.field_step / 2,
                       options.field_step)
     grid = sorted(set(round(float(b), 9) for b in march) | set(requested))
+    ham = BlockHamiltonian(vertical, dz, species, options.lateral_quanta)
 
-    def solve_at(b):
-        return solve_molecular(vertical, dz, species, FieldPoint(b),
-                               lateral_quanta=options.lateral_quanta)
-
-    def continue_to(prev, b, depth=0):
-        cur = solve_at(b)
+    def continue_to(prev, cur, depth=0):
         try:
             return label_states(cur, prev)
         except AmbiguousContinuationError:
-            if depth >= 10:
+            if depth >= MAX_HALVINGS:
                 raise
-            mid = continue_to(prev, 0.5 * (prev.b + b), depth + 1)
-            return continue_to(mid, b, depth + 1)
+            mid = ham.solve([0.5 * (prev.b + cur.b)]).spectrum(0)
+            mid = continue_to(prev, mid, depth + 1)
+            return continue_to(mid, cur, depth + 1)
 
+    wanted = set(requested)
     out = {}
-    prev = solve_at(0.0)
-    if 0.0 in grid and 0.0 in requested:
-        out[0.0] = prev
-    for b in grid:
-        if b == 0.0:
-            continue
-        prev = continue_to(prev, b)
-        if b in requested:
-            out[b] = prev
+    for start in range(0, len(grid), FIELD_CHUNK):
+        stack = ham.solve(grid[start:start + FIELD_CHUNK])
+        for i, b in enumerate(stack.b_values):
+            cur = stack.spectrum(i)
+            # the march starts at B = 0, where labels come from the basis
+            prev = cur if b == 0.0 else continue_to(prev, cur)
+            if b in wanted:
+                out[b] = prev
     return [out[b] for b in requested]
 
 

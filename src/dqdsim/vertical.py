@@ -74,10 +74,14 @@ def grid_for_wells(spec: DoubleWellSpec, step: float = 0.01,
                    padding: float = 20.0) -> Grid1D:
     """Uniform grid covering both wells plus `padding` nm of barrier.
 
-    Nodes are staggered half a step off the well edges, so every edge
-    falls on a cell boundary: the sampled structure keeps the exact well
-    widths and barrier thickness at any step, and equal depths give a
-    potential exactly even about the barrier midpoint.
+    Nodes are staggered half a step off the well edges. The sampled
+    structure is exact (every edge on a cell boundary, so the exact well
+    widths and barrier thickness, and for equal depths a potential
+    exactly even about the barrier midpoint) only when padding/step,
+    H/step and L/step are all integers. Off that lattice the edges snap
+    to cell boundaries: at the default 0.01 nm step L = 7.003 and
+    7.005 nm are both sampled as a 7.00 nm barrier, and L = 7.006 nm as
+    7.01 nm (see ROADMAP item 3).
     """
     span = 2 * spec.width_h + spec.barrier_l + 2 * padding
     z_min = spec.well1_support[0] - padding + step / 2

@@ -237,6 +237,7 @@ class TestCliFitPowerlaw:
     (errors.NoBoundStateError, "vertical", 3),
     (errors.BasisMismatchError, "molecular", 3),
     (errors.NotHermitianError, "molecular", 3),
+    (errors.EigenResidualError, "molecular", 3),
     (errors.AmbiguousContinuationError, "molecular", 3),
     (errors.MissingLabelError, "spectroscopy", 3),
     (errors.OutOfRangeError, "spectroscopy", 3),

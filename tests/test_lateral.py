@@ -72,6 +72,17 @@ class TestYMatrix:
         assert mat[s, py] == pytest.approx(6.506, abs=1e-3)
         np.testing.assert_allclose(mat, mat.T, atol=1e-15)
 
+    @pytest.mark.parametrize("b", [0.0, 8.0])
+    def test_matches_elementwise_definition(self, b):
+        basis = build_basis(HOLE, FieldPoint(b), 6)
+        y01 = math.sqrt(kinetic_coefficient(HOLE) / basis.quantum_y)
+        loop = np.zeros((len(basis), len(basis)))
+        for i, (nxi, nyi) in enumerate(basis.states):
+            for j, (nxj, nyj) in enumerate(basis.states):
+                if nxi == nxj and abs(nyi - nyj) == 1:
+                    loop[i, j] = math.sqrt(max(nyi, nyj)) * y01
+        assert y_matrix(basis, HOLE).tobytes() == loop.tobytes()
+
     def test_against_quadrature_oracle(self):
         q_y = renormalized_y_quantum(30.0, cyclotron_energy(ELECTRON,
                                                             FieldPoint(8.0)))

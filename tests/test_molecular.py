@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dqdsim import (ELECTRON, HOLE, FieldPoint, ParticleSpecies,
                     SolverOptions, adiabatic_sweep, assemble, build_basis,
                     cyclotron_energy, diagonalize, dominant_labels,
-                    label_states, solve_molecular, y_matrix)
+                    label_states, molecular, solve_molecular, y_matrix)
 from dqdsim.errors import (AmbiguousContinuationError, BasisMismatchError,
-                           NotHermitianError)
-from dqdsim.molecular import MolecularSpectrum, product_basis, shell_name
+                           EigenResidualError, NotHermitianError)
+from dqdsim.molecular import (OVERLAP_THRESHOLD, BlockHamiltonian,
+                              MolecularSpectrum, product_basis, shell_name)
 from dqdsim.spectroscopy import vertical_for_species
 from dqdsim import default_device
 from dqdsim.vertical import DoubleWellSpec, dz_matrix, solve_double_well
@@ -42,6 +45,33 @@ class TestDiagonalize:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             diagonalize(np.array([[0.0, 1.0], [2.0, 0.0]], dtype=complex))
+
+    def test_stack_matches_one_matrix_at_a_time(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(5, 6, 6)) + 1j * rng.normal(size=(5, 6, 6))
+        stack = a + a.conj().transpose(0, 2, 1)
+        stack[2] *= 1e6  # each matrix is checked against its own scale
+        energies, vectors = diagonalize(stack)
+        for h, e, v in zip(stack, energies, vectors):
+            e1, v1 = diagonalize(h)
+            assert e.tobytes() == e1.tobytes()
+            assert v.tobytes() == v1.tobytes()
+
+    def test_rejects_one_non_hermitian_matrix_in_a_stack(self):
+        stack = np.stack([np.eye(2), [[0.0, 1.0], [2.0, 0.0]]]).astype(complex)
+        with pytest.raises(NotHermitianError):
+            diagonalize(stack)
+
+    def test_residual_failure_raises_dqd_error(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def broken_eigh(h):
+            energies, vectors = eigh(h)
+            return energies + 1.0, vectors
+
+        monkeypatch.setattr(molecular.np.linalg, "eigh", broken_eigh)
+        with pytest.raises(EigenResidualError):
+            diagonalize(np.diag([1.0, 2.0]).astype(complex))
 
 
 class TestAssemble:
@@ -112,6 +142,125 @@ class TestAssemble:
             if species is ELECTRON:
                 reference = energies
         np.testing.assert_allclose(energies, reference, atol=1e-10)
+
+
+class TestBlockHamiltonian:
+    @pytest.mark.parametrize("b", [0.0, 0.1, 3.3, 8.0])
+    def test_block_stacks_scatter_to_assemble(self, electron_vertical, b):
+        vert, dz = electron_vertical
+        ham = BlockHamiltonian(vert, dz, ELECTRON)
+        field = FieldPoint(b)
+        lateral = build_basis(ELECTRON, field)
+        dense = assemble(vert, dz, lateral, y_matrix(lateral, ELECTRON),
+                         ELECTRON, field)
+        stacks = ham.hamiltonians([2.0, b])
+        scattered = np.zeros_like(dense)
+        for block, stack in zip(ham.blocks, stacks):
+            m = len(block.index)
+            assert stack.shape == (2, m, m)
+            scattered[np.ix_(block.index, block.index)] = stack[1]
+        assert scattered.tobytes() == dense.tobytes()
+        assert ham.entries == product_basis(vert, lateral).entries
+
+    def test_one_field_spectrum_is_solve_molecular(self, hole_vertical):
+        vert, dz = hole_vertical
+        stack = BlockHamiltonian(vert, dz, HOLE).solve([0.0, 5.0])
+        for i, b in enumerate(stack.b_values):
+            spec = stack.spectrum(i)
+            one = solve_molecular(vert, dz, HOLE, FieldPoint(b))
+            assert spec.energies.tobytes() == one.energies.tobytes()
+            assert spec.vectors.tobytes() == one.vectors.tobytes()
+            assert spec.labels == one.labels
+            assert spec.basis == one.basis
+
+
+def greedy_labels(spectrum, reference, threshold=OVERLAP_THRESHOLD):
+    """Labels by one-to-one greedy assignment, largest overlap first, or
+    None when a matched overlap falls below the threshold."""
+    overlap = np.abs(reference.vectors.conj().T @ spectrum.vectors)
+    n = len(overlap)
+    labels = [None] * n
+    used_ref, used_new = set(), set()
+    for flat in np.argsort(overlap, axis=None)[::-1]:
+        i, j = divmod(int(flat), n)
+        if i in used_ref or j in used_new:
+            continue
+        if overlap[i, j] < threshold:
+            return None
+        labels[j] = reference.labels[i]
+        used_ref.add(i)
+        used_new.add(j)
+    return tuple(labels)
+
+
+def march_field_by_field(vert, dz, species, b_values, step=0.1):
+    """Reference sweep: the same march solved one field at a time with
+    solve_molecular and labelled greedily, halving ambiguous steps."""
+    def continue_to(prev, b, depth=0):
+        cur = solve_molecular(vert, dz, species, FieldPoint(b))
+        labels = greedy_labels(cur, prev)
+        if labels is not None:
+            return replace(cur, labels=labels)
+        assert depth < 10
+        mid = continue_to(prev, 0.5 * (prev.b + b), depth + 1)
+        return continue_to(mid, b, depth + 1)
+
+    march = np.arange(0.0, max(b_values) + step / 2, step)
+    grid = sorted(set(round(float(b), 9) for b in march) | set(b_values))
+    prev = solve_molecular(vert, dz, species, FieldPoint(0.0))
+    out = {0.0: prev}
+    for b in grid[1:]:
+        prev = out[b] = continue_to(prev, b)
+    return [out[b] for b in b_values]
+
+
+class TestBatchedSweepEquivalence:
+    FIELDS = [0.0, 0.1, 3.3, 8.0]
+
+    @pytest.mark.parametrize("barrier_l", [7.0, 9.5])
+    @pytest.mark.parametrize("species", [ELECTRON, HOLE], ids=["e", "h"])
+    def test_matches_field_by_field_march(self, barrier_l, species):
+        vert, dz = vertical_for_species(default_device(barrier_l), species)
+        batched = adiabatic_sweep(vert, dz, species, self.FIELDS)
+        reference = march_field_by_field(vert, dz, species, self.FIELDS)
+        for spec, ref in zip(batched, reference):
+            assert spec.b == ref.b
+            assert spec.energies.tobytes() == ref.energies.tobytes()
+            assert spec.labels == ref.labels
+
+    def test_field_chunks_do_not_change_results(self, electron_vertical,
+                                                monkeypatch):
+        vert, dz = electron_vertical
+        whole = adiabatic_sweep(vert, dz, ELECTRON, self.FIELDS)
+        monkeypatch.setattr(molecular, "FIELD_CHUNK", 7)
+        chunked = adiabatic_sweep(vert, dz, ELECTRON, self.FIELDS)
+        for a, b in zip(whole, chunked):
+            assert a.energies.tobytes() == b.energies.tobytes()
+            assert a.labels == b.labels
+
+    def test_coarse_step_halves_once_and_reuses_the_endpoint(
+            self, electron_vertical, hole_vertical, monkeypatch):
+        # at L = 7 a 4 T step from zero is ambiguous for both carriers;
+        # one midpoint at 2 T resolves it, and the 4 T spectrum already
+        # solved in the batch is reused rather than solved again
+        solved = []
+        solve = BlockHamiltonian.solve
+
+        def counting_solve(self, b_values):
+            solved.extend(b_values)
+            return solve(self, b_values)
+
+        for species, (vert, dz) in ((ELECTRON, electron_vertical),
+                                    (HOLE, hole_vertical)):
+            fine = adiabatic_sweep(vert, dz, species, [8.0])[0]
+            solved.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(BlockHamiltonian, "solve", counting_solve)
+                coarse = adiabatic_sweep(vert, dz, species, [8.0],
+                                         SolverOptions(field_step=4.0))[0]
+            assert solved == [0.0, 4.0, 8.0, 2.0]
+            assert coarse.labels == fine.labels
+            assert coarse.energies.tobytes() == fine.energies.tobytes()
 
 
 class TestSolveMolecular:
@@ -257,6 +406,19 @@ class TestLabeling:
                                 vectors=q.astype(complex))
         with pytest.raises(AmbiguousContinuationError):
             label_states(cur, ref)
+
+    def test_permuted_phase_rotated_copy_keeps_labels(self,
+                                                      electron_vertical):
+        vert, dz = electron_vertical
+        ref = adiabatic_sweep(vert, dz, ELECTRON, [3.3])[0]
+        rng = np.random.default_rng(11)
+        perm = rng.permutation(len(ref.labels))
+        phases = np.exp(2j * np.pi * rng.random(len(perm)))
+        shuffled = MolecularSpectrum(basis=ref.basis, b=ref.b,
+                                     energies=ref.energies[perm],
+                                     vectors=ref.vectors[:, perm] * phases)
+        labelled = label_states(shuffled, ref)
+        assert labelled.labels == tuple(ref.labels[k] for k in perm)
 
     def test_labels_survive_fine_march(self, electron_vertical):
         # a 45 degree rotation split into fine steps stays unambiguous
