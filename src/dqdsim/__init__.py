@@ -26,7 +26,7 @@ from .spectroscopy import (EmissionLine, GapCurve, SolvePoint,
                            effective_interdot_distance, emission_lines,
                            molecular_at, solve_point, sweep_b, sweep_l)
 from .vertical import (DoubleWellSpec, Grid1D, VerticalSpectrum,
-                       build_potential, classify_states, dz_matrix,
-                       grid_for_wells, solve_double_well, solve_vertical)
+                       build_potential, dz_matrix, grid_for_wells,
+                       solve_double_well, solve_vertical)
 
 __version__ = "0.1.0"

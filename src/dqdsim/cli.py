@@ -152,7 +152,8 @@ def cmd_calibrate(args) -> int:
     except ValueError as exc:
         raise errors.ConfigError(str(exc))
     result = fitting.calibrate_depths(target, run.electron, run.hole,
-                                      step=run.options.grid_step)
+                                      step=run.options.grid_step,
+                                      padding=run.options.padding)
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "calibration.csv"),
                "quantity,value_meV",

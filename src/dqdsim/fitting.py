@@ -146,23 +146,31 @@ def single_well_ground(depth: float, width: float,
 def calibrate_depths(target: CalibrationTarget,
                      electron: ParticleSpecies = ELECTRON,
                      hole: ParticleSpecies = HOLE,
-                     step: float = 0.01) -> CalibrationResult:
+                     step: float = 0.01,
+                     padding: float = 20.0) -> CalibrationResult:
     """Electron and hole well depths reproducing the target lines.
 
     Each dot decouples in the large-L limit, so the two-line system splits
     into two independent one-dimensional root problems in the electron
     depth (the hole depth rides along via the fixed ratio). Solved by
-    bracketed root finding to better than 0.01 meV per line.
+    bracketed root finding to better than 0.01 meV per line. Each depth
+    is solved once per call: the bracket ends are shared by both dots, and
+    the root finder revisits the bracket ends and its root.
     """
+    lines = {}
+
     def line_energy(depth_e):
-        e_level = single_well_ground(depth_e, target.well_width_h, electron,
-                                     step=step)
-        h_level = single_well_ground(depth_e * target.depth_ratio,
-                                     target.well_width_h, hole, step=step)
-        # lateral zero-point energies (one quantum per carrier at B = 0)
-        zero_point = electron.lateral_quantum + hole.lateral_quantum
-        return (target.reference_offset + e_level + h_level + zero_point
-                - target.binding_energy)
+        if depth_e not in lines:
+            e_level = single_well_ground(depth_e, target.well_width_h,
+                                         electron, step=step, padding=padding)
+            h_level = single_well_ground(depth_e * target.depth_ratio,
+                                         target.well_width_h, hole, step=step,
+                                         padding=padding)
+            # lateral zero-point energies (one quantum per carrier at B = 0)
+            zero_point = electron.lateral_quantum + hole.lateral_quantum
+            lines[depth_e] = (target.reference_offset + e_level + h_level
+                              + zero_point - target.binding_energy)
+        return lines[depth_e]
 
     def solve_dot(emission):
         # shallower than ~50 meV the state leaks past the default padding

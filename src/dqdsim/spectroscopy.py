@@ -48,17 +48,23 @@ class GapCurve:
         return np.array([g for _, g in self.samples])
 
 
-def vertical_for_species(device: DeviceSpec, species: ParticleSpecies,
-                         options: SolverOptions = SolverOptions(),
-                         ) -> tuple[VerticalSpectrum, np.ndarray]:
-    """Vertical spectrum and d/dz matrix for one carrier in the device."""
+def vertical_spectrum(device: DeviceSpec, species: ParticleSpecies,
+                      options: SolverOptions = SolverOptions(),
+                      ) -> VerticalSpectrum:
+    """Vertical spectrum of one carrier in the device."""
     d1, d2 = device.depths_for(species)
     well = DoubleWellSpec(width_h=device.well_width_h,
                           barrier_l=device.barrier_l,
                           depth1=d1, depth2=d2)
-    spectrum = solve_double_well(well, species, n_states=options.vertical_cap,
-                                 step=options.grid_step,
-                                 padding=options.padding)
+    return solve_double_well(well, species, n_states=options.vertical_cap,
+                             step=options.grid_step, padding=options.padding)
+
+
+def vertical_for_species(device: DeviceSpec, species: ParticleSpecies,
+                         options: SolverOptions = SolverOptions(),
+                         ) -> tuple[VerticalSpectrum, np.ndarray]:
+    """Vertical spectrum and d/dz matrix for one carrier in the device."""
+    spectrum = vertical_spectrum(device, species, options)
     return spectrum, dz_matrix(spectrum)
 
 
@@ -71,10 +77,14 @@ def molecular_at(device: DeviceSpec, species: ParticleSpecies,
     At zero field labels come straight from the basis; at finite field the
     labeling is continued adiabatically from zero.
     """
-    vert, dz = vertical_for_species(device, species, options)
     if field.b == 0.0:
-        return solve_molecular(vert, dz, species, field,
+        # the cross term is proportional to B, so no d/dz matrix (and no
+        # vertical eigenfunction) is needed: a zero matrix stands in for it
+        vert = vertical_spectrum(device, species, options)
+        return solve_molecular(vert, np.zeros((vert.n_bound, vert.n_bound)),
+                               species, field,
                                lateral_quanta=options.lateral_quanta)
+    vert, dz = vertical_for_species(device, species, options)
     return adiabatic_sweep(vert, dz, species, [field.b], options)[0]
 
 

@@ -10,10 +10,12 @@ far enough out that bound states have decayed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .core import ParticleSpecies, kinetic_coefficient
 from .errors import DomainTooSmallError, NoBoundStateError
@@ -124,58 +126,112 @@ class VerticalSpectrum:
     """Eigenpairs of the vertical problem.
 
     energies are ascending and measured from the barrier band edge; the
-    first n_bound of them are negative (bound). wavefunctions holds the
-    grid-sampled, L2-normalized real eigenfunctions as columns. labels
-    classify consecutive pairs as bonding (lower) / antibonding (upper);
-    localization holds per-state probability weights (w1, w2) integrated
-    over each well's support.
+    first n_bound of them are negative (bound). labels classify
+    consecutive pairs as bonding (lower) / antibonding (upper).
+    wavefunctions holds the grid-sampled, L2-normalized real
+    eigenfunctions as columns, largest-amplitude lobe positive, and
+    localization the per-state probability weights (w1, w2) integrated
+    over each well's support. Both are computed on first read, from the
+    raw eigenvector columns that eigenvectors() returns, so callers that
+    read only energies never pay for eigenvectors.
     """
 
     grid: Grid1D
     well_spec: DoubleWellSpec | None
     energies: np.ndarray
-    wavefunctions: np.ndarray
     n_bound: int
     labels: tuple[str, ...]
-    localization: np.ndarray
+    eigenvectors: Callable[[], np.ndarray] = field(repr=False)
 
     @property
     def bound_energies(self) -> np.ndarray:
         return self.energies[:self.n_bound]
 
+    @cached_property
+    def wavefunctions(self) -> np.ndarray:
+        vectors = self.eigenvectors() / np.sqrt(self.grid.step)
+        # fix the arbitrary overall sign: largest-amplitude lobe positive
+        for j in range(vectors.shape[1]):
+            i = int(np.argmax(np.abs(vectors[:, j])))
+            if vectors[i, j] < 0:
+                vectors[:, j] = -vectors[:, j]
+        return vectors
+
     @property
     def bound_wavefunctions(self) -> np.ndarray:
         return self.wavefunctions[:, :self.n_bound]
 
+    @cached_property
+    def localization(self) -> np.ndarray:
+        weights = np.zeros((len(self.energies), 2))
+        if self.well_spec is not None:
+            h = self.grid.step
+            for col, (i_lo, i_hi) in enumerate(
+                    well_node_slices(self.well_spec, self.grid)):
+                weights[:, col] = np.sum(
+                    self.wavefunctions[i_lo:i_hi, :] ** 2, axis=0) * h
+        return weights
 
-def classify_states(energies: np.ndarray, wavefunctions: np.ndarray,
-                    grid: Grid1D, well_spec: DoubleWellSpec | None,
-                    ) -> tuple[tuple[str, ...], np.ndarray]:
-    """Bonding/antibonding labels and per-well probability weights.
+
+def state_labels(count: int) -> tuple[str, ...]:
+    """Bonding/antibonding labels of the lowest `count` vertical levels.
 
     Within each consecutive pair of vertical levels the lower one is the
     bonding combination and the upper the antibonding one; higher pairs
     get a pair index appended (B2, A2, ...).
     """
     labels = []
-    for k in range(len(energies)):
+    for k in range(count):
         pair, parity = divmod(k, 2)
         tag = "B" if parity == 0 else "A"
         labels.append(tag if pair == 0 else f"{tag}{pair + 1}")
-    weights = np.zeros((len(energies), 2))
-    if well_spec is not None:
-        h = grid.step
-        for col, (i_lo, i_hi) in enumerate(well_node_slices(well_spec, grid)):
-            weights[:, col] = np.sum(
-                wavefunctions[i_lo:i_hi, :] ** 2, axis=0) * h
-    return tuple(labels), weights
+    return tuple(labels)
+
+
+def _lowest_eigenvalues(diag: np.ndarray, off: np.ndarray, k: int,
+                       ) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """The k lowest eigenvalues of a symmetric tridiagonal matrix, ascending,
+    and a function returning their eigenvectors as columns.
+
+    The same LAPACK calls as scipy's eigh_tridiagonal(select="i"), so
+    values and vectors match it bit for bit: bisection (stebz) now, and
+    inverse iteration (stein) on the eigenvalues bisection found only when
+    the returned function is called.
+    """
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    stebz, stein = get_lapack_funcs(("stebz", "stein"), (diag, off))
+    # range "I" (2) over indices 1..k; the value bounds 0, 1 are unused
+    m, w, iblock, isplit, info = stebz(diag, off, 2, 0.0, 1.0, 1, k, 0.0,
+                                       "B")
+    if info != 0:
+        raise LinAlgError(f"stebz failed with info {info}")
+    # stebz returns n-long buffers. Keep only what stein reads: the m
+    # eigenvalues, their block indices and the split points up to the
+    # last block, so a spectrum whose vectors are never read holds little
+    # beyond the matrix.
+    w, iblock = w[:m].copy(), iblock[:m].copy()
+    isplit = isplit[:iblock.max()].copy()
+    # the eigenvalues come grouped by matrix block
+    order = np.argsort(w)
+
+    def eigenvectors() -> np.ndarray:
+        n = len(diag)
+        vectors, info = stein(diag, off, w, np.pad(iblock, (0, n - m)),
+                              np.pad(isplit, (0, n - len(isplit))))
+        if info != 0:
+            raise LinAlgError(f"stein failed with info {info}")
+        return vectors[:, order]
+
+    return w[order], eigenvectors
 
 
 def solve_vertical(potential: np.ndarray, grid: Grid1D,
                    species: ParticleSpecies, n_states: int = 4,
                    well_spec: DoubleWellSpec | None = None,
                    require_bound: bool = True) -> VerticalSpectrum:
-    """Lowest n_states eigenpairs of the 1D problem on the given grid.
+    """Lowest n_states eigenvalues of the 1D problem on the given grid; the
+    eigenfunctions follow when first read.
 
     Dirichlet walls sit one step outside the first and last nodes. Only
     states with E < 0 count as bound and are retained for downstream basis
@@ -191,23 +247,16 @@ def solve_vertical(potential: np.ndarray, grid: Grid1D,
     c = kinetic_coefficient(species)
     diag = 2.0 * c / h ** 2 + potential
     off = np.full(grid.n_points - 1, -c / h ** 2)
-    k = min(n_states, grid.n_points - 1)
-    energies, vectors = eigh_tridiagonal(diag, off, select="i",
-                                         select_range=(0, k - 1))
-    vectors = vectors / np.sqrt(h)
-    # fix the arbitrary overall sign: largest-amplitude lobe positive
-    for j in range(vectors.shape[1]):
-        i = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[i, j] < 0:
-            vectors[:, j] = -vectors[:, j]
+    energies, eigenvectors = _lowest_eigenvalues(
+        diag, off, min(n_states, grid.n_points - 1))
     if require_bound and energies[0] >= 0.0:
         raise NoBoundStateError(
             f"ground state energy {energies[0]:.3f} meV is not bound")
     n_bound = int(np.sum(energies < 0.0))
-    labels, weights = classify_states(energies, vectors, grid, well_spec)
     return VerticalSpectrum(grid=grid, well_spec=well_spec, energies=energies,
-                            wavefunctions=vectors, n_bound=n_bound,
-                            labels=labels, localization=weights)
+                            n_bound=n_bound,
+                            labels=state_labels(len(energies)),
+                            eigenvectors=eigenvectors)
 
 
 def solve_double_well(spec: DoubleWellSpec, species: ParticleSpecies,

@@ -2,7 +2,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from dqdsim import default_device, errors, solve_point, spectroscopy
+from dqdsim import default_device, errors, fitting, solve_point, \
+    spectroscopy
 from dqdsim.cli import main
 from dqdsim.config import parse_config
 from dqdsim.errors import ConfigError
@@ -192,6 +193,24 @@ class TestCliCalibrate:
         assert float(rows["depth_e_dot1"]) == pytest.approx(239.0, abs=0.1)
         assert float(rows["depth_e_dot2"]) == pytest.approx(203.0, abs=0.1)
         assert float(rows["depth_h_dot1"]) == pytest.approx(119.5, abs=0.05)
+
+    def test_solver_padding_reaches_single_well_solves(self, tmp_path,
+                                                       capsys, monkeypatch):
+        paddings = []
+        solve = fitting.single_well_ground
+
+        def spy(*args, **kwargs):
+            paddings.append(kwargs.get("padding"))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(fitting, "single_well_ground", spy)
+        cfg = write(tmp_path, "run.ini", "[solver]\npadding = 30\n")
+        targets = write(tmp_path, "targets.csv",
+                        "emission_low,-138.85586529514225\n"
+                        "emission_high,-104.0928318257862\n")
+        assert main(["calibrate", targets, "--config", cfg,
+                     "--out", str(tmp_path)]) == 0
+        assert paddings and all(p == 30.0 for p in paddings)
 
     def test_unreachable_target_exits_4(self, tmp_path, capsys):
         targets = write(tmp_path, "targets.csv",

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dqdsim import (CalibrationTarget, PowerLawParams, calibrate_depths,
-                    default_device, eval_powerlaw, fit_powerlaw,
-                    solve_point)
+from dqdsim import (CalibrationResult, CalibrationTarget, PowerLawParams,
+                    calibrate_depths, default_device, eval_powerlaw,
+                    fit_powerlaw, fitting, solve_point)
 from dqdsim.errors import NoConvergenceError, SingularFitError
 
 MEASURED_LAW = PowerLawParams(amplitude_a=33.0e3, offset_delta=4.88,
@@ -140,6 +140,29 @@ class TestCalibration:
                                    emission_high=point.lines[1].energy + 1.0)
         assert (calibrate_depths(raised).depth_e_dot2
                 < calibrate_depths(base).depth_e_dot2)
+
+    def test_each_depth_solved_once(self, monkeypatch):
+        calls = []
+        solve = fitting.single_well_ground
+
+        def spy(depth, width, species, **kwargs):
+            calls.append((depth, species.name))
+            return solve(depth, width, species, **kwargs)
+
+        monkeypatch.setattr(fitting, "single_well_ground", spy)
+        # the lines of the default device at L = 50 nm
+        result = calibrate_depths(CalibrationTarget(
+            emission_low=-138.85586529514225,
+            emission_high=-104.0928318257862))
+        # 22 line evaluations, 8 of them repeats, without the per-call memo
+        assert len(calls) == 28
+        assert len(set(calls)) == len(calls)
+        # bit for bit the result of solving every evaluation afresh
+        assert result == CalibrationResult(
+            depth_e_dot1=239.00103618609995, depth_e_dot2=203.00366859347903,
+            depth_h_dot1=119.50051809304998, depth_h_dot2=101.50183429673952,
+            residual_low=-5.985577899991767e-08,
+            residual_high=-1.5377402462490863e-07)
 
     def test_unreachable_target_fails(self):
         target = CalibrationTarget(emission_low=-60.0, emission_high=10.0)

@@ -9,6 +9,7 @@ from dqdsim import (ELECTRON, HOLE, FieldPoint, ParticleSpecies,
                     label_states, molecular, solve_molecular, y_matrix)
 from dqdsim.errors import (AmbiguousContinuationError, BasisMismatchError,
                            EigenResidualError, NotHermitianError)
+from dqdsim.config import DEFAULT_B_VALUES
 from dqdsim.molecular import (OVERLAP_THRESHOLD, BlockHamiltonian,
                               MolecularSpectrum, product_basis, shell_name)
 from dqdsim.spectroscopy import vertical_for_species
@@ -227,6 +228,18 @@ class TestBatchedSweepEquivalence:
             assert spec.b == ref.b
             assert spec.energies.tobytes() == ref.energies.tobytes()
             assert spec.labels == ref.labels
+
+    @pytest.mark.parametrize("barrier_l", [7.0, 9.5])
+    @pytest.mark.parametrize("species", [ELECTRON, HOLE], ids=["e", "h"])
+    def test_cross_term_sign_flip_changes_nothing(self, barrier_l, species):
+        # flipping hyz_sign conjugates H, which keeps its eigenvalues and
+        # the moduli of its eigenvectors, and so the adiabatic labels
+        flipped = replace(species, hyz_sign=-species.hyz_sign)
+        vert, dz = vertical_for_species(default_device(barrier_l), species)
+        for a, b in zip(adiabatic_sweep(vert, dz, species, DEFAULT_B_VALUES),
+                        adiabatic_sweep(vert, dz, flipped, DEFAULT_B_VALUES)):
+            assert a.energies.tobytes() == b.energies.tobytes()
+            assert a.labels == b.labels
 
     def test_field_chunks_do_not_change_results(self, electron_vertical,
                                                 monkeypatch):

@@ -5,11 +5,12 @@ import pytest
 
 from dqdsim import (ELECTRON, HOLE, DeviceSpec, FieldPoint, default_device,
                     effective_interdot_distance, emission_lines,
-                    solve_point, sweep_b, sweep_l)
+                    solve_point, spectroscopy, sweep_b, sweep_l)
 from dqdsim.errors import MissingLabelError, NoBoundStateError, \
     OutOfRangeError
 from dqdsim.fitting import single_well_ground
 from dqdsim.spectroscopy import gap_at_zero_field
+from dqdsim.vertical import VerticalSpectrum
 
 
 def uncoupled_gap_oracle(device):
@@ -78,12 +79,32 @@ class TestEmissionLines:
             emission_lines(e0, h1, device)
 
 
+def test_zero_field_reads_no_eigenvectors(monkeypatch):
+    def unread(*_):
+        raise AssertionError("eigenvectors read at B = 0")
+
+    monkeypatch.setattr(VerticalSpectrum, "wavefunctions", property(unread))
+    monkeypatch.setattr(spectroscopy, "dz_matrix", unread)
+    point = solve_point(default_device(7.0))
+    assert point.electron.energy_of_label("A:s") is not None
+    assert f"{point.gap:.6f}" == "46.650122"
+
+
 class TestSweepL:
     def test_gap_strictly_decreasing(self, device):
         ls = [2.0, 3.0, 5.0, 7.0, 9.5, 12.0, 15.0, 20.0]
         curve, _ = sweep_l(device, ls)
         gaps = curve.gaps()
         assert np.all(np.diff(gaps) < 0)
+
+    @pytest.mark.parametrize("start", [2.5, 7.0, 14.8])
+    def test_gap_strictly_decreasing_on_lattice(self, device, start):
+        # every step of the 0.01 nm lattice, the default grid step, over
+        # 0.2 nm at both ends and in the middle of the 2.5-15 nm range;
+        # off the lattice the grid rounds the barrier and gap(L) steps
+        ls = np.round(start + 0.01 * np.arange(21), 2)
+        curve, _ = sweep_l(device, ls)
+        assert np.all(np.diff(curve.gaps()) < 0)
 
     def test_flat_tail_beyond_15nm(self, device):
         curve, _ = sweep_l(device, [15.0, 50.0])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 import oracles
-from dqdsim import ELECTRON, ParticleSpecies
+from dqdsim import ELECTRON, HOLE, ParticleSpecies, vertical
+from dqdsim.core import kinetic_coefficient
 from dqdsim.errors import DomainTooSmallError, NoBoundStateError
 from dqdsim.vertical import (DoubleWellSpec, Grid1D, build_potential,
                              dz_matrix, grid_for_wells, solve_double_well,
@@ -232,3 +234,61 @@ class TestDzMatrix:
         spectrum = solve_double_well(spec, ELECTRON, n_states=1)
         with pytest.raises(ValueError):
             dz_matrix(spectrum)
+
+
+def lattice_wells():
+    """The default device's wells at lattice distances across 2.5-15 nm."""
+    for barrier_l in np.round(np.linspace(2.5, 15.0, 6), 2):
+        yield DoubleWellSpec(4.5, float(barrier_l), 239.0, 203.0), ELECTRON
+        yield DoubleWellSpec(4.5, float(barrier_l), 119.5, 101.5), HOLE
+
+
+def tridiagonal(spec, species):
+    """Diagonal, off-diagonal and grid of the FD problem for a well."""
+    grid = grid_for_wells(spec)
+    h = grid.step
+    c = kinetic_coefficient(species)
+    diag = 2.0 * c / h ** 2 + build_potential(spec, grid)
+    return diag, np.full(grid.n_points - 1, -c / h ** 2), grid
+
+
+class TestEigenvectorsOnDemand:
+    @pytest.mark.parametrize("spec,species", list(lattice_wells()))
+    def test_matches_eigh_tridiagonal_bitwise(self, spec, species):
+        diag, off, grid = tridiagonal(spec, species)
+        energies, vectors = eigh_tridiagonal(diag, off, select="i",
+                                             select_range=(0, 3))
+        spectrum = solve_double_well(spec, species)
+        # energies from bisection alone, before any vector is computed
+        assert spectrum.energies.tobytes() == energies.tobytes()
+        assert spectrum.eigenvectors().tobytes() == vectors.tobytes()
+        # the normalization and sign convention of the eagerly solved
+        # spectrum this replaced
+        vectors = vectors / np.sqrt(grid.step)
+        for j in range(vectors.shape[1]):
+            i = int(np.argmax(np.abs(vectors[:, j])))
+            if vectors[i, j] < 0:
+                vectors[:, j] = -vectors[:, j]
+        assert spectrum.wavefunctions.tobytes() == vectors.tobytes()
+
+    def test_vectors_computed_once_without_second_bisection(self,
+                                                             monkeypatch):
+        calls = {"stebz": 0, "stein": 0}
+        lapack = vertical.get_lapack_funcs
+
+        def counting(names, arrays):
+            def counted(name, func):
+                def call(*args):
+                    calls[name] += 1
+                    return func(*args)
+                return call
+            return [counted(name, func)
+                    for name, func in zip(names, lapack(names, arrays))]
+
+        monkeypatch.setattr(vertical, "get_lapack_funcs", counting)
+        spectrum = solve_double_well(DEFAULT_WELL, ELECTRON)
+        assert calls == {"stebz": 1, "stein": 0}
+        spectrum.localization
+        spectrum.wavefunctions
+        dz_matrix(spectrum)
+        assert calls == {"stebz": 1, "stein": 1}
