@@ -6,10 +6,16 @@ energy zero at the barrier band edge (well bottoms at -depth). Bound states
 therefore come out negative. The solver uses the standard three-point
 Laplacian on a uniform grid with hard-wall (Dirichlet) boundaries placed
 far enough out that bound states have decayed.
+
+The FD matrix is piecewise Toeplitz (5 runs for the double well): its
+recurrence crosses a run in one 2x2 Chebyshev transfer matrix (Tsu & Esaki,
+APL 22, 562, 1973), its signs give the Sturm count (Barth, Martin &
+Wilkinson, Numer. Math. 9, 386, 1967), so an eigenvalue costs O(runs).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -126,7 +132,8 @@ class VerticalSpectrum:
     """Eigenpairs of the vertical problem.
 
     energies are ascending and measured from the barrier band edge; the
-    first n_bound of them are negative (bound). labels classify
+    first n_bound of them are negative (bound): all unless solved with
+    require_bound=False. labels classify
     consecutive pairs as bonding (lower) / antibonding (upper).
     wavefunctions holds the grid-sampled, L2-normalized real
     eigenfunctions as columns, largest-amplitude lobe positive, and
@@ -188,42 +195,84 @@ def state_labels(count: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def _lowest_eigenvalues(diag: np.ndarray, off: np.ndarray, k: int,
-                       ) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-    """The k lowest eigenvalues of a symmetric tridiagonal matrix, ascending,
-    and a function returning their eigenvectors as columns.
+def _shoot(energy: float, runs: list[tuple[float, int]], c_h2: float,
+           ) -> tuple[int, float, float]:
+    """Sturm count and psi_{n+1} = mantissa * e^log_scale at E of the FD
+    recurrence psi_{j+1} = 2(1 + delta_j) psi_j - psi_{j-1} from psi_0 = 0,
+    psi_1 = 1, delta_j = (V_j - E) h^2/2c. A run of m equal nodes is one T^m
+    (cos theta = 1 + delta; cosh where delta > 0) acting on (psi_s, psi_s -
+    psi_{s-1}), or on the modes of a run decaying by over e, so rounding
+    stays at the run ends."""
+    x, y, log_scale, count = 1.0, 0.0, 0.0, 0
+    for value, m in runs:
+        start, d, delta = x, x - y, (value - energy) / (2.0 * c_h2)
+        cos, sin, arc = ((math.cos, math.sin, math.asin) if delta < 0.0
+                         else (math.cosh, math.sinh, math.asinh))
+        theta = 2.0 * arc(math.sqrt(abs(delta) / 2.0))
+        if delta > 0.0 and m * theta > 1.0:
+            e, grow = math.exp(-theta), d + x * math.expm1(theta)
+            decay = -d - x * math.expm1(-theta)
+            x, y = (grow + decay * e ** (2 * m),
+                    (grow + decay * e ** (2 * m - 2)) * e)
+            log_scale += m * theta - math.log(2.0 * math.sinh(theta))
+        elif delta == 0.0:  # U_k = k + 1
+            x, y = x + m * d, x + (m - 1) * d
+        else:  # psi_{s+k} = x (U_k - U_{k-1}) + d U_{k-1}
+            cos_h, sin_t = cos(theta / 2.0), sin(theta)
+            x, y = (x * cos((m + 0.5) * theta) / cos_h
+                    + d * sin(m * theta) / sin_t,
+                    x * cos((m - 0.5) * theta) / cos_h
+                    + d * sin((m - 1) * theta) / sin_t)
+        # m theta/pi half-waves: that many sign changes or one more
+        turns = math.floor(m * theta / math.pi) if delta < 0.0 else 0
+        count += turns + (turns + ((x < 0.0) != (start < 0.0))) % 2
+        scale = abs(x) + abs(y)
+        x, y = x / scale, y / scale
+        log_scale += math.log(scale)
+    return count, x, log_scale
 
-    The same LAPACK calls as scipy's eigh_tridiagonal(select="i"), so
-    values and vectors match it bit for bit: bisection (stebz) now, and
-    inverse iteration (stein) on the eigenvalues bisection found only when
-    the returned function is called.
-    """
-    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    stebz, stein = get_lapack_funcs(("stebz", "stein"), (diag, off))
-    # range "I" (2) over indices 1..k; the value bounds 0, 1 are unused
-    m, w, iblock, isplit, info = stebz(diag, off, 2, 0.0, 1.0, 1, k, 0.0,
-                                       "B")
-    if info != 0:
-        raise LinAlgError(f"stebz failed with info {info}")
-    # stebz returns n-long buffers. Keep only what stein reads: the m
-    # eigenvalues, their block indices and the split points up to the
-    # last block, so a spectrum whose vectors are never read holds little
-    # beyond the matrix.
-    w, iblock = w[:m].copy(), iblock[:m].copy()
-    isplit = isplit[:iblock.max()].copy()
-    # the eigenvalues come grouped by matrix block
-    order = np.argsort(w)
 
-    def eigenvectors() -> np.ndarray:
-        n = len(diag)
-        vectors, info = stein(diag, off, w, np.pad(iblock, (0, n - m)),
-                              np.pad(isplit, (0, n - len(isplit))))
-        if info != 0:
-            raise LinAlgError(f"stein failed with info {info}")
-        return vectors[:, order]
-
-    return w[order], eigenvectors
+def _lowest_eigenvalues(potential: np.ndarray, c_h2: float, k: int,
+                        upper: float | None = None) -> np.ndarray:
+    """The lowest k eigenvalues, ascending, of the FD matrix 2 c_h2 +
+    potential on the diagonal, -c_h2 = -c/h^2 off it; with `upper`, only
+    those below it (by default Weyl's bound max V + lambda_{k+1}(-Lapl.)).
+    Bisection on the Sturm count from (min V, upper) isolates each root; a
+    safeguarded secant on psi_{n+1} polishes it in a 2 eps c/h^2 bracket."""
+    starts = np.flatnonzero(np.diff(potential)) + 1
+    lengths = np.diff(np.concatenate(([0], starts, [len(potential)])))
+    runs = list(zip(potential[np.r_[0, starts]].tolist(), lengths.tolist()))
+    lower = float(potential.min())
+    if upper is None:
+        upper = float(potential.max()) + 4.0 * c_h2 * math.sin(
+            (k + 1) * math.pi / (2 * (len(potential) + 1))) ** 2
+    if upper - lower >= 4.0 * c_h2:  # cos theta would pass -1
+        raise ValueError("grid step too coarse for these well depths")
+    tol = 2.0 * np.finfo(float).eps * max(c_h2, -lower, upper)
+    probes = {e: _shoot(e, runs, c_h2) for e in (lower, upper)}
+    roots = []
+    for i in range(min(k, probes[upper][0])):
+        a = max(e for e, p in probes.items() if p[0] <= i)
+        b = min(e for e, p in probes.items() if p[0] > i)
+        p0, p1, steps, guess = a, b, [math.inf, math.inf], math.nan
+        while b - a > tol:
+            x = 0.5 * (a + b)
+            isolated = probes[a][0] == i and probes[b][0] == i + 1
+            if isolated:
+                (_, f0, l0), (_, f1, l1) = probes[p0], probes[p1]
+                slope = f1 - f0 * math.exp(min(l0 - l1, 700.0))  # finite
+                step = -f1 * (p1 - p0) / slope if slope else math.inf
+                # secant step (>= tol) from bracket end p1 unless it stalls
+                if (a < p1 + step < b and abs(step) <= 0.5 * steps[-2]
+                        and steps[-1] >= tol):
+                    x = p1 + math.copysign(max(abs(step), tol), step)
+                    guess = p1 + step
+                steps.append(abs(step))
+            probes[x] = _shoot(x, runs, c_h2)
+            a, b = (x, b) if probes[x][0] <= i else (a, x)
+            p0, p1 = (p1, x) if isolated else (a, b)
+        roots.append(guess if a <= guess <= b else 0.5 * (a + b))
+    return np.array(roots)
 
 
 def solve_vertical(potential: np.ndarray, grid: Grid1D,
@@ -233,28 +282,39 @@ def solve_vertical(potential: np.ndarray, grid: Grid1D,
     """Lowest n_states eigenvalues of the 1D problem on the given grid; the
     eigenfunctions follow when first read.
 
-    Dirichlet walls sit one step outside the first and last nodes. Only
-    states with E < 0 count as bound and are retained for downstream basis
-    construction; raises NoBoundStateError when even the ground state is
-    unbound. Pass require_bound=False for potentials, such as a hard-wall
-    box, whose spectrum is legitimately positive.
+    Dirichlet walls sit one step outside the first and last nodes. With
+    require_bound (the default) only bound states, E < 0, are solved for,
+    at most n_states; raises NoBoundStateError when even the ground state
+    is unbound. require_bound=False serves potentials, such as a hard-wall
+    box, whose spectrum is legitimately positive. Vectors: LAPACK stein.
     """
     if n_states < 1:
         raise ValueError("n_states must be >= 1")
     if len(potential) != grid.n_points:
         raise ValueError("potential length does not match the grid")
-    h = grid.step
-    c = kinetic_coefficient(species)
-    diag = 2.0 * c / h ** 2 + potential
-    off = np.full(grid.n_points - 1, -c / h ** 2)
-    energies, eigenvectors = _lowest_eigenvalues(
-        diag, off, min(n_states, grid.n_points - 1))
-    if require_bound and energies[0] >= 0.0:
-        raise NoBoundStateError(
-            f"ground state energy {energies[0]:.3f} meV is not bound")
-    n_bound = int(np.sum(energies < 0.0))
+    if not np.isfinite(potential).all():
+        raise ValueError("array must not contain infs or NaNs")
+    n = grid.n_points
+    c_h2 = kinetic_coefficient(species) / grid.step ** 2
+    energies = _lowest_eigenvalues(potential, c_h2, min(n_states, n - 1),
+                                   0.0 if require_bound else None)
+    if not len(energies):
+        ground = _lowest_eigenvalues(potential, c_h2, 1)[0]
+        raise NoBoundStateError(f"ground state energy {ground:.3f} meV is "
+                                "not bound")
+
+    def eigenvectors() -> np.ndarray:
+        diag, off = 2.0 * c_h2 + potential, np.full(n - 1, -c_h2)
+        stein, = get_lapack_funcs(("stein",), (diag, off))
+        # one unsplit block: iblock all 1, isplit = [n]
+        vectors, info = stein(diag, off, energies, np.ones(n, np.int32),
+                              np.r_[n, np.zeros(n - 1, np.int32)])
+        if info != 0:
+            raise LinAlgError(f"stein failed with info {info}")
+        return vectors
+
     return VerticalSpectrum(grid=grid, well_spec=well_spec, energies=energies,
-                            n_bound=n_bound,
+                            n_bound=int(np.sum(energies < 0.0)),
                             labels=state_labels(len(energies)),
                             eigenvectors=eigenvectors)
 

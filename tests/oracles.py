@@ -78,3 +78,17 @@ def _ho_moment(n, m, mass_ratio, quantum, power):
                          * math.factorial(n) * math.factorial(m))
     vals = h(n, nodes) * h(m, nodes) * (a * nodes) ** power
     return norm * np.sum(weights * vals)
+
+
+def sturm_count(diag, off, energy):
+    """Number of eigenvalues of the symmetric tridiagonal matrix (diag, off)
+    below `energy`: the negative pivots of the LDL^T factorization of
+    T - energy, by the plain pivot recurrence one row at a time. A zero pivot
+    counts as negative, as in LAPACK's bisection."""
+    count, pivot, off = 0, 1.0, [0.0] + np.asarray(off).tolist()
+    for d, e in zip(diag.tolist(), off):
+        pivot = d - energy - e * e / pivot
+        if pivot == 0.0:
+            pivot = -np.finfo(float).tiny
+        count += pivot < 0.0
+    return count

@@ -159,10 +159,10 @@ class TestCalibration:
         assert len(set(calls)) == len(calls)
         # bit for bit the result of solving every evaluation afresh
         assert result == CalibrationResult(
-            depth_e_dot1=239.00103618609995, depth_e_dot2=203.00366859347903,
-            depth_h_dot1=119.50051809304998, depth_h_dot2=101.50183429673952,
-            residual_low=-5.985577899991767e-08,
-            residual_high=-1.5377402462490863e-07)
+            depth_e_dot1=239.00103619184915, depth_e_dot2=203.00366859181366,
+            depth_h_dot1=119.50051809592458, depth_h_dot2=101.50183429590683,
+            residual_low=-6.639490379711788e-08,
+            residual_high=-1.5252122409492586e-07)
 
     def test_unreachable_target_fails(self):
         target = CalibrationTarget(emission_low=-60.0, emission_high=10.0)

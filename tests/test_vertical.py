@@ -1,11 +1,17 @@
+import collections
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstein
 
 import oracles
-from dqdsim import ELECTRON, HOLE, ParticleSpecies, vertical
+from dqdsim import (ELECTRON, HOLE, ParticleSpecies, SolverOptions,
+                    default_device, vertical)
 from dqdsim.core import kinetic_coefficient
 from dqdsim.errors import DomainTooSmallError, NoBoundStateError
+from dqdsim.spectroscopy import vertical_spectrum
 from dqdsim.vertical import (DoubleWellSpec, Grid1D, build_potential,
                              dz_matrix, grid_for_wells, solve_double_well,
                              solve_vertical)
@@ -96,6 +102,17 @@ class TestSolveVertical:
             gaps.append(spectrum.energies[1] - spectrum.energies[0])
         assert all(g > 0 for g in gaps)
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
+
+    @pytest.mark.parametrize("barrier_l", [2.5, 7.0, 15.0])
+    @pytest.mark.parametrize("species", [ELECTRON, HOLE])
+    def test_default_cap_solves_only_bound_states(self, barrier_l, species):
+        # vertical_cap = 4 allows 4 states, but the device binds only 2
+        options = SolverOptions()
+        assert options.vertical_cap == 4
+        spectrum = vertical_spectrum(default_device(barrier_l), species,
+                                     options)
+        assert len(spectrum.energies) == spectrum.n_bound == 2
+        assert np.all(spectrum.energies < 0)
 
     def test_no_bound_state(self):
         spec = DoubleWellSpec(4.5, 7.0, 0.0, 0.0)
@@ -243,37 +260,72 @@ def lattice_wells():
         yield DoubleWellSpec(4.5, float(barrier_l), 119.5, 101.5), HOLE
 
 
+def fd_matrix(potential, species, step):
+    """Diagonal and off-diagonal of the FD matrix of a sampled potential."""
+    c_h2 = kinetic_coefficient(species) / step ** 2
+    return 2.0 * c_h2 + potential, np.full(len(potential) - 1, -c_h2)
+
+
 def tridiagonal(spec, species):
     """Diagonal, off-diagonal and grid of the FD problem for a well."""
     grid = grid_for_wells(spec)
-    h = grid.step
-    c = kinetic_coefficient(species)
-    diag = 2.0 * c / h ** 2 + build_potential(spec, grid)
-    return diag, np.full(grid.n_points - 1, -c / h ** 2), grid
+    return (*fd_matrix(build_potential(spec, grid), species, grid.step),
+            grid)
+
+
+def certificate_tolerance(diag, off):
+    """epsilon = 4 eps ||T||_1 of the tridiagonal matrix (diag, off)."""
+    column = np.abs(diag) + np.pad(np.abs(off), (1, 0)) \
+        + np.pad(np.abs(off), (0, 1))
+    return 4 * np.finfo(float).eps * float(column.max())
+
+
+def signed_unit_columns(vectors, step):
+    """Columns scaled to unit L2 norm on the grid, largest lobe positive."""
+    vectors = vectors / np.sqrt(step)
+    for j in range(vectors.shape[1]):
+        i = int(np.argmax(np.abs(vectors[:, j])))
+        if vectors[i, j] < 0:
+            vectors[:, j] = -vectors[:, j]
+    return vectors
 
 
 class TestEigenvectorsOnDemand:
     @pytest.mark.parametrize("spec,species", list(lattice_wells()))
     def test_matches_eigh_tridiagonal_bitwise(self, spec, species):
+        """Energies are certified against eigh_tridiagonal by Sturm counts
+        and within eps; the vectors are bitwise what eigh_tridiagonal's own
+        vector stage (stein on one unsplit block) makes of those energies."""
         diag, off, grid = tridiagonal(spec, species)
-        energies, vectors = eigh_tridiagonal(diag, off, select="i",
-                                             select_range=(0, 3))
+        eps = certificate_tolerance(diag, off)
         spectrum = solve_double_well(spec, species)
-        # energies from bisection alone, before any vector is computed
-        assert spectrum.energies.tobytes() == energies.tobytes()
-        assert spectrum.eigenvectors().tobytes() == vectors.tobytes()
-        # the normalization and sign convention of the eagerly solved
-        # spectrum this replaced
-        vectors = vectors / np.sqrt(grid.step)
-        for j in range(vectors.shape[1]):
-            i = int(np.argmax(np.abs(vectors[:, j])))
-            if vectors[i, j] < 0:
-                vectors[:, j] = -vectors[:, j]
-        assert spectrum.wavefunctions.tobytes() == vectors.tobytes()
+        energies = spectrum.energies
+        # the default device binds 2 states per carrier at every L
+        assert len(energies) == spectrum.n_bound == 2
+        assert oracles.sturm_count(diag, off, 0.0) == 2
+        for i, energy in enumerate(energies):
+            # exactly i eigenvalues below E_i - eps and i + 1 below E_i + eps
+            assert oracles.sturm_count(diag, off, energy - eps) == i
+            assert oracles.sturm_count(diag, off, energy + eps) == i + 1
+        reference, vectors = eigh_tridiagonal(
+            diag, off, select="i", select_range=(0, len(energies) - 1))
+        assert np.max(np.abs(energies - reference)) <= eps
+        n = len(diag)
+        stein_vectors, info = dstein(diag, off, energies, np.ones(n, np.int32),
+                                     np.r_[n, np.zeros(n - 1, np.int32)])
+        assert info == 0
+        assert spectrum.eigenvectors().tobytes() == stein_vectors.tobytes()
+        assert spectrum.wavefunctions.tobytes() == signed_unit_columns(
+            stein_vectors, grid.step).tobytes()
+        # same normalization and sign convention; overlaps of unit vectors
+        overlaps = np.sum(spectrum.wavefunctions
+                          * signed_unit_columns(vectors, grid.step),
+                          axis=0) * grid.step
+        assert np.all(overlaps >= 1 - 1e-12)
 
     def test_vectors_computed_once_without_second_bisection(self,
                                                              monkeypatch):
-        calls = {"stebz": 0, "stein": 0}
+        calls = collections.Counter()
         lapack = vertical.get_lapack_funcs
 
         def counting(names, arrays):
@@ -287,8 +339,90 @@ class TestEigenvectorsOnDemand:
 
         monkeypatch.setattr(vertical, "get_lapack_funcs", counting)
         spectrum = solve_double_well(DEFAULT_WELL, ELECTRON)
-        assert calls == {"stebz": 1, "stein": 0}
+        # eigenvalues without any LAPACK call, stebz included
+        assert calls == {}
         spectrum.localization
         spectrum.wavefunctions
         dz_matrix(spectrum)
-        assert calls == {"stebz": 1, "stein": 1}
+        assert calls == {"stein": 1}
+
+
+SPECIES = st.sampled_from([ELECTRON, HOLE])
+
+
+def lowest_eigh(diag, off, n_states):
+    """eigh_tridiagonal's lowest min(n_states, n - 1) eigenvalues."""
+    k = min(n_states, len(diag) - 1)
+    return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                            select_range=(0, k - 1))
+
+
+def assert_matches_eigh(potential, grid, species, n_states):
+    """solve_vertical and eigh_tridiagonal agree on the count, order and
+    n_bound of the bound states, and on each energy within eps; a potential
+    with none raises NoBoundStateError with the ground energy."""
+    diag, off = fd_matrix(potential, species, grid.step)
+    eps = certificate_tolerance(diag, off)
+    reference = lowest_eigh(diag, off, n_states)
+    assume(np.all(np.abs(reference) > eps))  # no level on the E = 0 edge
+    bound = reference[reference < 0]
+    if not len(bound):
+        with pytest.raises(NoBoundStateError,
+                           match=r"^ground state energy -?\d+\.\d{3} meV "
+                                 r"is not bound$") as caught:
+            solve_vertical(potential, grid, species, n_states=n_states)
+        assert caught.value.exit_code == 3
+        ground = float(str(caught.value).split()[3])
+        assert abs(ground - reference[0]) <= 5e-4 + eps
+        return
+    spectrum = solve_vertical(potential, grid, species, n_states=n_states)
+    assert len(spectrum.energies) == spectrum.n_bound == len(bound)
+    assert np.all(np.diff(spectrum.energies) > 0)
+    assert np.max(np.abs(spectrum.energies - bound)) <= eps
+
+
+class TestTransferMatrixEigenvalues:
+    """The O(runs) eigenvalues against LAPACK's O(n) eigh_tridiagonal."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(runs=st.lists(
+               st.tuples(st.one_of(st.just(1), st.integers(1, 600)),
+                         st.one_of(st.just(0.0), st.just(600.0),
+                                   st.floats(0.0, 600.0))),
+               min_size=1, max_size=9),
+           species=SPECIES, n_states=st.integers(1, 6))
+    def test_random_piecewise_constant_potentials(self, runs, species,
+                                                  n_states):
+        potential = np.concatenate([np.full(m, -depth) for m, depth in runs])
+        assume(len(potential) >= 3)
+        step = 0.01
+        grid = Grid1D(0.0, (len(potential) - 1) * step, len(potential))
+        assert_matches_eigh(potential, grid, species, n_states)
+
+    @settings(deadline=None, max_examples=30)
+    @given(barrier=st.floats(2.5, 30.0), depth=st.floats(50.0, 600.0),
+           species=SPECIES)
+    def test_symmetric_double_wells(self, barrier, depth, species):
+        # at large L the bonding/antibonding pair is closer than any scan
+        spec = DoubleWellSpec(4.5, barrier, depth, depth)
+        grid = grid_for_wells(spec)
+        assert_matches_eigh(build_potential(spec, grid), grid, species, 4)
+
+    @settings(deadline=None, max_examples=30)
+    @given(n=st.integers(3, 3000), n_states=st.integers(1, 6),
+           species=SPECIES)
+    def test_zero_potential_boxes(self, n, n_states, species):
+        step = 0.01
+        grid = Grid1D(0.0, (n - 1) * step, n)
+        spectrum = solve_vertical(np.zeros(n), grid, species,
+                                  n_states=n_states, require_bound=False)
+        diag, off = fd_matrix(np.zeros(n), species, step)
+        eps = certificate_tolerance(diag, off)
+        k = min(n_states, n - 1)
+        # the FD box levels in closed form: 4 c/h^2 sin^2(j pi / 2(n + 1))
+        exact = 4 * kinetic_coefficient(species) / step ** 2 * np.sin(
+            np.arange(1, k + 1) * np.pi / (2 * (n + 1))) ** 2
+        assert len(spectrum.energies) == k and spectrum.n_bound == 0
+        assert np.max(np.abs(spectrum.energies
+                             - lowest_eigh(diag, off, n_states))) <= eps
+        assert np.max(np.abs(spectrum.energies - exact)) <= eps
