@@ -5,7 +5,7 @@ Library layout:
 - core: constants, units, device and carrier data model
 - vertical: 1D finite-difference double-well eigensolver
 - lateral: analytic 2D oscillator basis with magnetic renormalization
-- molecular: product-basis assembly, diagonalization, level labeling
+- molecular: n_x block Hamiltonian, batched diagonalization, labeling
 - spectroscopy: excitonic emission lines, sweeps, effective distance
 - fitting: well-depth calibration and the 1/L^3 gap law
 - cli: command line front end (solve, sweep-l, sweep-b, calibrate,
@@ -17,10 +17,9 @@ from .core import (CYCLOTRON_COEFF, ELECTRON, HBAR2_OVER_2M0, HOLE,
                    cyclotron_energy, default_device, kinetic_coefficient)
 from .fitting import (CalibrationResult, CalibrationTarget, PowerLawParams,
                       calibrate_depths, eval_powerlaw, fit_powerlaw)
-from .lateral import LateralBasis, build_basis, renormalized_y_quantum, \
-    y_matrix
+from .lateral import renormalized_y_quantum
 from .molecular import (MolecularSpectrum, ProductBasis, adiabatic_sweep,
-                        assemble, diagonalize, dominant_labels, label_states,
+                        diagonalize, dominant_labels, label_states,
                         solve_molecular)
 from .spectroscopy import (EmissionLine, GapCurve, SolvePoint,
                            effective_interdot_distance, emission_lines,

@@ -133,15 +133,15 @@ class SolverOptions:
 
     grid_step: float = 0.01  # nm
     padding: float = 20.0  # nm of barrier material on each side
-    vertical_cap: int = 4  # max vertical states retained
+    vertical_cap: int = 4  # max vertical states retained, >= 2 (B and A)
     lateral_quanta: int = 6  # states with n_x + n_y <= this
     field_step: float = 0.1  # T, adiabatic labeling march
 
     def __post_init__(self):
         if self.grid_step <= 0 or self.padding < 15.0:
             raise ValueError("grid_step must be > 0 and padding >= 15 nm")
-        if self.vertical_cap < 1 or self.lateral_quanta < 0:
-            raise ValueError("vertical_cap >= 1 and lateral_quanta >= 0 required")
+        if self.vertical_cap < 2 or self.lateral_quanta < 0:
+            raise ValueError("vertical_cap >= 2 and lateral_quanta >= 0 required")
         if self.field_step <= 0:
             raise ValueError("field_step must be > 0")
 

@@ -40,7 +40,8 @@ class UnboundDotError(DqdError):
 
 
 class BasisMismatchError(DqdError):
-    """Lateral basis was built at a different magnetic field."""
+    """label_states was handed spectra over product bases of different
+    sizes."""
 
     module = "molecular"
 

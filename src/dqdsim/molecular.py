@@ -25,8 +25,8 @@ from scipy.optimize import linear_sum_assignment
 from .core import FieldPoint, ParticleSpecies, SolverOptions, cyclotron_energy
 from .errors import AmbiguousContinuationError, BasisMismatchError, \
     EigenResidualError, NotHermitianError
-from .lateral import LateralBasis, build_basis, renormalized_y_quantum, \
-    y_ladder, y_zero_point
+from .lateral import lateral_states, renormalized_y_quantum, y_ladder, \
+    y_zero_point
 from .vertical import VerticalSpectrum
 
 OVERLAP_THRESHOLD = 0.7
@@ -50,11 +50,10 @@ def shell_name(nx: int, ny: int) -> str:
 
 @dataclass(frozen=True)
 class ProductBasis:
-    """Composite indices (v, n_x, n_y), v-major then n_x then n_y, with the
-    field-free part of the energy (vertical plus dressed lateral)."""
+    """Composite indices (v, n_x, n_y), v-major then n_x then n_y, and the
+    names of the vertical states."""
 
     entries: tuple[tuple[int, int, int], ...]
-    e0: tuple[float, ...]
     vertical_labels: tuple[str, ...]
 
     def __len__(self) -> int:
@@ -63,41 +62,6 @@ class ProductBasis:
     def label_of(self, index: int) -> str:
         v, nx, ny = self.entries[index]
         return f"{self.vertical_labels[v]}:{shell_name(nx, ny)}"
-
-
-def product_basis(vertical: VerticalSpectrum,
-                  lateral: LateralBasis) -> ProductBasis:
-    lat_e = lateral.energies()
-    entries = []
-    e0 = []
-    for v in range(vertical.n_bound):
-        for (nx, ny), el in zip(lateral.states, lat_e):
-            entries.append((v, nx, ny))
-            e0.append(vertical.bound_energies[v] + el)
-    return ProductBasis(entries=tuple(entries), e0=tuple(e0),
-                        vertical_labels=vertical.labels[:vertical.n_bound])
-
-
-def assemble(vertical: VerticalSpectrum, dz: np.ndarray,
-             lateral: LateralBasis, ymat: np.ndarray,
-             species: ParticleSpecies, field: FieldPoint) -> np.ndarray:
-    """Hermitian Hamiltonian over the product basis, in meV.
-
-    H = diag(E0) + sign * i * hbar*Omega_c * kron(Dz, Y). The lateral
-    basis must have been built at the same field (its y renormalization
-    would otherwise be inconsistent).
-    """
-    if lateral.b != field.b:
-        raise BasisMismatchError(
-            f"lateral basis built at B={lateral.b} T, assembling at "
-            f"B={field.b} T")
-    basis = product_basis(vertical, lateral)
-    h = np.diag(np.asarray(basis.e0, dtype=complex))
-    hoc = cyclotron_energy(species, field)
-    if hoc != 0.0:
-        h += species.hyz_sign * 1j * hoc * np.kron(
-            dz[:vertical.n_bound, :vertical.n_bound], ymat)
-    return h
 
 
 def diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,17 +139,15 @@ class BlockHamiltonian:
 
     def __init__(self, vertical: VerticalSpectrum, dz: np.ndarray,
                  species: ParticleSpecies, lateral_quanta: int = 6):
-        lateral = build_basis(species, FieldPoint(0.0),
-                              max_total_quanta=lateral_quanta)
-        n_v, n_lat = vertical.n_bound, len(lateral)
+        states = lateral_states(lateral_quanta)
+        n_v, n_lat = vertical.n_bound, len(states)
         self.species = species
-        self.quantum_x = lateral.quantum_x
         self.dz = dz[:n_v, :n_v]
-        self.entries = tuple((v, nx, ny) for v in range(n_v)
-                             for nx, ny in lateral.states)
-        self.vertical_labels = vertical.labels[:n_v]
-        lateral_nx, lateral_ny = np.array(lateral.states).T
-        ladder = y_ladder(lateral.states)
+        self.basis = ProductBasis(
+            tuple((v, nx, ny) for v in range(n_v) for nx, ny in states),
+            vertical.labels[:n_v])
+        lateral_nx, lateral_ny = np.array(states).T
+        ladder = y_ladder(states)
         nx = np.tile(lateral_nx, n_v)
         vertical_energy = np.repeat(vertical.bound_energies, n_lat)
         half_ny = np.tile(lateral_ny + 0.5, n_v)
@@ -195,7 +157,7 @@ class BlockHamiltonian:
             own = np.flatnonzero(lateral_nx == n)
             self.blocks.append(Block(index, vertical_energy[index], n + 0.5,
                                      half_ny[index], ladder[own][:, own]))
-        dim = len(self.entries)
+        dim = len(self.basis)
         # where the blocks' concatenated levels and raveled eigenvectors
         # land in the full basis
         self.level_slots = np.concatenate([b.index for b in self.blocks])
@@ -203,15 +165,15 @@ class BlockHamiltonian:
             [(b.index[:, None] * dim + b.index).ravel() for b in self.blocks])
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.basis)
 
     def hamiltonians(self, b_values) -> list[np.ndarray]:
         """Per n_x block, the stacked Hamiltonians of all fields, in meV:
         one array of shape (fields, m, m) per block, in block order."""
         species = self.species
-        # the field scalars come from the same scalar functions as in
-        # assemble, so every entry matches it bit for bit (math.hypot and
-        # np.hypot need not round alike)
+        # the field scalars come one field at a time from the scalar
+        # functions, so every entry matches a dense one-field assembly bit
+        # for bit (math.hypot and np.hypot need not round alike)
         hoc = [cyclotron_energy(species, FieldPoint(b)) for b in b_values]
         q_y = [renormalized_y_quantum(species.lateral_quantum, c) for c in hoc]
         y01 = np.array([y_zero_point(species, q) for q in q_y])
@@ -220,7 +182,7 @@ class BlockHamiltonian:
         stacks = []
         for index, vertical_energy, half_nx, half_ny, ladder in self.blocks:
             m = len(index)
-            e0 = vertical_energy + (half_nx * self.quantum_x
+            e0 = vertical_energy + (half_nx * species.lateral_quantum
                                     + half_ny * q_y[:, None])
             # kron(dz, ladder * y01) at every field
             ymat = ladder * y01[:, None, None]
@@ -239,14 +201,12 @@ class BlockHamiltonian:
         from mixing across blocks when levels of different n_x cross.
         """
         b_values = tuple(b_values)
-        e0, energies, vectors = [], [], []
+        energies, vectors = [], []
         for h in self.hamiltonians(b_values):
             block_e, block_v = diagonalize(h)
-            e0.append(h.diagonal(axis1=1, axis2=2).real)
             energies.append(block_e)
             vectors.append(block_v.reshape(len(b_values), -1))
-        return FieldStack(self, b_values, np.concatenate(e0, axis=1),
-                          np.concatenate(energies, axis=1),
+        return FieldStack(self, b_values, np.concatenate(energies, axis=1),
                           np.concatenate(vectors, axis=1))
 
 
@@ -254,15 +214,13 @@ class BlockHamiltonian:
 class FieldStack:
     """Block eigenpairs of a set of fields, from BlockHamiltonian.solve.
 
-    Row i of each array belongs to b_values[i]: the diagonal E0 of H
-    (the energies without the cross term) and the eigenvalues of the
+    Row i of each array belongs to b_values[i]: the eigenvalues of the
     blocks concatenated in block order, and their eigenvectors raveled
     and concatenated.
     """
 
     hamiltonian: BlockHamiltonian
     b_values: tuple[float, ...]
-    e0: np.ndarray
     energies: np.ndarray
     vectors: np.ndarray
 
@@ -274,16 +232,12 @@ class FieldStack:
         """
         ham = self.hamiltonian
         dim = len(ham)
-        e0 = np.empty(dim)
-        e0[ham.level_slots] = self.e0[i]
         all_e = np.empty(dim)
         all_e[ham.level_slots] = self.energies[i]
         all_v = np.zeros(dim * dim, dtype=complex)
         all_v[ham.vector_slots] = self.vectors[i]
         order = np.argsort(all_e, kind="stable")
-        basis = ProductBasis(entries=ham.entries, e0=tuple(e0.tolist()),
-                             vertical_labels=ham.vertical_labels)
-        spectrum = MolecularSpectrum(basis=basis, b=self.b_values[i],
+        spectrum = MolecularSpectrum(basis=ham.basis, b=self.b_values[i],
                                      energies=all_e[order],
                                      vectors=all_v.reshape(dim, dim)[:, order])
         if spectrum.b == 0.0:

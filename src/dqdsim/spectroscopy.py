@@ -213,6 +213,9 @@ def effective_interdot_distance(gap: float, device_template: DeviceSpec,
     within `tol` nm. Raises OutOfRangeError when the gap lies below the
     large-L asymptote or above the smallest-distance value.
     """
+    if not tol > 0:  # also rejects NaN; bisection to 0 never ends
+        raise ValueError(f"tol must be > 0, got {tol}")
+
     def model(l):
         return gap_at_zero_field(device_template.with_barrier(l), options,
                                  electron, hole)

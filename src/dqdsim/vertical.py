@@ -89,7 +89,7 @@ def grid_for_wells(spec: DoubleWellSpec, step: float = 0.01,
     H/step and L/step are all integers. Off that lattice the edges snap
     to cell boundaries: at the default 0.01 nm step L = 7.003 and
     7.005 nm are both sampled as a 7.00 nm barrier, and L = 7.006 nm as
-    7.01 nm (see ROADMAP item 3).
+    7.01 nm (see ROADMAP item 4).
     """
     span = 2 * spec.width_h + spec.barrier_l + 2 * padding
     z_min = spec.well1_support[0] - padding + step / 2

@@ -17,11 +17,11 @@ from dqdsim import (ELECTRON, CalibrationTarget, FieldPoint,
                     effective_interdot_distance, eval_powerlaw, fit_powerlaw,
                     solve_point, sweep_b, sweep_l)
 from dqdsim.cli import main
-from dqdsim.lateral import build_basis, y_matrix
-from dqdsim.molecular import assemble, product_basis, solve_molecular
+from dqdsim.molecular import solve_molecular
 from dqdsim.spectroscopy import vertical_for_species
 from dqdsim.vertical import DoubleWellSpec, Grid1D, solve_double_well, \
     solve_vertical
+from oracles import assemble, build_basis, product_basis, y_matrix
 
 MEASURED_LAW = PowerLawParams(33.0e3, 4.88, 27.0)
 

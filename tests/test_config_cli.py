@@ -125,6 +125,15 @@ class TestCliSolve:
         assert code == 2
         assert "config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("b", ["0", "2"])
+    def test_single_vertical_state_exits_2(self, tmp_path, capsys, b):
+        # both emission lines need a bonding and an antibonding state
+        cfg = write(tmp_path, "cap1.ini", "[solver]\nvertical_cap = 1\n")
+        code = main(["solve", "--config", cfg, "--out", str(tmp_path),
+                     "--b", b])
+        assert code == 2
+        assert "vertical_cap >= 2" in capsys.readouterr().err
+
     def test_zero_depths_exit_3(self, tmp_path, capsys):
         cfg = write(tmp_path, "zero.ini",
                     "[device]\ndepth_e_dot1 = 0\ndepth_e_dot2 = 0\n"

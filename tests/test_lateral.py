@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
-from dqdsim import (ELECTRON, HOLE, FieldPoint, build_basis,
-                    cyclotron_energy, kinetic_coefficient,
-                    renormalized_y_quantum, y_matrix)
+from dqdsim import (ELECTRON, HOLE, FieldPoint, cyclotron_energy,
+                    kinetic_coefficient, renormalized_y_quantum)
+from dqdsim.lateral import lateral_states
+from oracles import build_basis, y_matrix
 
 
 @pytest.mark.parametrize("quantum,cyclotron,expected", [
@@ -57,6 +58,16 @@ class TestBuildBasis:
         assert len(set(basis.states)) == len(basis.states)
         assert len(basis) == (n + 1) * (n + 2) // 2
         assert all(nx + ny <= n for nx, ny in basis.states)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 6])
+def test_lateral_states_are_the_dense_basis_states(n):
+    assert lateral_states(n) == build_basis(ELECTRON, FieldPoint(2.0), n).states
+
+
+def test_lateral_states_reject_negative_quanta():
+    with pytest.raises(ValueError):
+        lateral_states(-1)
 
 
 class TestYMatrix:

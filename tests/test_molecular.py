@@ -2,19 +2,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dqdsim import (ELECTRON, HOLE, FieldPoint, ParticleSpecies,
-                    SolverOptions, adiabatic_sweep, assemble, build_basis,
-                    cyclotron_energy, diagonalize, dominant_labels,
-                    label_states, molecular, solve_molecular, y_matrix)
+                    SolverOptions, adiabatic_sweep, cyclotron_energy,
+                    diagonalize, dominant_labels, label_states, molecular,
+                    solve_molecular)
 from dqdsim.errors import (AmbiguousContinuationError, BasisMismatchError,
                            EigenResidualError, NotHermitianError)
 from dqdsim.config import DEFAULT_B_VALUES
 from dqdsim.molecular import (OVERLAP_THRESHOLD, BlockHamiltonian,
-                              MolecularSpectrum, product_basis, shell_name)
+                              MolecularSpectrum, shell_name)
 from dqdsim.spectroscopy import vertical_for_species
 from dqdsim import default_device
 from dqdsim.vertical import DoubleWellSpec, dz_matrix, solve_double_well
+from oracles import assemble, build_basis, product_basis, y_matrix
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +163,7 @@ class TestBlockHamiltonian:
             assert stack.shape == (2, m, m)
             scattered[np.ix_(block.index, block.index)] = stack[1]
         assert scattered.tobytes() == dense.tobytes()
-        assert ham.entries == product_basis(vert, lateral).entries
+        assert ham.basis.entries == product_basis(vert, lateral).entries
 
     def test_one_field_spectrum_is_solve_molecular(self, hole_vertical):
         vert, dz = hole_vertical
@@ -173,6 +175,27 @@ class TestBlockHamiltonian:
             assert spec.vectors.tobytes() == one.vectors.tobytes()
             assert spec.labels == one.labels
             assert spec.basis == one.basis
+
+    @settings(deadline=None, max_examples=40)
+    @given(steps=st.integers(250, 1500),
+           species=st.sampled_from([ELECTRON, HOLE]),
+           b=st.floats(0.0, 8.0), b_next=st.floats(0.0, 8.0))
+    def test_block_levels_continuous_in_field(self, steps, species, b,
+                                              b_next):
+        # Weyl's inequality: the k-th ascending eigenvalues of two
+        # Hermitian matrices differ by at most the spectral norm of their
+        # difference, so no level of an n_x block can jump in B
+        device = default_device(steps * 0.01)  # L on the 0.01 nm grid
+        vert, dz = vertical_for_species(device, species)
+        ham = BlockHamiltonian(vert, dz, species)
+        energies = ham.solve([b, b_next]).energies
+        start = 0
+        for h in ham.hamiltonians([b, b_next]):
+            block = slice(start, start + h.shape[-1])
+            shift = np.abs(energies[1, block] - energies[0, block]).max()
+            assert shift <= np.linalg.norm(h[1] - h[0], 2) + 1e-9
+            start = block.stop
+        assert start == len(ham)
 
 
 def greedy_labels(spectrum, reference, threshold=OVERLAP_THRESHOLD):
@@ -405,7 +428,7 @@ class TestLabeling:
 
         basis_stub = ProductBasis(
             entries=((0, 0, 0), (0, 0, 1), (1, 0, 0)),
-            e0=(0.0, 1.0, 2.0), vertical_labels=("B", "A"))
+            vertical_labels=("B", "A"))
         # one state spread evenly over three ancestors: best overlap
         # 1/sqrt(3) ~ 0.58, below the continuation threshold
         m = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [1.0, 0.0, -1.0]])

@@ -191,3 +191,14 @@ class TestEffectiveDistance:
         target = gap_at_zero_field(default_device(10.0))
         recovered = effective_interdot_distance(target, device)
         assert recovered == pytest.approx(10.0, abs=0.02)
+
+    @pytest.mark.parametrize("tol", [0.0, float("nan")])
+    def test_non_positive_tolerance_rejected_before_solving(
+            self, device, tol, monkeypatch):
+        # bisecting to a zero or NaN width would never stop
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking tol")
+
+        monkeypatch.setattr(spectroscopy, "gap_at_zero_field", no_solve)
+        with pytest.raises(ValueError, match="tol"):
+            effective_interdot_distance(40.0, device, tol=tol)
