@@ -19,11 +19,10 @@ from .fitting import (CalibrationResult, CalibrationTarget, PowerLawParams,
                       calibrate_depths, eval_powerlaw, fit_powerlaw)
 from .lateral import renormalized_y_quantum
 from .molecular import (MolecularSpectrum, ProductBasis, adiabatic_sweep,
-                        diagonalize, dominant_labels, label_states,
-                        solve_molecular)
+                        diagonalize, dominant_labels, label_states)
 from .spectroscopy import (EmissionLine, GapCurve, SolvePoint,
                            effective_interdot_distance, emission_lines,
-                           molecular_at, solve_point, sweep_b, sweep_l)
+                           solve_point, sweep_b, sweep_l)
 from .vertical import (DoubleWellSpec, Grid1D, VerticalSpectrum,
                        build_potential, dz_matrix, grid_for_wells,
                        solve_double_well, solve_vertical)

@@ -8,12 +8,17 @@ a fixed row order so repeated runs are byte identical.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 from . import config as cfg
 from . import errors, fitting, molecular, spectroscopy, svgplot
 from .core import FieldPoint
+
+# the shells with n_x + n_y <= 2, whose levels levels_vs_L.csv lists
+LOW_SHELLS = {molecular.shell_name(nx, ny)
+              for nx in range(3) for ny in range(3 - nx)}
 
 
 def _write_csv(path, header: str, rows) -> None:
@@ -56,13 +61,17 @@ def cmd_solve(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for name, spec in (("levels_electron.csv", point.electron),
                        ("levels_hole.csv", point.hole)):
-        molecular.dump_levels_csv(os.path.join(args.out, name), [spec])
+        _write_csv(os.path.join(args.out, name),
+                   "B_T,level_index,label,energy_meV",
+                   [(_fmt(spec.b), str(k), label, _fmt(energy))
+                    for k, (label, energy)
+                    in enumerate(zip(spec.labels, spec.energies))])
     low, high = point.lines
     _write_csv(os.path.join(args.out, "lines.csv"),
                "B_T,line_low_meV,line_high_meV,gap_meV",
                [(_fmt(point.b), _fmt(low.energy), _fmt(high.energy),
                  _fmt(point.gap))])
-    print(f"L={run.device.barrier_l} nm, B={args.b} T: "
+    print(f"L={run.device.barrier_l} nm, B={point.b} T: "
           f"gap {point.gap:.4f} meV")
     return 0
 
@@ -80,8 +89,7 @@ def cmd_sweep_l(args) -> int:
     for point in points:
         spec = point.electron
         for label, energy in zip(spec.labels, spec.energies):
-            shell_total = _shell_total(spec, label)
-            if shell_total is not None and shell_total <= 2:
+            if label.partition(":")[2] in LOW_SHELLS:
                 level_rows.append((_fmt(point.barrier_l), label,
                                    _fmt(energy)))
     _write_csv(os.path.join(args.out, "levels_vs_L.csv"),
@@ -95,15 +103,6 @@ def cmd_sweep_l(args) -> int:
     print(f"swept {len(points)} distances; "
           f"gap {curve.gaps()[0]:.3f} -> {curve.gaps()[-1]:.3f} meV")
     return 0
-
-
-def _shell_total(spec, label) -> int | None:
-    idx = spec.index_of_label(label)
-    if idx is None:
-        return None
-    weights = abs(spec.vectors[:, idx]) ** 2
-    _, nx, ny = spec.basis.entries[int(weights.argmax())]
-    return nx + ny
 
 
 def cmd_sweep_b(args) -> int:
@@ -238,8 +237,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "b", 0.0) is not None and getattr(args, "b", 0.0) < 0:
-            raise errors.ConfigError(f"field --b must be >= 0, got {args.b}")
+        if hasattr(args, "b") and not (math.isfinite(args.b)
+                                       and args.b >= 0):
+            raise errors.ConfigError(
+                f"field --b must be finite and >= 0, got {args.b}")
         return args.func(args)
     except errors.DqdError as exc:
         print(f"error ({exc.module}): {exc}", file=sys.stderr)

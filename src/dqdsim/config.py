@@ -37,6 +37,7 @@ Comma lists and start/stop/step ranges are mutually exclusive per axis.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,9 +74,13 @@ class RunConfig:
 
 def _float(section, key, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number")
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(
+            f"[{section}] {key} = {raw!r} is not a finite number")
+    return value
 
 
 def _int(section, key, raw):

@@ -8,6 +8,7 @@ happens anywhere else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 # Fundamental constants (SI, CODATA 2018)
@@ -118,8 +119,9 @@ class FieldPoint:
     b: float
 
     def __post_init__(self):
-        if self.b < 0:
-            raise ValueError(f"magnetic field must be >= 0, got {self.b}")
+        if not (math.isfinite(self.b) and self.b >= 0):
+            raise ValueError(
+                f"magnetic field must be finite and >= 0, got {self.b}")
 
 
 @dataclass(frozen=True)

@@ -7,16 +7,19 @@ is a kron of the d/dz matrix with the y ladder matrix, purely imaginary
 off-diagonal, Hermitian overall. n_x is conserved, so the Hamiltonian is
 block-diagonal in n_x and the blocks are diagonalized independently; the
 field-independent parts are built once per vertical spectrum and a set of
-fields is diagonalized with one batched call per block.
+fields is diagonalized with one batched call per block. The cross term
+vanishes at B = 0, where no d/dz matrix is read.
 
-Level identities are tracked two ways: at zero field straight from the
-basis indices, and across a field sweep by an optimal one-to-one overlap
-assignment (adiabatic continuation) between consecutive field steps.
+adiabatic_sweep is the one way from fields to labeled spectra: labels
+come from the basis indices at B = 0 and follow each level along a march
+from zero by optimal one-to-one overlap assignment (adiabatic
+continuation) between consecutive field steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -27,7 +30,7 @@ from .errors import AmbiguousContinuationError, BasisMismatchError, \
     EigenResidualError, NotHermitianError
 from .lateral import lateral_states, renormalized_y_quantum, y_ladder, \
     y_zero_point
-from .vertical import VerticalSpectrum
+from .vertical import VerticalSpectrum, dz_matrix
 
 OVERLAP_THRESHOLD = 0.7
 MAX_HALVINGS = 10
@@ -134,15 +137,16 @@ class BlockHamiltonian:
     ladder, and through the prefactor sign * i * hbar*Omega_c(B) of the
     cross term. Everything else (the product basis, the n_x block index
     arrays and each block's y ladder) is built here once, and any set of
-    fields is then solved with one batched eigensolve per n_x block.
+    fields is then solved with one batched eigensolve per n_x block. The
+    d/dz matrix is computed on the first solve at a nonzero field only.
     """
 
-    def __init__(self, vertical: VerticalSpectrum, dz: np.ndarray,
-                 species: ParticleSpecies, lateral_quanta: int = 6):
+    def __init__(self, vertical: VerticalSpectrum, species: ParticleSpecies,
+                 lateral_quanta: int = 6):
         states = lateral_states(lateral_quanta)
         n_v, n_lat = vertical.n_bound, len(states)
+        self.vertical = vertical
         self.species = species
-        self.dz = dz[:n_v, :n_v]
         self.basis = ProductBasis(
             tuple((v, nx, ny) for v in range(n_v) for nx, ny in states),
             vertical.labels[:n_v])
@@ -167,6 +171,11 @@ class BlockHamiltonian:
     def __len__(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def dz(self) -> np.ndarray:
+        """<v_i| d/dz |v_j> over the bound vertical states, in 1/nm."""
+        return dz_matrix(self.vertical)
+
     def hamiltonians(self, b_values) -> list[np.ndarray]:
         """Per n_x block, the stacked Hamiltonians of all fields, in meV:
         one array of shape (fields, m, m) per block, in block order."""
@@ -179,18 +188,20 @@ class BlockHamiltonian:
         y01 = np.array([y_zero_point(species, q) for q in q_y])
         prefactor = species.hyz_sign * 1j * np.array(hoc)
         q_y = np.array(q_y)
+        coupled = any(b_values)  # else the cross term is 0 and d/dz unread
         stacks = []
         for index, vertical_energy, half_nx, half_ny, ladder in self.blocks:
             m = len(index)
             e0 = vertical_energy + (half_nx * species.lateral_quantum
                                     + half_ny * q_y[:, None])
-            # kron(dz, ladder * y01) at every field
-            ymat = ladder * y01[:, None, None]
-            cross = (self.dz[None, :, None, :, None]
-                     * ymat[:, None, :, None, :]).reshape(-1, m, m)
             h = np.zeros((len(b_values), m, m), dtype=complex)
             h[:, np.arange(m), np.arange(m)] = e0
-            h += prefactor[:, None, None] * cross
+            if coupled:
+                # kron(dz, ladder * y01) at every field
+                ymat = ladder * y01[:, None, None]
+                cross = (self.dz[None, :, None, :, None]
+                         * ymat[:, None, :, None, :]).reshape(-1, m, m)
+                h += prefactor[:, None, None] * cross
             stacks.append(h)
         return stacks
 
@@ -245,19 +256,6 @@ class FieldStack:
         return spectrum
 
 
-def solve_molecular(vertical: VerticalSpectrum, dz: np.ndarray,
-                    species: ParticleSpecies, field: FieldPoint,
-                    lateral_quanta: int = 6) -> MolecularSpectrum:
-    """The spectrum at one field point: the one-field case of
-    BlockHamiltonian.solve, diagonalized block by block in n_x.
-
-    Labels are assigned from the dominant basis component when B = 0 and
-    left None otherwise (use label_states / adiabatic_sweep).
-    """
-    ham = BlockHamiltonian(vertical, dz, species, lateral_quanta)
-    return ham.solve([field.b]).spectrum(0)
-
-
 def dominant_labels(spectrum: MolecularSpectrum) -> tuple[str, ...]:
     """Label every level by its largest basis component."""
     dominant = np.argmax(np.abs(spectrum.vectors) ** 2, axis=0)
@@ -295,9 +293,22 @@ def label_states(spectrum: MolecularSpectrum,
         reference.labels[i] for i in ancestor.tolist()))
 
 
-def adiabatic_sweep(vertical: VerticalSpectrum, dz: np.ndarray,
-                    species: ParticleSpecies, b_values,
-                    options: SolverOptions = SolverOptions(),
+def _continue(ham: BlockHamiltonian, prev: MolecularSpectrum,
+              cur: MolecularSpectrum, depth: int = 0) -> MolecularSpectrum:
+    """cur labeled by continuation from prev, halving the step (solving
+    its midpoint) while it is ambiguous, up to MAX_HALVINGS deep."""
+    try:
+        return label_states(cur, prev)
+    except AmbiguousContinuationError:
+        if depth >= MAX_HALVINGS:
+            raise
+        mid = ham.solve([0.5 * (prev.b + cur.b)]).spectrum(0)
+        mid = _continue(ham, prev, mid, depth + 1)
+        return _continue(ham, mid, cur, depth + 1)
+
+
+def adiabatic_sweep(vertical: VerticalSpectrum, species: ParticleSpecies,
+                    b_values, options: SolverOptions = SolverOptions(),
                     ) -> list[MolecularSpectrum]:
     """Labeled spectra at the requested fields, continued from B = 0.
 
@@ -317,18 +328,7 @@ def adiabatic_sweep(vertical: VerticalSpectrum, dz: np.ndarray,
     march = np.arange(0.0, max(requested) + options.field_step / 2,
                       options.field_step)
     grid = sorted(set(round(float(b), 9) for b in march) | set(requested))
-    ham = BlockHamiltonian(vertical, dz, species, options.lateral_quanta)
-
-    def continue_to(prev, cur, depth=0):
-        try:
-            return label_states(cur, prev)
-        except AmbiguousContinuationError:
-            if depth >= MAX_HALVINGS:
-                raise
-            mid = ham.solve([0.5 * (prev.b + cur.b)]).spectrum(0)
-            mid = continue_to(prev, mid, depth + 1)
-            return continue_to(mid, cur, depth + 1)
-
+    ham = BlockHamiltonian(vertical, species, options.lateral_quanta)
     wanted = set(requested)
     out = {}
     for start in range(0, len(grid), FIELD_CHUNK):
@@ -336,17 +336,7 @@ def adiabatic_sweep(vertical: VerticalSpectrum, dz: np.ndarray,
         for i, b in enumerate(stack.b_values):
             cur = stack.spectrum(i)
             # the march starts at B = 0, where labels come from the basis
-            prev = cur if b == 0.0 else continue_to(prev, cur)
+            prev = cur if b == 0.0 else _continue(ham, prev, cur)
             if b in wanted:
                 out[b] = prev
     return [out[b] for b in requested]
-
-
-def dump_levels_csv(path, spectra: list[MolecularSpectrum]) -> None:
-    """Level-vs-field table with one row per (field, level)."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("B_T,level_index,label,energy_meV\n")
-        for spec in spectra:
-            labels = spec.labels or dominant_labels(spec)
-            for k, (label, energy) in enumerate(zip(labels, spec.energies)):
-                fh.write(f"{spec.b:.6f},{k},{label},{energy:.6f}\n")

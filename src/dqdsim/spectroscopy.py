@@ -6,6 +6,9 @@ antibonding exciton from the two "A:s" levels. A line's energy is the sum
 of the two single-particle energies (measured from the respective barrier
 band edges) plus the device reference offset minus the constant exciton
 binding energy; the offset and binding energy cancel in every gap.
+
+Every labeled spectrum comes from molecular.adiabatic_sweep, through
+sweep_b; a single point is the one-field sweep.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ import numpy as np
 from .core import DeviceSpec, FieldPoint, ParticleSpecies, SolverOptions, \
     ELECTRON, HOLE
 from .errors import DqdError, MissingLabelError, OutOfRangeError
-from .molecular import MolecularSpectrum, adiabatic_sweep, solve_molecular
-from .vertical import DoubleWellSpec, VerticalSpectrum, dz_matrix, \
-    solve_double_well
+from .molecular import MolecularSpectrum, adiabatic_sweep
+from .vertical import DoubleWellSpec, VerticalSpectrum, solve_double_well
 
 BONDING_LINE = "bonding-exciton"
 ANTIBONDING_LINE = "antibonding-exciton"
@@ -58,34 +60,6 @@ def vertical_spectrum(device: DeviceSpec, species: ParticleSpecies,
                           depth1=d1, depth2=d2)
     return solve_double_well(well, species, n_states=options.vertical_cap,
                              step=options.grid_step, padding=options.padding)
-
-
-def vertical_for_species(device: DeviceSpec, species: ParticleSpecies,
-                         options: SolverOptions = SolverOptions(),
-                         ) -> tuple[VerticalSpectrum, np.ndarray]:
-    """Vertical spectrum and d/dz matrix for one carrier in the device."""
-    spectrum = vertical_spectrum(device, species, options)
-    return spectrum, dz_matrix(spectrum)
-
-
-def molecular_at(device: DeviceSpec, species: ParticleSpecies,
-                 field: FieldPoint,
-                 options: SolverOptions = SolverOptions(),
-                 ) -> MolecularSpectrum:
-    """Labeled molecular spectrum at a single field point.
-
-    At zero field labels come straight from the basis; at finite field the
-    labeling is continued adiabatically from zero.
-    """
-    if field.b == 0.0:
-        # the cross term is proportional to B, so no d/dz matrix (and no
-        # vertical eigenfunction) is needed: a zero matrix stands in for it
-        vert = vertical_spectrum(device, species, options)
-        return solve_molecular(vert, np.zeros((vert.n_bound, vert.n_bound)),
-                               species, field,
-                               lateral_quanta=options.lateral_quanta)
-    vert, dz = vertical_for_species(device, species, options)
-    return adiabatic_sweep(vert, dz, species, [field.b], options)[0]
 
 
 def emission_lines(e_spec: MolecularSpectrum, h_spec: MolecularSpectrum,
@@ -128,11 +102,8 @@ def solve_point(device: DeviceSpec, field: FieldPoint = FieldPoint(0.0),
                 options: SolverOptions = SolverOptions(),
                 electron: ParticleSpecies = ELECTRON,
                 hole: ParticleSpecies = HOLE) -> SolvePoint:
-    e_spec = molecular_at(device, electron, field, options)
-    h_spec = molecular_at(device, hole, field, options)
-    return SolvePoint(barrier_l=device.barrier_l, b=field.b,
-                      electron=e_spec, hole=h_spec,
-                      lines=emission_lines(e_spec, h_spec, device))
+    """Everything at one (L, B) point: the one-field case of sweep_b."""
+    return sweep_b(device, [field.b], options, electron, hole)[1][0]
 
 
 def sweep_l(device_template: DeviceSpec, l_values,
@@ -177,18 +148,16 @@ def sweep_b(device: DeviceSpec, b_values,
     Labels are continued adiabatically from B = 0, so the whole sweep is
     marched in order regardless of which fields are requested.
     """
-    b_list = [float(b) for b in b_values]
+    b_list = [float(b) + 0.0 for b in b_values]  # maps -0.0 to 0.0
     if sorted(b_list) != b_list:
         raise ValueError("b_values must be ascending")
-    e_vert, e_dz = vertical_for_species(device, electron, options)
-    h_vert, h_dz = vertical_for_species(device, hole, options)
-    e_specs = adiabatic_sweep(e_vert, e_dz, electron, b_list, options)
-    h_specs = adiabatic_sweep(h_vert, h_dz, hole, b_list, options)
-    points = []
-    for b, e_spec, h_spec in zip(b_list, e_specs, h_specs):
-        points.append(SolvePoint(
-            barrier_l=device.barrier_l, b=b, electron=e_spec, hole=h_spec,
-            lines=emission_lines(e_spec, h_spec, device)))
+    e_specs = adiabatic_sweep(vertical_spectrum(device, electron, options),
+                              electron, b_list, options)
+    h_specs = adiabatic_sweep(vertical_spectrum(device, hole, options),
+                              hole, b_list, options)
+    points = [SolvePoint(barrier_l=device.barrier_l, b=b, electron=e, hole=h,
+                         lines=emission_lines(e, h, device))
+              for b, e, h in zip(b_list, e_specs, h_specs)]
     curve = GapCurve(axis="B_T",
                      samples=tuple((p.b, p.gap) for p in points))
     return curve, points

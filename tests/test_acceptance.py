@@ -17,10 +17,10 @@ from dqdsim import (ELECTRON, CalibrationTarget, FieldPoint,
                     effective_interdot_distance, eval_powerlaw, fit_powerlaw,
                     solve_point, sweep_b, sweep_l)
 from dqdsim.cli import main
-from dqdsim.molecular import solve_molecular
-from dqdsim.spectroscopy import vertical_for_species
-from dqdsim.vertical import DoubleWellSpec, Grid1D, solve_double_well, \
-    solve_vertical
+from dqdsim.molecular import BlockHamiltonian
+from dqdsim.spectroscopy import vertical_spectrum
+from dqdsim.vertical import DoubleWellSpec, Grid1D, dz_matrix, \
+    solve_double_well, solve_vertical
 from oracles import assemble, build_basis, product_basis, y_matrix
 
 MEASURED_LAW = PowerLawParams(33.0e3, 4.88, 27.0)
@@ -196,7 +196,8 @@ def test_criterion_09_numerical_properties():
     device = default_device()
     checks = {}
 
-    vert, dz = vertical_for_species(device, ELECTRON)
+    vert = vertical_spectrum(device, ELECTRON)
+    dz = dz_matrix(vert)
     psi = vert.wavefunctions
     h = vert.grid.step
     gram = psi.T @ psi * h
@@ -225,9 +226,10 @@ def test_criterion_09_numerical_properties():
 
     # second-order perturbation of the A:s level at 0.5 T, weak coupling
     dev95 = default_device(9.5)
-    vert95, dz95 = vertical_for_species(dev95, ELECTRON)
+    vert95 = vertical_spectrum(dev95, ELECTRON)
+    dz95 = dz_matrix(vert95)
     b_small = FieldPoint(0.5)
-    spec = solve_molecular(vert95, dz95, ELECTRON, b_small, lateral_quanta=6)
+    spec = BlockHamiltonian(vert95, ELECTRON, 6).solve([b_small.b]).spectrum(0)
     basis95 = build_basis(ELECTRON, b_small, 6)
     pb = product_basis(vert95, basis95)
     ham95 = assemble(vert95, dz95, basis95, y_matrix(basis95, ELECTRON),
@@ -250,10 +252,10 @@ def test_criterion_09_numerical_properties():
 
     lows = {}
     for cap, quanta in ((4, 6), (6, 8)):
-        v, d = vertical_for_species(device, ELECTRON,
-                                    SolverOptions(vertical_cap=cap))
-        lows[cap] = solve_molecular(v, d, ELECTRON, field,
-                                    lateral_quanta=quanta).energies[:2]
+        v = vertical_spectrum(device, ELECTRON,
+                              SolverOptions(vertical_cap=cap))
+        lows[cap] = BlockHamiltonian(v, ELECTRON, quanta).solve(
+            [field.b]).spectrum(0).energies[:2]
     checks["basis_convergence"] = np.max(np.abs(lows[4] - lows[6])) < 0.05
 
     elapsed = time.perf_counter() - t0

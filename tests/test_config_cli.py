@@ -1,4 +1,5 @@
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +142,40 @@ class TestCliSolve:
         code = main(["solve", "--config", cfg, "--out", str(tmp_path)])
         assert code == 3
         assert "vertical" in capsys.readouterr().err
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("command, text, where", [
+        ("solve", "[device]\nbinding_energy = nan\n",
+         "[device] binding_energy"),
+        ("sweep-b", "[sweep]\nb_values = 0, nan, 1\n", "[sweep] b_values"),
+        ("sweep-l", "[sweep]\nl_values = 7, inf\n", "[sweep] l_values"),
+        ("solve", "[solver]\nfield_step = -inf\n", "[solver] field_step"),
+    ], ids=["binding_energy", "b_values", "l_values", "field_step"])
+    def test_config_value_exits_2(self, tmp_path, capsys, command, text,
+                                  where):
+        cfg = write(tmp_path, "bad.ini", text)
+        out = tmp_path / "run"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("b", ["nan", "inf"])
+    def test_field_flag_exits_2(self, tmp_path, capsys, b):
+        out = tmp_path / "run"
+        assert main(["solve", "--out", str(out), "--b", b]) == 2
+        assert "--b" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_zero_field_is_zero_field(self, tmp_path, capsys):
+        assert main(["solve", "--out", str(tmp_path), "--b", "-0"]) == 0
+        golden = Path(__file__).parent / "golden" / "solve_b0"
+        for csv in golden.glob("*.csv"):
+            assert (tmp_path / csv.name).read_bytes() == csv.read_bytes()
+        cfg = write(tmp_path, "negzero.ini", "[sweep]\nb_values = -0, 0.2\n")
+        assert main(["sweep-b", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "lines_vs_B.csv").read_text().splitlines()
+        assert rows[1].startswith("0.000000,")
 
 
 class TestCliSweeps:

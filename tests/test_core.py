@@ -74,6 +74,12 @@ def test_field_validation():
     assert FieldPoint(0.0).b == 0.0
 
 
+@pytest.mark.parametrize("b", [float("nan"), float("inf")])
+def test_non_finite_field_rejected(b):
+    with pytest.raises(ValueError, match="finite"):
+        FieldPoint(b)
+
+
 def test_device_validation():
     with pytest.raises(ValueError, match="dot 1"):
         DeviceSpec(well_width_h=4.5, barrier_l=7.0,

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -6,14 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from dqdsim import (ELECTRON, HOLE, FieldPoint, ParticleSpecies,
                     SolverOptions, adiabatic_sweep, cyclotron_energy,
-                    diagonalize, dominant_labels, label_states, molecular,
-                    solve_molecular)
+                    diagonalize, dominant_labels, label_states, molecular)
 from dqdsim.errors import (AmbiguousContinuationError, BasisMismatchError,
                            EigenResidualError, NotHermitianError)
 from dqdsim.config import DEFAULT_B_VALUES
 from dqdsim.molecular import (OVERLAP_THRESHOLD, BlockHamiltonian,
                               MolecularSpectrum, shell_name)
-from dqdsim.spectroscopy import vertical_for_species
+from dqdsim.spectroscopy import vertical_spectrum
 from dqdsim import default_device
 from dqdsim.vertical import DoubleWellSpec, dz_matrix, solve_double_well
 from oracles import assemble, build_basis, product_basis, y_matrix
@@ -21,14 +22,12 @@ from oracles import assemble, build_basis, product_basis, y_matrix
 
 @pytest.fixture(scope="module")
 def electron_vertical():
-    device = default_device(7.0)
-    return vertical_for_species(device, ELECTRON)
+    return vertical_spectrum(default_device(7.0), ELECTRON)
 
 
 @pytest.fixture(scope="module")
 def hole_vertical():
-    device = default_device(7.0)
-    return vertical_for_species(device, HOLE)
+    return vertical_spectrum(default_device(7.0), HOLE)
 
 
 class TestDiagonalize:
@@ -79,7 +78,8 @@ class TestDiagonalize:
 
 class TestAssemble:
     def test_zero_field_is_diagonal(self, electron_vertical):
-        vert, dz = electron_vertical
+        vert = electron_vertical
+        dz = dz_matrix(vert)
         field = FieldPoint(0.0)
         basis = build_basis(ELECTRON, field, 4)
         h = assemble(vert, dz, basis, y_matrix(basis, ELECTRON), ELECTRON,
@@ -90,7 +90,8 @@ class TestAssemble:
         np.testing.assert_allclose(np.real(np.diag(h)), pb.e0)
 
     def test_field_matrix_structure(self, electron_vertical):
-        vert, dz = electron_vertical
+        vert = electron_vertical
+        dz = dz_matrix(vert)
         field = FieldPoint(5.0)
         basis = build_basis(ELECTRON, field, 4)
         ymat = y_matrix(basis, ELECTRON)
@@ -126,14 +127,16 @@ class TestAssemble:
         assert abs(h[i, k]) > 1e-3
 
     def test_basis_mismatch(self, electron_vertical):
-        vert, dz = electron_vertical
+        vert = electron_vertical
+        dz = dz_matrix(vert)
         basis = build_basis(ELECTRON, FieldPoint(3.0), 4)
         with pytest.raises(BasisMismatchError):
             assemble(vert, dz, basis, y_matrix(basis, ELECTRON), ELECTRON,
                      FieldPoint(4.0))
 
     def test_electron_hole_sign_flip_leaves_spectrum(self, electron_vertical):
-        vert, dz = electron_vertical
+        vert = electron_vertical
+        dz = dz_matrix(vert)
         flipped = ParticleSpecies("electron", ELECTRON.mass_ratio,
                                   ELECTRON.lateral_quantum, +1)
         field = FieldPoint(6.0)
@@ -150,8 +153,9 @@ class TestAssemble:
 class TestBlockHamiltonian:
     @pytest.mark.parametrize("b", [0.0, 0.1, 3.3, 8.0])
     def test_block_stacks_scatter_to_assemble(self, electron_vertical, b):
-        vert, dz = electron_vertical
-        ham = BlockHamiltonian(vert, dz, ELECTRON)
+        vert = electron_vertical
+        dz = dz_matrix(vert)
+        ham = BlockHamiltonian(vert, ELECTRON)
         field = FieldPoint(b)
         lateral = build_basis(ELECTRON, field)
         dense = assemble(vert, dz, lateral, y_matrix(lateral, ELECTRON),
@@ -165,12 +169,16 @@ class TestBlockHamiltonian:
         assert scattered.tobytes() == dense.tobytes()
         assert ham.basis.entries == product_basis(vert, lateral).entries
 
-    def test_one_field_spectrum_is_solve_molecular(self, hole_vertical):
-        vert, dz = hole_vertical
-        stack = BlockHamiltonian(vert, dz, HOLE).solve([0.0, 5.0])
-        for i, b in enumerate(stack.b_values):
+    def test_one_field_solves_match_batched_rows(self, hole_vertical):
+        # the zero-field sweep leaves the cross term out and the 5 T solve
+        # is a stack of one; both must equal the rows of the joint solve
+        vert = hole_vertical
+        stack = BlockHamiltonian(vert, HOLE).solve([0.0, 5.0])
+        ones = (adiabatic_sweep(vert, HOLE, [0.0])[0],
+                BlockHamiltonian(vert, HOLE).solve([5.0]).spectrum(0))
+        for i, one in enumerate(ones):
             spec = stack.spectrum(i)
-            one = solve_molecular(vert, dz, HOLE, FieldPoint(b))
+            assert spec.b == one.b
             assert spec.energies.tobytes() == one.energies.tobytes()
             assert spec.vectors.tobytes() == one.vectors.tobytes()
             assert spec.labels == one.labels
@@ -186,8 +194,7 @@ class TestBlockHamiltonian:
         # Hermitian matrices differ by at most the spectral norm of their
         # difference, so no level of an n_x block can jump in B
         device = default_device(steps * 0.01)  # L on the 0.01 nm grid
-        vert, dz = vertical_for_species(device, species)
-        ham = BlockHamiltonian(vert, dz, species)
+        ham = BlockHamiltonian(vertical_spectrum(device, species), species)
         energies = ham.solve([b, b_next]).energies
         start = 0
         for h in ham.hamiltonians([b, b_next]):
@@ -217,11 +224,13 @@ def greedy_labels(spectrum, reference, threshold=OVERLAP_THRESHOLD):
     return tuple(labels)
 
 
-def march_field_by_field(vert, dz, species, b_values, step=0.1):
-    """Reference sweep: the same march solved one field at a time with
-    solve_molecular and labelled greedily, halving ambiguous steps."""
+def march_field_by_field(vert, species, b_values, step=0.1):
+    """Reference sweep: the same march solved one field at a time and
+    labelled greedily, halving ambiguous steps."""
+    ham = BlockHamiltonian(vert, species)
+
     def continue_to(prev, b, depth=0):
-        cur = solve_molecular(vert, dz, species, FieldPoint(b))
+        cur = ham.solve([b]).spectrum(0)
         labels = greedy_labels(cur, prev)
         if labels is not None:
             return replace(cur, labels=labels)
@@ -231,7 +240,7 @@ def march_field_by_field(vert, dz, species, b_values, step=0.1):
 
     march = np.arange(0.0, max(b_values) + step / 2, step)
     grid = sorted(set(round(float(b), 9) for b in march) | set(b_values))
-    prev = solve_molecular(vert, dz, species, FieldPoint(0.0))
+    prev = ham.solve([0.0]).spectrum(0)
     out = {0.0: prev}
     for b in grid[1:]:
         prev = out[b] = continue_to(prev, b)
@@ -244,9 +253,9 @@ class TestBatchedSweepEquivalence:
     @pytest.mark.parametrize("barrier_l", [7.0, 9.5])
     @pytest.mark.parametrize("species", [ELECTRON, HOLE], ids=["e", "h"])
     def test_matches_field_by_field_march(self, barrier_l, species):
-        vert, dz = vertical_for_species(default_device(barrier_l), species)
-        batched = adiabatic_sweep(vert, dz, species, self.FIELDS)
-        reference = march_field_by_field(vert, dz, species, self.FIELDS)
+        vert = vertical_spectrum(default_device(barrier_l), species)
+        batched = adiabatic_sweep(vert, species, self.FIELDS)
+        reference = march_field_by_field(vert, species, self.FIELDS)
         for spec, ref in zip(batched, reference):
             assert spec.b == ref.b
             assert spec.energies.tobytes() == ref.energies.tobytes()
@@ -258,18 +267,18 @@ class TestBatchedSweepEquivalence:
         # flipping hyz_sign conjugates H, which keeps its eigenvalues and
         # the moduli of its eigenvectors, and so the adiabatic labels
         flipped = replace(species, hyz_sign=-species.hyz_sign)
-        vert, dz = vertical_for_species(default_device(barrier_l), species)
-        for a, b in zip(adiabatic_sweep(vert, dz, species, DEFAULT_B_VALUES),
-                        adiabatic_sweep(vert, dz, flipped, DEFAULT_B_VALUES)):
+        vert = vertical_spectrum(default_device(barrier_l), species)
+        for a, b in zip(adiabatic_sweep(vert, species, DEFAULT_B_VALUES),
+                        adiabatic_sweep(vert, flipped, DEFAULT_B_VALUES)):
             assert a.energies.tobytes() == b.energies.tobytes()
             assert a.labels == b.labels
 
     def test_field_chunks_do_not_change_results(self, electron_vertical,
                                                 monkeypatch):
-        vert, dz = electron_vertical
-        whole = adiabatic_sweep(vert, dz, ELECTRON, self.FIELDS)
+        vert = electron_vertical
+        whole = adiabatic_sweep(vert, ELECTRON, self.FIELDS)
         monkeypatch.setattr(molecular, "FIELD_CHUNK", 7)
-        chunked = adiabatic_sweep(vert, dz, ELECTRON, self.FIELDS)
+        chunked = adiabatic_sweep(vert, ELECTRON, self.FIELDS)
         for a, b in zip(whole, chunked):
             assert a.energies.tobytes() == b.energies.tobytes()
             assert a.labels == b.labels
@@ -286,23 +295,45 @@ class TestBatchedSweepEquivalence:
             solved.extend(b_values)
             return solve(self, b_values)
 
-        for species, (vert, dz) in ((ELECTRON, electron_vertical),
-                                    (HOLE, hole_vertical)):
-            fine = adiabatic_sweep(vert, dz, species, [8.0])[0]
+        for species, vert in ((ELECTRON, electron_vertical),
+                              (HOLE, hole_vertical)):
+            fine = adiabatic_sweep(vert, species, [8.0])[0]
             solved.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(BlockHamiltonian, "solve", counting_solve)
-                coarse = adiabatic_sweep(vert, dz, species, [8.0],
+                coarse = adiabatic_sweep(vert, species, [8.0],
                                          SolverOptions(field_step=4.0))[0]
             assert solved == [0.0, 4.0, 8.0, 2.0]
             assert coarse.labels == fine.labels
             assert coarse.energies.tobytes() == fine.energies.tobytes()
 
 
+def test_sweep_leaves_no_hamiltonian_alive(electron_vertical, monkeypatch):
+    # with the cyclic collector off, a reference cycle through the
+    # Hamiltonian would keep it (and its stacks) alive after the sweep;
+    # the 4 T step forces the halving recursion
+    alive = weakref.WeakSet()
+
+    class Recorded(BlockHamiltonian):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            alive.add(self)
+
+    monkeypatch.setattr(molecular, "BlockHamiltonian", Recorded)
+    gc.disable()
+    try:
+        spec = adiabatic_sweep(electron_vertical, ELECTRON, [8.0],
+                               SolverOptions(field_step=4.0))[0]
+        assert "A:s" in spec.labels
+        assert len(alive) == 0
+    finally:
+        gc.enable()
+
+
 class TestSolveMolecular:
     def test_zero_field_labels_and_energies(self, electron_vertical):
-        vert, dz = electron_vertical
-        spec = solve_molecular(vert, dz, ELECTRON, FieldPoint(0.0))
+        vert = electron_vertical
+        spec = BlockHamiltonian(vert, ELECTRON).solve([0.0]).spectrum(0)
         assert spec.labels[0] == "B:s"
         assert set(spec.labels[1:3]) == {"B:p_y", "B:p_x"}
         assert spec.labels[3] == "A:s"
@@ -313,8 +344,8 @@ class TestSolveMolecular:
             vert.energies[1] + 30.0, abs=1e-10)
 
     def test_eigenvector_unitarity(self, electron_vertical):
-        vert, dz = electron_vertical
-        spec = solve_molecular(vert, dz, ELECTRON, FieldPoint(7.0))
+        spec = BlockHamiltonian(electron_vertical, ELECTRON).solve(
+            [7.0]).spectrum(0)
         gram = spec.vectors.conj().T @ spec.vectors
         assert np.max(np.abs(gram - np.eye(len(spec.basis)))) < 1e-8
 
@@ -323,20 +354,20 @@ class TestSolveMolecular:
         # the default parametrization scales every hole energy to half
         # the electron value (depths, masses and quanta all halve), which
         # makes a strong cross-check of the full assembly
-        e_vert, e_dz = electron_vertical
-        h_vert, h_dz = hole_vertical
-        field = FieldPoint(8.0)
-        e_spec = solve_molecular(e_vert, e_dz, ELECTRON, field)
-        h_spec = solve_molecular(h_vert, h_dz, HOLE, field)
+        e_spec = BlockHamiltonian(electron_vertical, ELECTRON).solve(
+            [8.0]).spectrum(0)
+        h_spec = BlockHamiltonian(hole_vertical, HOLE).solve(
+            [8.0]).spectrum(0)
         np.testing.assert_allclose(h_spec.energies, e_spec.energies / 2,
                                    atol=5e-3)
 
     def test_second_order_perturbation_at_half_tesla(self):
         device = default_device(9.5)
-        vert, dz = vertical_for_species(device, ELECTRON)
+        vert = vertical_spectrum(device, ELECTRON)
+        dz = dz_matrix(vert)
         b = FieldPoint(0.5)
         n = 6
-        spec = solve_molecular(vert, dz, ELECTRON, b, lateral_quanta=n)
+        spec = BlockHamiltonian(vert, ELECTRON, n).solve([b.b]).spectrum(0)
         basis = build_basis(ELECTRON, b, n)
         pb = product_basis(vert, basis)
         ymat = y_matrix(basis, ELECTRON)
@@ -358,7 +389,8 @@ class TestSolveMolecular:
 
     def test_two_level_repulsion_is_symmetric(self):
         device = default_device(9.5)
-        vert, dz = vertical_for_species(device, ELECTRON)
+        vert = vertical_spectrum(device, ELECTRON)
+        dz = dz_matrix(vert)
         field = FieldPoint(4.0)
         basis = build_basis(ELECTRON, field, 6)
         pb = product_basis(vert, basis)
@@ -374,13 +406,12 @@ class TestSolveMolecular:
 
     def test_truncation_convergence_at_full_field(self, electron_vertical):
         device = default_device(7.0)
-        field = FieldPoint(8.0)
         lows = {}
         for cap, quanta in ((4, 6), (6, 8)):
-            vert, dz = vertical_for_species(
-                device, ELECTRON, SolverOptions(vertical_cap=cap))
-            spec = solve_molecular(vert, dz, ELECTRON, field,
-                                   lateral_quanta=quanta)
+            vert = vertical_spectrum(device, ELECTRON,
+                                     SolverOptions(vertical_cap=cap))
+            spec = BlockHamiltonian(vert, ELECTRON, quanta).solve(
+                [8.0]).spectrum(0)
             lows[(cap, quanta)] = spec.energies[:2]
         delta = np.abs(lows[(4, 6)] - lows[(6, 8)])
         assert np.max(delta) < 0.05
@@ -393,8 +424,7 @@ class TestLabeling:
         # field drags B,p_y up through it, swapping characters along the
         # continuous branches. Adiabatic labels stick to the branches, so
         # at 8 T they disagree with dominant-component labels.
-        vert, dz = electron_vertical
-        spec8 = adiabatic_sweep(vert, dz, ELECTRON, [8.0])[0]
+        spec8 = adiabatic_sweep(electron_vertical, ELECTRON, [8.0])[0]
         adiabatic = spec8.labels
         dominant = dominant_labels(spec8)
         i_ad = adiabatic.index("A:s")
@@ -404,22 +434,21 @@ class TestLabeling:
 
     def test_weak_coupling_labels_agree(self):
         device = default_device(9.5)
-        vert, dz = vertical_for_species(device, ELECTRON)
-        spec8 = adiabatic_sweep(vert, dz, ELECTRON, [8.0])[0]
+        vert = vertical_spectrum(device, ELECTRON)
+        spec8 = adiabatic_sweep(vert, ELECTRON, [8.0])[0]
         assert spec8.labels.index("A:s") == dominant_labels(spec8).index("A:s")
 
     def test_antibonding_s_stays_below_bonding_p_at_l95(self):
         device = default_device(9.5)
-        vert, dz = vertical_for_species(device, ELECTRON)
+        vert = vertical_spectrum(device, ELECTRON)
         bs = [0.0, 2.0, 4.0, 6.0, 8.0]
-        for spec in adiabatic_sweep(vert, dz, ELECTRON, bs):
+        for spec in adiabatic_sweep(vert, ELECTRON, bs):
             e_as = spec.energy_of_label("A:s")
             assert e_as < spec.energy_of_label("B:p_y")
             assert e_as < spec.energy_of_label("B:p_x")
 
     def test_requested_fields_returned_in_order(self, electron_vertical):
-        vert, dz = electron_vertical
-        specs = adiabatic_sweep(vert, dz, ELECTRON, [0.0, 3.0, 8.0])
+        specs = adiabatic_sweep(electron_vertical, ELECTRON, [0.0, 3.0, 8.0])
         assert [s.b for s in specs] == [0.0, 3.0, 8.0]
         assert specs[0].labels[0] == "B:s"
 
@@ -445,8 +474,7 @@ class TestLabeling:
 
     def test_permuted_phase_rotated_copy_keeps_labels(self,
                                                       electron_vertical):
-        vert, dz = electron_vertical
-        ref = adiabatic_sweep(vert, dz, ELECTRON, [3.3])[0]
+        ref = adiabatic_sweep(electron_vertical, ELECTRON, [3.3])[0]
         rng = np.random.default_rng(11)
         perm = rng.permutation(len(ref.labels))
         phases = np.exp(2j * np.pi * rng.random(len(perm)))
@@ -458,14 +486,13 @@ class TestLabeling:
 
     def test_labels_survive_fine_march(self, electron_vertical):
         # a 45 degree rotation split into fine steps stays unambiguous
-        vert, dz = electron_vertical
-        specs = adiabatic_sweep(vert, dz, ELECTRON, [2.2],
+        specs = adiabatic_sweep(electron_vertical, ELECTRON, [2.2],
                                 SolverOptions(field_step=0.05))
         assert "A:s" in specs[0].labels
 
     def test_unlabeled_reference_rejected(self, electron_vertical):
-        vert, dz = electron_vertical
-        spec = solve_molecular(vert, dz, ELECTRON, FieldPoint(1.0))
+        spec = BlockHamiltonian(electron_vertical, ELECTRON).solve(
+            [1.0]).spectrum(0)
         assert spec.labels is None
         with pytest.raises(ValueError):
             label_states(spec, spec)
@@ -478,15 +505,3 @@ def test_shell_names():
     assert shell_name(0, 2) == "d_y2"
     assert shell_name(3, 1) == "3.1"
 
-
-def test_dump_levels_csv(tmp_path, electron_vertical):
-    from dqdsim.molecular import dump_levels_csv
-
-    vert, dz = electron_vertical
-    specs = adiabatic_sweep(vert, dz, ELECTRON, [0.0, 1.0])
-    path = tmp_path / "levels.csv"
-    dump_levels_csv(path, specs)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "B_T,level_index,label,energy_meV"
-    assert lines[1].startswith("0.000000,0,B:s,")
-    assert len(lines) == 1 + 2 * len(specs[0].basis)

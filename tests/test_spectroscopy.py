@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dqdsim import (ELECTRON, HOLE, DeviceSpec, FieldPoint, default_device,
-                    effective_interdot_distance, emission_lines,
+                    effective_interdot_distance, emission_lines, molecular,
                     solve_point, spectroscopy, sweep_b, sweep_l)
 from dqdsim.errors import MissingLabelError, NoBoundStateError, \
     OutOfRangeError
@@ -84,10 +84,15 @@ def test_zero_field_reads_no_eigenvectors(monkeypatch):
         raise AssertionError("eigenvectors read at B = 0")
 
     monkeypatch.setattr(VerticalSpectrum, "wavefunctions", property(unread))
-    monkeypatch.setattr(spectroscopy, "dz_matrix", unread)
-    point = solve_point(default_device(7.0))
+    monkeypatch.setattr(molecular, "dz_matrix", unread)
+    device = default_device(7.0)
+    point = solve_point(device)
     assert point.electron.energy_of_label("A:s") is not None
     assert f"{point.gap:.6f}" == "46.650122"
+    curve, _ = sweep_l(device, [7.0])
+    assert f"{curve.gaps()[0]:.6f}" == "46.650122"
+    curve, _ = sweep_b(device, [0.0])
+    assert f"{curve.gaps()[0]:.6f}" == "46.650122"
 
 
 class TestSweepL:
