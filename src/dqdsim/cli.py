@@ -8,6 +8,7 @@ a fixed row order so repeated runs are byte identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -131,8 +132,7 @@ def cmd_sweep_b(args) -> int:
 def cmd_calibrate(args) -> int:
     run = _load_config(args)
     rows = _read_two_column(args.targets, "targets file")
-    known = {"emission_low", "emission_high", "well_width_h", "uncoupled_l",
-             "depth_ratio", "binding_energy", "reference_offset"}
+    known = {f.name for f in dataclasses.fields(fitting.CalibrationTarget)}
     kwargs = {}
     for key, value in rows:
         if key in ("quantity", "value"):
@@ -151,8 +151,7 @@ def cmd_calibrate(args) -> int:
     except ValueError as exc:
         raise errors.ConfigError(str(exc))
     result = fitting.calibrate_depths(target, run.electron, run.hole,
-                                      step=run.options.grid_step,
-                                      padding=run.options.padding)
+                                      run.options)
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "calibration.csv"),
                "quantity,value_meV",
@@ -200,13 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Double quantum dot spectra in a transverse field")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, svg=False):
         p.add_argument("--config", help="INI config file (defaults built in)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="sweep-point fan-out (default: all cores)")
-        p.add_argument("--svg", action="store_true",
-                       help="also write SVG plots")
+        if svg:
+            p.add_argument("--svg", action="store_true",
+                           help="also write SVG plots")
 
     p = sub.add_parser("solve", help="level tables at one (L, B) point")
     common(p)
@@ -214,11 +212,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep-l", help="gap curve against interdot distance")
-    common(p)
+    common(p, svg=True)
+    p.add_argument("--threads", type=int, default=None,
+                   help="sweep-point fan-out (default: all cores)")
     p.set_defaults(func=cmd_sweep_l)
 
     p = sub.add_parser("sweep-b", help="emission lines against field")
-    common(p)
+    common(p, svg=True)
     p.set_defaults(func=cmd_sweep_b)
 
     p = sub.add_parser("calibrate", help="well depths from emission targets")

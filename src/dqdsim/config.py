@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -138,26 +138,9 @@ def parse_config(path) -> RunConfig:
         return out
 
     try:
-        device = default_device()
-        dev_kwargs = floats("device", _DEVICE_KEYS)
-        if dev_kwargs:
-            base = {k: getattr(device, k) for k in _DEVICE_KEYS}
-            base.update(dev_kwargs)
-            device = DeviceSpec(**base)
-
-        def species(section_name, default):
-            kwargs = floats(section_name, _SPECIES_KEYS)
-            if not kwargs:
-                return default
-            return ParticleSpecies(
-                name=default.name,
-                mass_ratio=kwargs.get("mass_ratio", default.mass_ratio),
-                lateral_quantum=kwargs.get("lateral_quantum",
-                                           default.lateral_quantum),
-                hyz_sign=default.hyz_sign)
-
-        electron = species("electron", ELECTRON)
-        hole = species("hole", HOLE)
+        device = replace(default_device(), **floats("device", _DEVICE_KEYS))
+        electron = replace(ELECTRON, **floats("electron", _SPECIES_KEYS))
+        hole = replace(HOLE, **floats("hole", _SPECIES_KEYS))
 
         opt_kwargs = {}
         if parser.has_section("solver"):

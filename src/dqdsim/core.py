@@ -9,7 +9,7 @@ happens anywhere else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 # Fundamental constants (SI, CODATA 2018)
 _HBAR = 1.054_571_817e-34  # J s
@@ -26,6 +26,17 @@ HBAR2_OVER_2M0 = _HBAR * _HBAR / (2.0 * _M0) / _MEV_IN_J * 1.0e18
 # CYCLOTRON_COEFF * B / (m/m0).
 CYCLOTRON_COEFF = _HBAR * _E_CHARGE / _M0 / _MEV_IN_J
 
+# nm of barrier between each outer well edge and its Dirichlet wall
+MIN_PADDING = 15.0
+
+
+def require_finite(spec) -> None:
+    """Raise ValueError if a float field of the dataclass is NaN or inf."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
 
 @dataclass(frozen=True)
 class ParticleSpecies:
@@ -38,6 +49,7 @@ class ParticleSpecies:
     hyz_sign: int
 
     def __post_init__(self):
+        require_finite(self)
         if self.mass_ratio <= 0:
             raise ValueError(f"mass_ratio must be > 0, got {self.mass_ratio}")
         if self.lateral_quantum <= 0:
@@ -74,6 +86,7 @@ class DeviceSpec:
     reference_offset: float = 0.0  # meV
 
     def __post_init__(self):
+        require_finite(self)
         if self.well_width_h <= 0 or self.barrier_l <= 0:
             raise ValueError("well_width_h and barrier_l must be > 0")
         for field in ("depth_e_dot1", "depth_e_dot2",
@@ -140,8 +153,10 @@ class SolverOptions:
     field_step: float = 0.1  # T, adiabatic labeling march
 
     def __post_init__(self):
-        if self.grid_step <= 0 or self.padding < 15.0:
-            raise ValueError("grid_step must be > 0 and padding >= 15 nm")
+        require_finite(self)
+        if self.grid_step <= 0 or self.padding < MIN_PADDING:
+            raise ValueError(f"grid_step must be > 0 and padding >= "
+                             f"{MIN_PADDING} nm")
         if self.vertical_cap < 2 or self.lateral_quanta < 0:
             raise ValueError("vertical_cap >= 2 and lateral_quanta >= 0 required")
         if self.field_step <= 0:

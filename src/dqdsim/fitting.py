@@ -1,10 +1,11 @@
 """Well-depth calibration and the phenomenological 1/L^3 gap law.
 
 Calibration inverts the emission model in the uncoupled (large L) limit,
-where each dot's line depends only on its own depths. A fixed
-hole-to-electron depth ratio closes the otherwise underdetermined system
-(two lines, four depths); the default device parametrization corresponds
-to a ratio of exactly one half.
+where each dot's line depends only on its own depths: each dot is solved
+alone in the device at the target's uncoupled_l, on `vertical`'s grid. A
+fixed hole-to-electron depth ratio closes the otherwise underdetermined
+system (two lines, four depths); the default device parametrization
+corresponds to a ratio of exactly one half.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .core import ELECTRON, HOLE, ParticleSpecies
+from .core import ELECTRON, HOLE, ParticleSpecies, SolverOptions, \
+    require_finite
 from .errors import NoBoundStateError, NoConvergenceError, SingularFitError, \
     UnboundDotError
-from .vertical import Grid1D, solve_vertical
+from .vertical import DoubleWellSpec, build_potential, grid_for_wells, \
+    solve_vertical
 
 CALIBRATION_TOL = 0.01  # meV residual per emission line
 
@@ -107,6 +110,7 @@ class CalibrationTarget:
     reference_offset: float = 0.0  # meV
 
     def __post_init__(self):
+        require_finite(self)
         if self.emission_high < self.emission_low:
             raise ValueError("emission_high must not lie below emission_low")
         if not 0.0 < self.depth_ratio < 1.0:
@@ -125,34 +129,33 @@ class CalibrationResult:
     residual_high: float
 
 
-def single_well_ground(depth: float, width: float,
-                       species: ParticleSpecies, step: float = 0.01,
-                       padding: float = 20.0) -> float:
-    """Ground energy of one isolated square well, from the barrier edge.
+def single_well_ground(depth: float, width: float, uncoupled_l: float,
+                       species: ParticleSpecies,
+                       options: SolverOptions = SolverOptions()) -> float:
+    """Ground energy of one dot alone, from the barrier edge.
 
-    Same staggered-node sampling as the double-well solver: the well edges
-    sit on cell boundaries so the sampled width is exact.
+    The dot is well 1 of the device at barrier uncoupled_l with well 2
+    emptied, sampled by the same grid and potential as every double-well
+    solve, so its Dirichlet walls sit where the device's do.
     """
-    half = width / 2
-    n = int(round((width + 2 * padding) / step))
-    grid = Grid1D(-half - padding + step / 2,
-                  -half - padding + step / 2 + (n - 1) * step, n)
-    z = grid.nodes()
-    potential = np.where((z > -half) & (z < half), -depth, 0.0)
-    spectrum = solve_vertical(potential, grid, species, n_states=1)
+    spec = DoubleWellSpec(width, uncoupled_l, depth, 0.0)
+    grid = grid_for_wells(spec, options.grid_step, options.padding)
+    spectrum = solve_vertical(build_potential(spec, grid), grid, species,
+                              n_states=1)
     return float(spectrum.energies[0])
 
 
 def calibrate_depths(target: CalibrationTarget,
                      electron: ParticleSpecies = ELECTRON,
                      hole: ParticleSpecies = HOLE,
-                     step: float = 0.01,
-                     padding: float = 20.0) -> CalibrationResult:
+                     options: SolverOptions = SolverOptions(),
+                     ) -> CalibrationResult:
     """Electron and hole well depths reproducing the target lines.
 
     Each dot decouples in the large-L limit, so the two-line system splits
     into two independent one-dimensional root problems in the electron
-    depth (the hole depth rides along via the fixed ratio). Solved by
+    depth (the hole depth rides along via the fixed ratio), each dot solved
+    at barrier target.uncoupled_l on the grid that `options` sets. Solved by
     bracketed root finding to better than 0.01 meV per line. Each depth
     is solved once per call: the bracket ends are shared by both dots, and
     the root finder revisits the bracket ends and its root.
@@ -162,10 +165,10 @@ def calibrate_depths(target: CalibrationTarget,
     def line_energy(depth_e):
         if depth_e not in lines:
             e_level = single_well_ground(depth_e, target.well_width_h,
-                                         electron, step=step, padding=padding)
+                                         target.uncoupled_l, electron, options)
             h_level = single_well_ground(depth_e * target.depth_ratio,
-                                         target.well_width_h, hole, step=step,
-                                         padding=padding)
+                                         target.well_width_h,
+                                         target.uncoupled_l, hole, options)
             # lateral zero-point energies (one quantum per carrier at B = 0)
             zero_point = electron.lateral_quantum + hole.lateral_quantum
             lines[depth_e] = (target.reference_offset + e_level + h_level

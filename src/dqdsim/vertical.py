@@ -23,10 +23,8 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
-from .core import ParticleSpecies, kinetic_coefficient
+from .core import MIN_PADDING, ParticleSpecies, kinetic_coefficient
 from .errors import DomainTooSmallError, NoBoundStateError
-
-MIN_PADDING = 15.0  # nm
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,18 @@ class TestCliSweeps:
         assert text.startswith("B_T,line_low_meV,line_high_meV,gap_meV\n")
         assert text.endswith("\n") and not text.endswith("\n\n")
 
+    @pytest.mark.parametrize("command, flag", [
+        ("solve", "--threads=8"), ("solve", "--svg"),
+        ("sweep-b", "--threads=8"), ("calibrate", "--svg"),
+        ("fit-powerlaw", "--threads=8")])
+    def test_flags_only_where_read(self, tmp_path, capsys, command, flag):
+        positional = {"calibrate": ["t.csv"], "fit-powerlaw": ["p.csv"]}
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *positional.get(command, []), flag,
+                  "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_sweep_l_threads_deterministic(self, tmp_path):
         cfg = write(tmp_path, "cfg.ini",
                     "[sweep]\nl_values = 5, 7, 9.5\n"
@@ -243,9 +255,9 @@ class TestCliCalibrate:
         paddings = []
         solve = fitting.single_well_ground
 
-        def spy(*args, **kwargs):
-            paddings.append(kwargs.get("padding"))
-            return solve(*args, **kwargs)
+        def spy(depth, width, uncoupled_l, species, options):
+            paddings.append(options.padding)
+            return solve(depth, width, uncoupled_l, species, options)
 
         monkeypatch.setattr(fitting, "single_well_ground", spy)
         cfg = write(tmp_path, "run.ini", "[solver]\npadding = 30\n")
@@ -255,6 +267,39 @@ class TestCliCalibrate:
         assert main(["calibrate", targets, "--config", cfg,
                      "--out", str(tmp_path)]) == 0
         assert paddings and all(p == 30.0 for p in paddings)
+
+    def test_uncoupled_l_moves_the_depths(self, tmp_path, capsys):
+        lines = ("emission_low,-138.85586529514225\n"
+                 "emission_high,-104.0928318257862\n")
+        depths = []
+        for name, extra in (("at50", ""), ("at5", "uncoupled_l,5\n")):
+            targets = write(tmp_path, f"{name}.csv", lines + extra)
+            out = tmp_path / name
+            assert main(["calibrate", targets, "--out", str(out)]) == 0
+            depths.append((out / "calibration.csv").read_text())
+        assert depths[0] != depths[1]
+
+    def test_every_target_field_is_a_quantity(self, tmp_path, capsys):
+        target = fitting.CalibrationTarget(-138.85586529514225,
+                                           -104.0928318257862)
+        outs = []
+        for name, rows in (("all", vars(target).items()),
+                           ("lines", list(vars(target).items())[:2])):
+            targets = write(tmp_path, f"{name}.csv",
+                            "".join(f"{k},{v!r}\n" for k, v in rows))
+            out = tmp_path / name
+            assert main(["calibrate", targets, "--out", str(out)]) == 0
+            outs.append((out / "calibration.csv").read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("row", ["emission_low,nan", "uncoupled_l,nan",
+                                     "depth_ratio,inf"])
+    def test_non_finite_target_exits_2(self, tmp_path, capsys, row):
+        targets = write(tmp_path, "targets.csv",
+                        "emission_low,-138.8\nemission_high,-104.1\n"
+                        f"{row}\n")
+        assert main(["calibrate", targets, "--out", str(tmp_path)]) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_unreachable_target_exits_4(self, tmp_path, capsys):
         targets = write(tmp_path, "targets.csv",

@@ -1,12 +1,15 @@
 import math
+from dataclasses import fields, replace
 
 import pytest
 import scipy.constants as const
 from hypothesis import given, strategies as st
 
 from dqdsim import (CYCLOTRON_COEFF, ELECTRON, HBAR2_OVER_2M0, HOLE,
-                    DeviceSpec, FieldPoint, ParticleSpecies,
-                    cyclotron_energy, kinetic_coefficient)
+                    CalibrationTarget, DeviceSpec, FieldPoint,
+                    ParticleSpecies, SolverOptions, cyclotron_energy,
+                    default_device, kinetic_coefficient)
+from dqdsim.core import MIN_PADDING
 
 
 def test_hbar2_over_2m0_matches_codata():
@@ -89,6 +92,23 @@ def test_device_validation():
         DeviceSpec(well_width_h=0.0, barrier_l=7.0,
                    depth_e_dot1=239.0, depth_e_dot2=203.0,
                    depth_h_dot1=119.5, depth_h_dot2=101.5)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+@pytest.mark.parametrize("base,name", [
+    (base, f.name) for base in (default_device(), ELECTRON, SolverOptions(),
+                                CalibrationTarget(-150.0, -100.0))
+    for f in fields(base) if f.name != "name"])
+def test_non_finite_field_values_rejected(base, name, value):
+    with pytest.raises(ValueError, match="finite"):
+        replace(base, **{name: value})
+
+
+def test_min_padding_is_the_solver_floor():
+    assert SolverOptions(padding=MIN_PADDING).padding == MIN_PADDING
+    with pytest.raises(ValueError, match=f"padding >= {MIN_PADDING}"):
+        SolverOptions(padding=MIN_PADDING - 0.01)
 
 
 def test_device_depth_lookup(device):

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dqdsim import (CalibrationResult, CalibrationTarget, PowerLawParams,
-                    calibrate_depths, default_device, eval_powerlaw,
-                    fit_powerlaw, fitting, solve_point)
+                    SolverOptions, calibrate_depths, default_device,
+                    eval_powerlaw, fit_powerlaw, fitting, solve_point)
 from dqdsim.errors import NoConvergenceError, SingularFitError
 
 MEASURED_LAW = PowerLawParams(amplitude_a=33.0e3, offset_delta=4.88,
@@ -141,13 +143,46 @@ class TestCalibration:
         assert (calibrate_depths(raised).depth_e_dot2
                 < calibrate_depths(base).depth_e_dot2)
 
+    @settings(deadline=None, max_examples=20)
+    @given(depths=st.tuples(st.floats(150.0, 300.0), st.floats(150.0, 300.0)))
+    def test_round_trip_recovers_drawn_depths(self, depths):
+        # dots closer than a few meV are still tunnel coupled at 50 nm
+        # (3.6e-3 meV at 150/150), so the drawn pair is kept detuned
+        assume(abs(depths[0] - depths[1]) >= 5.0)
+        d1, d2 = max(depths), min(depths)
+        device = replace(default_device(50.0), depth_e_dot1=d1,
+                         depth_e_dot2=d2, depth_h_dot1=0.5 * d1,
+                         depth_h_dot2=0.5 * d2)
+        low, high = solve_point(device).lines
+        result = calibrate_depths(CalibrationTarget(low.energy, high.energy))
+        assert result.depth_e_dot1 == pytest.approx(d1, abs=1e-5)
+        assert result.depth_e_dot2 == pytest.approx(d2, abs=1e-5)
+        assert result.depth_h_dot1 == pytest.approx(0.5 * d1, abs=1e-5)
+        assert result.depth_h_dot2 == pytest.approx(0.5 * d2, abs=1e-5)
+
+    def test_uncoupled_l_sets_the_solved_geometry(self, monkeypatch):
+        spans = []
+        solve = fitting.solve_vertical
+
+        def spy(potential, grid, species, **kwargs):
+            spans.append(grid.n_points * grid.step)
+            return solve(potential, grid, species, **kwargs)
+
+        monkeypatch.setattr(fitting, "solve_vertical", spy)
+        target = CalibrationTarget(emission_low=-138.8, emission_high=-104.1,
+                                   uncoupled_l=35.0)
+        calibrate_depths(target, options=SolverOptions(padding=25.0))
+        # both wells, the barrier at uncoupled_l, and padding on both sides
+        assert spans and all(span == pytest.approx(2 * 4.5 + 35.0 + 2 * 25.0)
+                             for span in spans)
+
     def test_each_depth_solved_once(self, monkeypatch):
         calls = []
         solve = fitting.single_well_ground
 
-        def spy(depth, width, species, **kwargs):
+        def spy(depth, width, uncoupled_l, species, options):
             calls.append((depth, species.name))
-            return solve(depth, width, species, **kwargs)
+            return solve(depth, width, uncoupled_l, species, options)
 
         monkeypatch.setattr(fitting, "single_well_ground", spy)
         # the lines of the default device at L = 50 nm
@@ -159,13 +194,14 @@ class TestCalibration:
         assert len(set(calls)) == len(calls)
         # bit for bit the result of solving every evaluation afresh
         assert result == CalibrationResult(
-            depth_e_dot1=239.00103619184915, depth_e_dot2=203.00366859181366,
-            depth_h_dot1=119.50051809592458, depth_h_dot2=101.50183429590683,
-            residual_low=-6.639490379711788e-08,
-            residual_high=-1.5252122409492586e-07)
+            depth_e_dot1=239.00000008724592, depth_e_dot2=203.00000023159222,
+            depth_h_dot1=119.50000004362296, depth_h_dot2=101.50000011579611,
+            residual_low=-8.79325625646743e-08,
+            residual_high=-2.2003500532719045e-07)
 
     def test_unreachable_target_fails(self):
-        target = CalibrationTarget(emission_low=-60.0, emission_high=10.0)
+        # above the line of an empty well (offset + zero point - binding)
+        target = CalibrationTarget(emission_low=-60.0, emission_high=100.0)
         with pytest.raises(NoConvergenceError):
             calibrate_depths(target)
 

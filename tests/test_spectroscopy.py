@@ -13,13 +13,16 @@ from dqdsim.spectroscopy import gap_at_zero_field
 from dqdsim.vertical import VerticalSpectrum
 
 
-def uncoupled_gap_oracle(device):
-    """Sum of isolated-dot level differences from single-well solves."""
+def uncoupled_gap_oracle(device, uncoupled_l=50.0):
+    """Sum of isolated-dot level differences from single-well solves, each
+    dot alone in the device at L = uncoupled_l."""
     gap = 0.0
     for species in (ELECTRON, HOLE):
         d1, d2 = device.depths_for(species)
-        gap += (single_well_ground(d2, device.well_width_h, species)
-                - single_well_ground(d1, device.well_width_h, species))
+        gap += (single_well_ground(d2, device.well_width_h, uncoupled_l,
+                                   species)
+                - single_well_ground(d1, device.well_width_h, uncoupled_l,
+                                     species))
     return gap
 
 
@@ -27,7 +30,7 @@ class TestEmissionLines:
     def test_uncoupled_limit_matches_single_dot_oracle(self):
         device = default_device(50.0)
         gap = gap_at_zero_field(device)
-        assert gap == pytest.approx(uncoupled_gap_oracle(device), abs=0.01)
+        assert gap == pytest.approx(uncoupled_gap_oracle(device), abs=1e-6)
 
     def test_gap_near_measured_value_at_l7(self, device):
         assert gap_at_zero_field(device) == pytest.approx(47.5, abs=3.0)
