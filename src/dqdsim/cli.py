@@ -20,6 +20,7 @@ from .core import FieldPoint
 # the shells with n_x + n_y <= 2, whose levels levels_vs_L.csv lists
 LOW_SHELLS = {molecular.shell_name(nx, ny)
               for nx in range(3) for ny in range(3 - nx)}
+LINES_HEADER = "B_T,line_low_meV,line_high_meV,gap_meV"
 
 
 def _write_csv(path, header: str, rows) -> None:
@@ -31,6 +32,13 @@ def _write_csv(path, header: str, rows) -> None:
 
 def _fmt(value: float) -> str:
     return f"{value:.6f}"
+
+
+def _lines_row(point: spectroscopy.SolvePoint) -> tuple[str, ...]:
+    """One LINES_HEADER row: the field, both emission lines and the gap."""
+    low, high = point.lines
+    return (_fmt(point.b), _fmt(low.energy), _fmt(high.energy),
+            _fmt(point.gap))
 
 
 def _load_config(args) -> cfg.RunConfig:
@@ -67,11 +75,8 @@ def cmd_solve(args) -> int:
                    [(_fmt(spec.b), str(k), label, _fmt(energy))
                     for k, (label, energy)
                     in enumerate(zip(spec.labels, spec.energies))])
-    low, high = point.lines
-    _write_csv(os.path.join(args.out, "lines.csv"),
-               "B_T,line_low_meV,line_high_meV,gap_meV",
-               [(_fmt(point.b), _fmt(low.energy), _fmt(high.energy),
-                 _fmt(point.gap))])
+    _write_csv(os.path.join(args.out, "lines.csv"), LINES_HEADER,
+               [_lines_row(point)])
     print(f"L={run.device.barrier_l} nm, B={point.b} T: "
           f"gap {point.gap:.4f} meV")
     return 0
@@ -111,10 +116,8 @@ def cmd_sweep_b(args) -> int:
     curve, points = spectroscopy.sweep_b(run.device, run.b_values,
                                          run.options, run.electron, run.hole)
     os.makedirs(args.out, exist_ok=True)
-    _write_csv(os.path.join(args.out, "lines_vs_B.csv"),
-               "B_T,line_low_meV,line_high_meV,gap_meV",
-               [(_fmt(p.b), _fmt(p.lines[0].energy), _fmt(p.lines[1].energy),
-                 _fmt(p.gap)) for p in points])
+    _write_csv(os.path.join(args.out, "lines_vs_B.csv"), LINES_HEADER,
+               [_lines_row(p) for p in points])
     if args.svg:
         svgplot.write_line_plot(
             os.path.join(args.out, "lines_vs_B.svg"),
@@ -155,12 +158,8 @@ def cmd_calibrate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "calibration.csv"),
                "quantity,value_meV",
-               [("depth_e_dot1", _fmt(result.depth_e_dot1)),
-                ("depth_e_dot2", _fmt(result.depth_e_dot2)),
-                ("depth_h_dot1", _fmt(result.depth_h_dot1)),
-                ("depth_h_dot2", _fmt(result.depth_h_dot2)),
-                ("residual_low", _fmt(result.residual_low)),
-                ("residual_high", _fmt(result.residual_high))])
+               [(f.name, _fmt(getattr(result, f.name)))
+                for f in dataclasses.fields(result)])
     print(f"depths: e=({result.depth_e_dot1:.3f}, {result.depth_e_dot2:.3f}) "
           f"h=({result.depth_h_dot1:.3f}, {result.depth_h_dot2:.3f}) meV; "
           f"residuals ({result.residual_low:.2e}, {result.residual_high:.2e})")

@@ -31,32 +31,22 @@ Grammar (all sections and keys optional; unknown ones are rejected):
     l_values = 3, 5, 7, 9.5   ; nm, or l_start/l_stop/l_step
     b_values = 0, 2, 4, 6, 8  ; T, or b_start/b_stop/b_step
 
-Comma lists and start/stop/step ranges are mutually exclusive per axis.
+The [device] and [solver] keys are the fields of core.DeviceSpec and
+core.SolverOptions, read as their annotated int or float. Comma lists and
+start/stop/step ranges are mutually exclusive per axis.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .core import DeviceSpec, ParticleSpecies, SolverOptions, default_device, \
     ELECTRON, HOLE
 from .errors import ConfigError
-
-_DEVICE_KEYS = ("well_width_h", "barrier_l", "depth_e_dot1", "depth_e_dot2",
-                "depth_h_dot1", "depth_h_dot2", "binding_energy",
-                "reference_offset")
-_SPECIES_KEYS = ("mass_ratio", "lateral_quantum")
-_SOLVER_KEYS = ("grid_step", "padding", "vertical_cap", "lateral_quanta",
-                "field_step")
-_SWEEP_KEYS = ("l_values", "l_start", "l_stop", "l_step",
-               "b_values", "b_start", "b_stop", "b_step")
-_SECTIONS = {"device": _DEVICE_KEYS, "electron": _SPECIES_KEYS,
-             "hole": _SPECIES_KEYS, "solver": _SOLVER_KEYS,
-             "sweep": _SWEEP_KEYS}
 
 DEFAULT_L_VALUES = tuple(float(x) for x in np.round(np.arange(2.5, 15.01, 0.25), 6))
 DEFAULT_B_VALUES = tuple(float(x) for x in np.round(np.arange(0.0, 8.01, 0.25), 6))
@@ -88,6 +78,21 @@ def _int(section, key, raw):
         return int(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer")
+
+
+def _parsers(cls) -> dict:
+    """Key readers from the fields of `cls`: int or float as annotated."""
+    return {f.name: _int if f.type in (int, "int") else _float
+            for f in fields(cls)}
+
+
+# name and hyz_sign are fixed per carrier, so not config
+_SPECIES_KEYS = {"mass_ratio": _float, "lateral_quantum": _float}
+_SWEEP_KEYS = ("l_values", "l_start", "l_stop", "l_step",
+               "b_values", "b_start", "b_stop", "b_step")
+_SECTIONS = {"device": _parsers(DeviceSpec), "electron": _SPECIES_KEYS,
+             "hole": _SPECIES_KEYS, "solver": _parsers(SolverOptions),
+             "sweep": _SWEEP_KEYS}
 
 
 def _axis_values(section, prefix):
@@ -128,30 +133,18 @@ def parse_config(path) -> RunConfig:
             if key not in _SECTIONS[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
 
-    def floats(section_name, keys):
-        out = {}
-        if parser.has_section(section_name):
-            for key in keys:
-                if key in parser[section_name]:
-                    out[key] = _float(section_name, key,
-                                      parser[section_name][key])
-        return out
+    def values(section):
+        """The section's given keys, each parsed by its key's reader."""
+        if not parser.has_section(section):
+            return {}
+        return {key: _SECTIONS[section][key](section, key, raw)
+                for key, raw in parser[section].items()}
 
     try:
-        device = replace(default_device(), **floats("device", _DEVICE_KEYS))
-        electron = replace(ELECTRON, **floats("electron", _SPECIES_KEYS))
-        hole = replace(HOLE, **floats("hole", _SPECIES_KEYS))
-
-        opt_kwargs = {}
-        if parser.has_section("solver"):
-            sec = parser["solver"]
-            for key in ("grid_step", "padding", "field_step"):
-                if key in sec:
-                    opt_kwargs[key] = _float("solver", key, sec[key])
-            for key in ("vertical_cap", "lateral_quanta"):
-                if key in sec:
-                    opt_kwargs[key] = _int("solver", key, sec[key])
-        options = SolverOptions(**opt_kwargs)
+        device = replace(default_device(), **values("device"))
+        electron = replace(ELECTRON, **values("electron"))
+        hole = replace(HOLE, **values("hole"))
+        options = SolverOptions(**values("solver"))
 
         l_values = DEFAULT_L_VALUES
         b_values = DEFAULT_B_VALUES

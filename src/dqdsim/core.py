@@ -139,7 +139,8 @@ class FieldPoint:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Numerical knobs shared by the solvers.
+    """Numerical knobs shared by the solvers, and the one home of each:
+    the solver functions read them from here and repeat no default.
 
     Defaults are convergence-tested: halving grid_step moves vertical
     eigenvalues by < 0.01 meV and raising the basis caps moves the two

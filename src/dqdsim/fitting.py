@@ -139,7 +139,7 @@ def single_well_ground(depth: float, width: float, uncoupled_l: float,
     solve, so its Dirichlet walls sit where the device's do.
     """
     spec = DoubleWellSpec(width, uncoupled_l, depth, 0.0)
-    grid = grid_for_wells(spec, options.grid_step, options.padding)
+    grid = grid_for_wells(spec, options)
     spectrum = solve_vertical(build_potential(spec, grid), grid, species,
                               n_states=1)
     return float(spectrum.energies[0])

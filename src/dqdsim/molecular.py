@@ -8,7 +8,9 @@ off-diagonal, Hermitian overall. n_x is conserved, so the Hamiltonian is
 block-diagonal in n_x and the blocks are diagonalized independently; the
 field-independent parts are built once per vertical spectrum and a set of
 fields is diagonalized with one batched call per block. The cross term
-vanishes at B = 0, where no d/dz matrix is read.
+vanishes at B = 0, where no d/dz matrix is read. The lateral basis size
+(options.lateral_quanta) and the march step (options.field_step) come from
+the SolverOptions that adiabatic_sweep takes.
 
 adiabatic_sweep is the one way from fields to labeled spectra: labels
 come from the basis indices at B = 0 and follow each level along a march
@@ -139,11 +141,12 @@ class BlockHamiltonian:
     arrays and each block's y ladder) is built here once, and any set of
     fields is then solved with one batched eigensolve per n_x block. The
     d/dz matrix is computed on the first solve at a nonzero field only.
+    The lateral states are those with n_x + n_y <= options.lateral_quanta.
     """
 
     def __init__(self, vertical: VerticalSpectrum, species: ParticleSpecies,
-                 lateral_quanta: int = 6):
-        states = lateral_states(lateral_quanta)
+                 options: SolverOptions = SolverOptions()):
+        states = lateral_states(options.lateral_quanta)
         n_v, n_lat = vertical.n_bound, len(states)
         self.vertical = vertical
         self.species = species
@@ -156,7 +159,7 @@ class BlockHamiltonian:
         vertical_energy = np.repeat(vertical.bound_energies, n_lat)
         half_ny = np.tile(lateral_ny + 0.5, n_v)
         self.blocks = []
-        for n in range(lateral_quanta + 1):
+        for n in range(options.lateral_quanta + 1):
             index = np.flatnonzero(nx == n)
             own = np.flatnonzero(lateral_nx == n)
             self.blocks.append(Block(index, vertical_energy[index], n + 0.5,
@@ -263,15 +266,14 @@ def dominant_labels(spectrum: MolecularSpectrum) -> tuple[str, ...]:
 
 
 def label_states(spectrum: MolecularSpectrum,
-                 reference: MolecularSpectrum,
-                 threshold: float = OVERLAP_THRESHOLD) -> MolecularSpectrum:
+                 reference: MolecularSpectrum) -> MolecularSpectrum:
     """Adiabatic labels: each level inherits the label of its ancestor in
     `reference` under the optimal one-to-one overlap assignment.
 
     Overlaps |<ref_i|new_j>| are taken between eigenvector columns over
     the shared product basis, and the assignment maximizing their sum is
     found by the Hungarian method (scipy's linear_sum_assignment). If any
-    matched pair falls below `threshold` the continuation is ambiguous
+    matched pair falls below OVERLAP_THRESHOLD the continuation is ambiguous
     and the caller must reduce the field step. The overlaps are the
     moduli of a unitary matrix, so whenever every matched overlap exceeds
     1/sqrt(2) the assignment is also the greedy largest-overlap-first one.
@@ -283,9 +285,9 @@ def label_states(spectrum: MolecularSpectrum,
     overlap = np.abs(reference.vectors.conj().T @ spectrum.vectors)
     ref_index, new_index = linear_sum_assignment(overlap, maximize=True)
     worst = overlap[ref_index, new_index].min()
-    if worst < threshold:
+    if worst < OVERLAP_THRESHOLD:
         raise AmbiguousContinuationError(
-            f"overlap {worst:.3f} below {threshold} between "
+            f"overlap {worst:.3f} below {OVERLAP_THRESHOLD} between "
             f"B={reference.b} T and B={spectrum.b} T")
     ancestor = np.empty_like(new_index)
     ancestor[new_index] = ref_index
@@ -328,7 +330,7 @@ def adiabatic_sweep(vertical: VerticalSpectrum, species: ParticleSpecies,
     march = np.arange(0.0, max(requested) + options.field_step / 2,
                       options.field_step)
     grid = sorted(set(round(float(b), 9) for b in march) | set(requested))
-    ham = BlockHamiltonian(vertical, species, options.lateral_quanta)
+    ham = BlockHamiltonian(vertical, species, options)
     wanted = set(requested)
     out = {}
     for start in range(0, len(grid), FIELD_CHUNK):

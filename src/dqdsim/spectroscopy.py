@@ -8,7 +8,8 @@ band edges) plus the device reference offset minus the constant exciton
 binding energy; the offset and binding energy cancel in every gap.
 
 Every labeled spectrum comes from molecular.adiabatic_sweep, through
-sweep_b; a single point is the one-field sweep.
+sweep_b; a single point is the one-field sweep. Every numerical setting
+comes in one SolverOptions.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from .vertical import DoubleWellSpec, VerticalSpectrum, solve_double_well
 
 BONDING_LINE = "bonding-exciton"
 ANTIBONDING_LINE = "antibonding-exciton"
+# nm, the distances effective_interdot_distance searches between
+L_MIN, L_MAX = 2.0, 50.0
 
 
 @dataclass(frozen=True)
@@ -58,8 +61,7 @@ def vertical_spectrum(device: DeviceSpec, species: ParticleSpecies,
     well = DoubleWellSpec(width_h=device.well_width_h,
                           barrier_l=device.barrier_l,
                           depth1=d1, depth2=d2)
-    return solve_double_well(well, species, n_states=options.vertical_cap,
-                             step=options.grid_step, padding=options.padding)
+    return solve_double_well(well, species, options)
 
 
 def emission_lines(e_spec: MolecularSpectrum, h_spec: MolecularSpectrum,
@@ -163,40 +165,32 @@ def sweep_b(device: DeviceSpec, b_values,
     return curve, points
 
 
-def gap_at_zero_field(device: DeviceSpec,
-                      options: SolverOptions = SolverOptions(),
-                      electron: ParticleSpecies = ELECTRON,
-                      hole: ParticleSpecies = HOLE) -> float:
-    return solve_point(device, FieldPoint(0.0), options, electron, hole).gap
-
-
 def effective_interdot_distance(gap: float, device_template: DeviceSpec,
                                 options: SolverOptions = SolverOptions(),
-                                l_min: float = 2.0, l_max: float = 50.0,
                                 tol: float = 0.01,
                                 electron: ParticleSpecies = ELECTRON,
                                 hole: ParticleSpecies = HOLE) -> float:
     """Invert the strictly decreasing zero-field gap curve by bisection.
 
     Returns the interdot distance whose zero-field gap equals `gap`, to
-    within `tol` nm. Raises OutOfRangeError when the gap lies below the
-    large-L asymptote or above the smallest-distance value.
+    within `tol` nm. Raises OutOfRangeError when the gap lies outside
+    the curve's range over [L_MIN, L_MAX].
     """
     if not tol > 0:  # also rejects NaN; bisection to 0 never ends
         raise ValueError(f"tol must be > 0, got {tol}")
 
     def model(l):
-        return gap_at_zero_field(device_template.with_barrier(l), options,
-                                 electron, hole)
+        return solve_point(device_template.with_barrier(l), FieldPoint(0.0),
+                           options, electron, hole).gap
 
-    gap_hi = model(l_min)
-    gap_lo = model(l_max)
+    gap_hi = model(L_MIN)
+    gap_lo = model(L_MAX)
     if not (gap_lo <= gap <= gap_hi):
         raise OutOfRangeError(
             f"gap {gap:.3f} meV outside the model range "
             f"[{gap_lo:.3f}, {gap_hi:.3f}] meV for L in "
-            f"[{l_min}, {l_max}] nm")
-    lo, hi = l_min, l_max
+            f"[{L_MIN}, {L_MAX}] nm")
+    lo, hi = L_MIN, L_MAX
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if model(mid) > gap:

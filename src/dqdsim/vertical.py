@@ -5,7 +5,8 @@ equal width H separated edge to edge by a barrier of thickness L, with the
 energy zero at the barrier band edge (well bottoms at -depth). Bound states
 therefore come out negative. The solver uses the standard three-point
 Laplacian on a uniform grid with hard-wall (Dirichlet) boundaries placed
-far enough out that bound states have decayed.
+far enough out that bound states have decayed. Grid step, padding and the
+cap on solved states come from a SolverOptions, their one home.
 
 The FD matrix is piecewise Toeplitz (5 runs for the double well): its
 recurrence crosses a run in one 2x2 Chebyshev transfer matrix (Tsu & Esaki,
@@ -23,7 +24,8 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
-from .core import MIN_PADDING, ParticleSpecies, kinetic_coefficient
+from .core import MIN_PADDING, ParticleSpecies, SolverOptions, \
+    kinetic_coefficient
 from .errors import DomainTooSmallError, NoBoundStateError
 
 
@@ -76,9 +78,10 @@ class DoubleWellSpec:
         return (self.barrier_l / 2, self.barrier_l / 2 + self.width_h)
 
 
-def grid_for_wells(spec: DoubleWellSpec, step: float = 0.01,
-                   padding: float = 20.0) -> Grid1D:
-    """Uniform grid covering both wells plus `padding` nm of barrier.
+def grid_for_wells(spec: DoubleWellSpec,
+                   options: SolverOptions = SolverOptions()) -> Grid1D:
+    """Uniform grid of options.grid_step covering both wells plus
+    options.padding nm of barrier on each side.
 
     Nodes are staggered half a step off the well edges. The sampled
     structure is exact (every edge on a cell boundary, so the exact well
@@ -89,6 +92,7 @@ def grid_for_wells(spec: DoubleWellSpec, step: float = 0.01,
     7.005 nm are both sampled as a 7.00 nm barrier, and L = 7.006 nm as
     7.01 nm (see ROADMAP item 4).
     """
+    step, padding = options.grid_step, options.padding
     span = 2 * spec.width_h + spec.barrier_l + 2 * padding
     z_min = spec.well1_support[0] - padding + step / 2
     n = int(round(span / step))
@@ -274,7 +278,7 @@ def _lowest_eigenvalues(potential: np.ndarray, c_h2: float, k: int,
 
 
 def solve_vertical(potential: np.ndarray, grid: Grid1D,
-                   species: ParticleSpecies, n_states: int = 4,
+                   species: ParticleSpecies, n_states: int,
                    well_spec: DoubleWellSpec | None = None,
                    require_bound: bool = True) -> VerticalSpectrum:
     """Lowest n_states eigenvalues of the 1D problem on the given grid; the
@@ -318,13 +322,13 @@ def solve_vertical(potential: np.ndarray, grid: Grid1D,
 
 
 def solve_double_well(spec: DoubleWellSpec, species: ParticleSpecies,
-                      n_states: int = 4, step: float = 0.01,
-                      padding: float = 20.0) -> VerticalSpectrum:
-    """Convenience wrapper: grid, potential and solve in one call."""
-    grid = grid_for_wells(spec, step=step, padding=padding)
-    potential = build_potential(spec, grid)
-    return solve_vertical(potential, grid, species, n_states=n_states,
-                          well_spec=spec)
+                      options: SolverOptions = SolverOptions(),
+                      ) -> VerticalSpectrum:
+    """Grid, potential and solve in one call: the bound states, at most
+    options.vertical_cap, on the grid of grid_for_wells(spec, options)."""
+    grid = grid_for_wells(spec, options)
+    return solve_vertical(build_potential(spec, grid), grid, species,
+                          options.vertical_cap, well_spec=spec)
 
 
 def dz_matrix(spectrum: VerticalSpectrum) -> np.ndarray:

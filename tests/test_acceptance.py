@@ -74,8 +74,7 @@ def test_criterion_03_vertical_solver_oracles():
     box_rel = np.max(np.abs(box.energies / oracles.box_energies(width, 1, 3)
                             - 1.0))
     t0 = time.perf_counter()
-    well = solve_double_well(DoubleWellSpec(4.5, 10.0, 239.0, 0.0), ELECTRON,
-                             n_states=1)
+    well = solve_double_well(DoubleWellSpec(4.5, 10.0, 239.0, 0.0), ELECTRON)
     t_well = time.perf_counter() - t0
     well_err = abs(well.energies[0]
                    - oracles.finite_well_levels(239.0, 4.5, 0.03)[0])
@@ -229,7 +228,7 @@ def test_criterion_09_numerical_properties():
     vert95 = vertical_spectrum(dev95, ELECTRON)
     dz95 = dz_matrix(vert95)
     b_small = FieldPoint(0.5)
-    spec = BlockHamiltonian(vert95, ELECTRON, 6).solve([b_small.b]).spectrum(0)
+    spec = BlockHamiltonian(vert95, ELECTRON).solve([b_small.b]).spectrum(0)
     basis95 = build_basis(ELECTRON, b_small, 6)
     pb = product_basis(vert95, basis95)
     ham95 = assemble(vert95, dz95, basis95, y_matrix(basis95, ELECTRON),
@@ -245,16 +244,17 @@ def test_criterion_09_numerical_properties():
                                  < 0.01 * abs(pt2))
 
     e_coarse = solve_double_well(DoubleWellSpec(4.5, 7.0, 239.0, 203.0),
-                                 ELECTRON, step=0.01).energies[:2]
+                                 ELECTRON).energies[:2]
     e_fine = solve_double_well(DoubleWellSpec(4.5, 7.0, 239.0, 203.0),
-                               ELECTRON, step=0.005).energies[:2]
+                               ELECTRON, SolverOptions(grid_step=0.005)
+                               ).energies[:2]
     checks["grid_convergence"] = np.max(np.abs(e_coarse - e_fine)) < 0.01
 
     lows = {}
     for cap, quanta in ((4, 6), (6, 8)):
-        v = vertical_spectrum(device, ELECTRON,
-                              SolverOptions(vertical_cap=cap))
-        lows[cap] = BlockHamiltonian(v, ELECTRON, quanta).solve(
+        options = SolverOptions(vertical_cap=cap, lateral_quanta=quanta)
+        v = vertical_spectrum(device, ELECTRON, options)
+        lows[cap] = BlockHamiltonian(v, ELECTRON, options).solve(
             [field.b]).spectrum(0).energies[:2]
     checks["basis_convergence"] = np.max(np.abs(lows[4] - lows[6])) < 0.05
 

@@ -1,10 +1,11 @@
 import xml.etree.ElementTree as ET
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
-from dqdsim import default_device, errors, fitting, solve_point, \
-    spectroscopy
+from dqdsim import SolverOptions, default_device, errors, fitting, \
+    solve_point, spectroscopy
 from dqdsim.cli import main
 from dqdsim.config import parse_config
 from dqdsim.errors import ConfigError
@@ -59,6 +60,25 @@ class TestConfigParsing:
         run = parse_config(write(tmp_path, "empty.ini", "[device]\n"))
         assert run.device == default_device()
         assert run.options.grid_step == 0.01
+
+    def test_keys_are_the_dataclass_fields(self, tmp_path):
+        device = replace(default_device(3.0), binding_energy=20.0)
+        options = SolverOptions(grid_step=0.02, vertical_cap=3,
+                                lateral_quanta=4)
+        text = "".join(
+            f"[{name}]\n" + "".join(f"{f.name} = {getattr(spec, f.name)}\n"
+                                    for f in fields(spec))
+            for name, spec in (("device", device), ("solver", options)))
+        run = parse_config(write(tmp_path, "fields.ini", text))
+        assert run.device == device
+        assert run.options == options
+        for f in fields(SolverOptions):
+            assert type(getattr(run.options, f.name)).__name__ == f.type
+
+    def test_integer_key_rejects_a_fraction(self, tmp_path):
+        path = write(tmp_path, "bad.ini", "[solver]\nlateral_quanta = 2.5\n")
+        with pytest.raises(ConfigError, match="lateral_quanta.*integer"):
+            parse_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write(tmp_path, "bad.ini", "[device]\nwell_depth = 1\n")
@@ -209,6 +229,21 @@ class TestCliSweeps:
         text = outs[0].decode()
         assert text.startswith("B_T,line_low_meV,line_high_meV,gap_meV\n")
         assert text.endswith("\n") and not text.endswith("\n\n")
+
+    def test_sweep_b_svg(self, tmp_path):
+        cfg = write(tmp_path, "cfg.ini", "[sweep]\nb_values = 0, 0.2, 0.4\n")
+        plain, plotted = tmp_path / "plain", tmp_path / "plotted"
+        assert main(["sweep-b", "--config", cfg, "--out", str(plain)]) == 0
+        assert main(["sweep-b", "--config", cfg, "--out", str(plotted),
+                     "--svg"]) == 0
+        assert not (plain / "lines_vs_B.svg").exists()
+        assert ((plotted / "lines_vs_B.csv").read_bytes()
+                == (plain / "lines_vs_B.csv").read_bytes())
+        svg = ET.parse(plotted / "lines_vs_B.svg").getroot()
+        assert svg.tag.endswith("svg")
+        lines = svg.findall("{http://www.w3.org/2000/svg}polyline")
+        assert len(lines) == 2  # the low and the high emission line
+        assert all(len(line.get("points").split()) == 3 for line in lines)
 
     @pytest.mark.parametrize("command, flag", [
         ("solve", "--threads=8"), ("solve", "--svg"),

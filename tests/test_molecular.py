@@ -112,7 +112,7 @@ class TestAssemble:
 
     def test_parity_selection_in_symmetric_molecule(self):
         spec = DoubleWellSpec(6.0, 4.0, 600.0, 600.0)
-        vert = solve_double_well(spec, ELECTRON, n_states=4)
+        vert = solve_double_well(spec, ELECTRON)
         dz = dz_matrix(vert)
         field = FieldPoint(4.0)
         basis = build_basis(ELECTRON, field, 2)
@@ -168,6 +168,17 @@ class TestBlockHamiltonian:
             scattered[np.ix_(block.index, block.index)] = stack[1]
         assert scattered.tobytes() == dense.tobytes()
         assert ham.basis.entries == product_basis(vert, lateral).entries
+
+    @pytest.mark.parametrize("quanta", [0, 2, 8])
+    def test_lateral_basis_from_options(self, electron_vertical, quanta):
+        vert = electron_vertical
+        ham = BlockHamiltonian(vert, ELECTRON,
+                               SolverOptions(lateral_quanta=quanta))
+        lateral = build_basis(ELECTRON, FieldPoint(3.0), quanta)
+        assert ham.basis.entries == product_basis(vert, lateral).entries
+        assert len(ham.blocks) == quanta + 1
+        stack = ham.solve([3.0])
+        assert stack.energies.shape == (1, len(ham.basis))
 
     def test_one_field_solves_match_batched_rows(self, hole_vertical):
         # the zero-field sweep leaves the cross term out and the 5 T solve
@@ -367,7 +378,7 @@ class TestSolveMolecular:
         dz = dz_matrix(vert)
         b = FieldPoint(0.5)
         n = 6
-        spec = BlockHamiltonian(vert, ELECTRON, n).solve([b.b]).spectrum(0)
+        spec = BlockHamiltonian(vert, ELECTRON).solve([b.b]).spectrum(0)
         basis = build_basis(ELECTRON, b, n)
         pb = product_basis(vert, basis)
         ymat = y_matrix(basis, ELECTRON)
@@ -408,9 +419,9 @@ class TestSolveMolecular:
         device = default_device(7.0)
         lows = {}
         for cap, quanta in ((4, 6), (6, 8)):
-            vert = vertical_spectrum(device, ELECTRON,
-                                     SolverOptions(vertical_cap=cap))
-            spec = BlockHamiltonian(vert, ELECTRON, quanta).solve(
+            options = SolverOptions(vertical_cap=cap, lateral_quanta=quanta)
+            vert = vertical_spectrum(device, ELECTRON, options)
+            spec = BlockHamiltonian(vert, ELECTRON, options).solve(
                 [8.0]).spectrum(0)
             lows[(cap, quanta)] = spec.energies[:2]
         delta = np.abs(lows[(4, 6)] - lows[(6, 8)])

@@ -9,7 +9,6 @@ from dqdsim import (ELECTRON, HOLE, DeviceSpec, FieldPoint, default_device,
 from dqdsim.errors import MissingLabelError, NoBoundStateError, \
     OutOfRangeError
 from dqdsim.fitting import single_well_ground
-from dqdsim.spectroscopy import gap_at_zero_field
 from dqdsim.vertical import VerticalSpectrum
 
 
@@ -29,11 +28,11 @@ def uncoupled_gap_oracle(device, uncoupled_l=50.0):
 class TestEmissionLines:
     def test_uncoupled_limit_matches_single_dot_oracle(self):
         device = default_device(50.0)
-        gap = gap_at_zero_field(device)
+        gap = solve_point(device).gap
         assert gap == pytest.approx(uncoupled_gap_oracle(device), abs=1e-6)
 
     def test_gap_near_measured_value_at_l7(self, device):
-        assert gap_at_zero_field(device) == pytest.approx(47.5, abs=3.0)
+        assert solve_point(device).gap == pytest.approx(47.5, abs=3.0)
 
     def test_identical_dots_gap_is_sum_of_splittings(self):
         device = DeviceSpec(well_width_h=4.5, barrier_l=7.0,
@@ -58,8 +57,8 @@ class TestEmissionLines:
     def test_offset_and_binding_cancel_in_gap(self, device):
         shifted = replace(device, reference_offset=1234.567,
                           binding_energy=0.0)
-        gap_base = gap_at_zero_field(device)
-        gap_shift = gap_at_zero_field(shifted)
+        gap_base = solve_point(device).gap
+        gap_shift = solve_point(shifted).gap
         assert gap_shift == pytest.approx(gap_base, abs=1e-9)
         # the lines themselves do move
         base_low = solve_point(device).lines[0].energy
@@ -185,7 +184,7 @@ class TestSweepB:
 
 class TestEffectiveDistance:
     def test_round_trip(self, device):
-        gap = gap_at_zero_field(device)
+        gap = solve_point(device).gap
         recovered = effective_interdot_distance(gap, device)
         assert recovered == pytest.approx(7.0, abs=0.02)
 
@@ -196,7 +195,7 @@ class TestEffectiveDistance:
             effective_interdot_distance(200.0, device)
 
     def test_known_gap_inverts_to_larger_distance(self, device):
-        target = gap_at_zero_field(default_device(10.0))
+        target = solve_point(default_device(10.0)).gap
         recovered = effective_interdot_distance(target, device)
         assert recovered == pytest.approx(10.0, abs=0.02)
 
@@ -207,6 +206,6 @@ class TestEffectiveDistance:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before checking tol")
 
-        monkeypatch.setattr(spectroscopy, "gap_at_zero_field", no_solve)
+        monkeypatch.setattr(spectroscopy, "solve_point", no_solve)
         with pytest.raises(ValueError, match="tol"):
             effective_interdot_distance(40.0, device, tol=tol)

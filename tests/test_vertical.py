@@ -18,6 +18,7 @@ from dqdsim.vertical import (DoubleWellSpec, Grid1D, build_potential,
 
 DEFAULT_WELL = DoubleWellSpec(width_h=4.5, barrier_l=7.0,
                             depth1=239.0, depth2=203.0)
+TWO_STATES = SolverOptions(vertical_cap=2)
 
 
 def box_grid(width, step):
@@ -62,9 +63,41 @@ class TestBuildPotential:
         np.testing.assert_allclose(v, v[::-1], atol=1e-12)
 
     def test_domain_too_small(self):
-        grid = grid_for_wells(DEFAULT_WELL, padding=10.0)
+        # SolverOptions rejects a padding below MIN_PADDING, so a hand-made
+        # grid with 10 nm of barrier outside each well reaches the check
+        step, padding = 0.01, 10.0
+        z_min = DEFAULT_WELL.well1_support[0] - padding + step / 2
+        n = int(round((9.0 + 7.0 + 2 * padding) / step))
+        grid = Grid1D(z_min, z_min + (n - 1) * step, n)
         with pytest.raises(DomainTooSmallError):
             build_potential(DEFAULT_WELL, grid)
+
+
+class TestOptionsReachTheGrid:
+    OPTIONS = SolverOptions(grid_step=0.02, padding=25.0)
+
+    def test_grid_for_wells_honours_step_and_padding(self):
+        grid = grid_for_wells(DEFAULT_WELL, self.OPTIONS)
+        assert grid.step == pytest.approx(0.02, rel=1e-12)
+        # the cells around the nodes span the wells plus 25 nm each side
+        assert grid.z_min - grid.step / 2 == pytest.approx(
+            DEFAULT_WELL.well1_support[0] - 25.0, abs=1e-9)
+        assert grid.z_max + grid.step / 2 == pytest.approx(
+            DEFAULT_WELL.well2_support[1] + 25.0, abs=1e-9)
+
+    @pytest.mark.parametrize("cap", [2, 3, 4])
+    def test_solve_double_well_honours_every_option(self, cap):
+        # this deep wide well binds 4 states, so the cap decides the count
+        spec = DoubleWellSpec(6.0, 4.0, 600.0, 600.0)
+        options = SolverOptions(grid_step=0.02, padding=25.0,
+                                vertical_cap=cap)
+        spectrum = solve_double_well(spec, ELECTRON, options)
+        assert spectrum.grid == grid_for_wells(spec, options)
+        assert len(spectrum.energies) == spectrum.n_bound == cap
+        grid = spectrum.grid
+        expected = solve_vertical(build_potential(spec, grid), grid,
+                                  ELECTRON, 4).energies[:cap]
+        assert spectrum.energies.tobytes() == expected.tobytes()
 
 
 class TestSolveVertical:
@@ -85,7 +118,7 @@ class TestSolveVertical:
         # single well realized as a double well whose second depth is zero
         spec = DoubleWellSpec(4.5, 10.0, depth, 0.0)
         species = ParticleSpecies("x", mass, 30.0, -1)
-        spectrum = solve_double_well(spec, species, n_states=1)
+        spectrum = solve_double_well(spec, species)
         oracle = oracles.finite_well_levels(depth, 4.5, mass)[0]
         assert spectrum.energies[0] == pytest.approx(oracle, abs=0.05)
 
@@ -93,7 +126,7 @@ class TestSolveVertical:
         gaps = []
         for barrier in (5.0, 8.0, 11.0, 14.0):
             spec = DoubleWellSpec(4.5, barrier, 239.0, 239.0)
-            spectrum = solve_double_well(spec, ELECTRON, n_states=2)
+            spectrum = solve_double_well(spec, ELECTRON, TWO_STATES)
             psi0 = spectrum.wavefunctions[:, 0]
             psi1 = spectrum.wavefunctions[:, 1]
             # bonding even, antibonding odd about the barrier midpoint
@@ -118,10 +151,10 @@ class TestSolveVertical:
         spec = DoubleWellSpec(4.5, 7.0, 0.0, 0.0)
         grid = grid_for_wells(spec)
         with pytest.raises(NoBoundStateError):
-            solve_vertical(build_potential(spec, grid), grid, ELECTRON)
+            solve_vertical(build_potential(spec, grid), grid, ELECTRON, 4)
 
     def test_orthonormality_and_node_counts(self):
-        spectrum = solve_double_well(DEFAULT_WELL, ELECTRON, n_states=2)
+        spectrum = solve_double_well(DEFAULT_WELL, ELECTRON, TWO_STATES)
         h = spectrum.grid.step
         psi = spectrum.wavefunctions
         gram = psi.T @ psi * h
@@ -135,15 +168,17 @@ class TestSolveVertical:
         assert edge < 1e-4 * np.max(np.abs(psi[:, 0]))
 
     def test_grid_convergence(self):
-        e_default = solve_double_well(DEFAULT_WELL, ELECTRON, step=0.01).energies
-        e_half = solve_double_well(DEFAULT_WELL, ELECTRON, step=0.005).energies
+        e_default = solve_double_well(DEFAULT_WELL, ELECTRON).energies
+        e_half = solve_double_well(DEFAULT_WELL, ELECTRON,
+                                   SolverOptions(grid_step=0.005)).energies
         assert np.max(np.abs(e_default[:2] - e_half[:2])) < 0.01
 
     def test_variational_bound_in_domain_size(self):
         # shallow well leaks far into the barrier, making the Dirichlet
         # truncation visible; enlarging the domain must lower the energy
         spec = DoubleWellSpec(4.5, 7.0, 30.0, 30.0)
-        energies = [solve_double_well(spec, ELECTRON, padding=p).energies[0]
+        energies = [solve_double_well(spec, ELECTRON,
+                                      SolverOptions(padding=p)).energies[0]
                     for p in (15.0, 20.0, 30.0, 45.0)]
         assert all(a > b for a, b in zip(energies, energies[1:]))
 
@@ -152,7 +187,7 @@ class TestSolveVertical:
         logs = []
         for barrier in barriers:
             spec = DoubleWellSpec(4.5, barrier, 239.0, 239.0)
-            spectrum = solve_double_well(spec, ELECTRON, n_states=2)
+            spectrum = solve_double_well(spec, ELECTRON, TWO_STATES)
             logs.append(np.log(spectrum.energies[1] - spectrum.energies[0]))
         d1 = np.diff(logs)
         d2 = np.diff(d1)
@@ -163,12 +198,12 @@ class TestSolveVertical:
 class TestClassification:
     def test_symmetric_labels(self):
         spec = DoubleWellSpec(4.5, 7.0, 239.0, 239.0)
-        spectrum = solve_double_well(spec, ELECTRON, n_states=2)
+        spectrum = solve_double_well(spec, ELECTRON, TWO_STATES)
         assert spectrum.labels[:2] == ("B", "A")
 
     def test_weak_coupling_localization(self):
         spectrum = solve_double_well(
-            DoubleWellSpec(4.5, 9.5, 239.0, 203.0), ELECTRON, n_states=2)
+            DoubleWellSpec(4.5, 9.5, 239.0, 203.0), ELECTRON, TWO_STATES)
         w = spectrum.localization
         # these barely-bound states keep ~1/3 of their weight in the
         # evanescent tails, so dominance is a ratio over the well weights
@@ -189,7 +224,7 @@ class TestClassification:
         assert w_near[0, 1] > w_far[0, 1]
 
     def test_weights_bounded_by_one(self):
-        spectrum = solve_double_well(DEFAULT_WELL, ELECTRON, n_states=2)
+        spectrum = solve_double_well(DEFAULT_WELL, ELECTRON, TWO_STATES)
         total = spectrum.localization.sum(axis=1)
         assert np.all(total <= 1.0 + 1e-12)
         # deficit is the weight living in the barrier and padding
@@ -203,7 +238,7 @@ class TestClassification:
 
 class TestDzMatrix:
     def test_antisymmetric_with_zero_diagonal(self):
-        spectrum = solve_double_well(DEFAULT_WELL, ELECTRON, n_states=2)
+        spectrum = solve_double_well(DEFAULT_WELL, ELECTRON, TWO_STATES)
         d = dz_matrix(spectrum)
         assert d[0, 0] == 0.0 and d[1, 1] == 0.0
         assert np.max(np.abs(d + d.T)) < 1e-12
@@ -219,7 +254,7 @@ class TestDzMatrix:
         # deep wide symmetric well holds two states per dot; states of
         # equal parity are not connected by d/dz
         spec = DoubleWellSpec(6.0, 4.0, 600.0, 600.0)
-        spectrum = solve_double_well(spec, ELECTRON, n_states=4)
+        spectrum = solve_double_well(spec, ELECTRON)
         assert spectrum.n_bound == 4
         d = dz_matrix(spectrum)
         assert abs(d[0, 1]) > 1e-3
@@ -228,7 +263,7 @@ class TestDzMatrix:
 
     def test_commutator_identity(self):
         # [H, z] relates <0|dz|1> to (E1 - E0) <0|z|1> / (2 hbar^2/2m)
-        spectrum = solve_double_well(DEFAULT_WELL, ELECTRON, n_states=2)
+        spectrum = solve_double_well(DEFAULT_WELL, ELECTRON, TWO_STATES)
         d = dz_matrix(spectrum)
         h = spectrum.grid.step
         z = spectrum.grid.nodes()
@@ -248,7 +283,9 @@ class TestDzMatrix:
 
     def test_requires_two_states(self):
         spec = DoubleWellSpec(4.5, 10.0, 239.0, 0.0)
-        spectrum = solve_double_well(spec, ELECTRON, n_states=1)
+        grid = grid_for_wells(spec)
+        spectrum = solve_vertical(build_potential(spec, grid), grid,
+                                  ELECTRON, 1, well_spec=spec)
         with pytest.raises(ValueError):
             dz_matrix(spectrum)
 
