@@ -5,7 +5,7 @@ Library layout:
 - core: constants, units, device and carrier data model
 - vertical: 1D finite-difference double-well eigensolver
 - lateral: analytic 2D oscillator basis with magnetic renormalization
-- molecular: n_x block Hamiltonian, batched diagonalization, labeling
+- molecular: n_x block Hamiltonian, per-sector diagonalization, labeling
 - spectroscopy: excitonic emission lines, sweeps, effective distance
 - fitting: well-depth calibration and the 1/L^3 gap law
 - cli: command line front end (solve, sweep-l, sweep-b, calibrate,
@@ -19,7 +19,7 @@ from .fitting import (CalibrationResult, CalibrationTarget, PowerLawParams,
                       calibrate_depths, eval_powerlaw, fit_powerlaw)
 from .lateral import renormalized_y_quantum
 from .molecular import (MolecularSpectrum, ProductBasis, adiabatic_sweep,
-                        diagonalize, dominant_labels, label_states)
+                        diagonalize)
 from .spectroscopy import (EmissionLine, GapCurve, SolvePoint,
                            effective_interdot_distance, emission_lines,
                            solve_point, sweep_b, sweep_l)

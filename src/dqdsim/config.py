@@ -25,7 +25,6 @@ Grammar (all sections and keys optional; unknown ones are rejected):
     padding = 20.0            ; nm
     vertical_cap = 4
     lateral_quanta = 6
-    field_step = 0.1          ; T
 
     [sweep]
     l_values = 3, 5, 7, 9.5   ; nm, or l_start/l_stop/l_step

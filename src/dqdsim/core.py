@@ -151,7 +151,6 @@ class SolverOptions:
     padding: float = 20.0  # nm of barrier material on each side
     vertical_cap: int = 4  # max vertical states retained, >= 2 (B and A)
     lateral_quanta: int = 6  # states with n_x + n_y <= this
-    field_step: float = 0.1  # T, adiabatic labeling march
 
     def __post_init__(self):
         require_finite(self)
@@ -160,8 +159,6 @@ class SolverOptions:
                              f"{MIN_PADDING} nm")
         if self.vertical_cap < 2 or self.lateral_quanta < 0:
             raise ValueError("vertical_cap >= 2 and lateral_quanta >= 0 required")
-        if self.field_step <= 0:
-            raise ValueError("field_step must be > 0")
 
 
 def kinetic_coefficient(species: ParticleSpecies) -> float:

@@ -39,13 +39,6 @@ class UnboundDotError(DqdError):
     exit_code = 4
 
 
-class BasisMismatchError(DqdError):
-    """label_states was handed spectra over product bases of different
-    sizes."""
-
-    module = "molecular"
-
-
 class NotHermitianError(DqdError):
     """Matrix handed to the eigensolver is not Hermitian."""
 
@@ -54,12 +47,6 @@ class NotHermitianError(DqdError):
 
 class EigenResidualError(DqdError):
     """Eigenpairs returned by the eigensolver fail the residual check."""
-
-    module = "molecular"
-
-
-class AmbiguousContinuationError(DqdError):
-    """Adiabatic labeling overlap fell below threshold; reduce the field step."""
 
     module = "molecular"
 

@@ -5,41 +5,47 @@ lateral motions through (sign) * i * hbar*Omega_c * y * d/dz. In the
 product basis {vertical bound states} x {lateral oscillator states} this
 is a kron of the d/dz matrix with the y ladder matrix, purely imaginary
 off-diagonal, Hermitian overall. n_x is conserved, so the Hamiltonian is
-block-diagonal in n_x and the blocks are diagonalized independently; the
-field-independent parts are built once per vertical spectrum and a set of
-fields is diagonalized with one batched call per block. The cross term
-vanishes at B = 0, where no d/dz matrix is read. The lateral basis size
-(options.lateral_quanta) and the march step (options.field_step) come from
-the SolverOptions that adiabatic_sweep takes.
+block-diagonal in n_x; the field-independent parts are built once per
+vertical spectrum and a set of fields is diagonalized in batched stacks.
+The cross term vanishes at B = 0, where H is diagonal: no eigensolve is
+made and no d/dz matrix is read. The lateral basis size
+(options.lateral_quanta) comes from the SolverOptions that
+adiabatic_sweep takes.
 
-adiabatic_sweep is the one way from fields to labeled spectra: labels
-come from the basis indices at B = 0 and follow each level along a march
-from zero by optimal one-to-one overlap assignment (adiabatic
-continuation) between consecutive field steps.
+adiabatic_sweep is the one way from fields to labeled spectra. Each n_x
+block splits further into symmetry sectors, the connected components of
+its coupling graph. In the gauge |v, n_y> -> i^n_y |v, n_y> a sector is
+real symmetric, and with two bound vertical states it is tridiagonal
+with nonzero off-diagonals (a Jacobi matrix), whose eigenvalues are
+simple: no two levels of a sector ever cross (with more bound states,
+generically so; von Neumann and Wigner). The adiabatic label of a
+sector's k-th level at any field is therefore the basis label of its
+k-th level at B = 0, and every field is solved on its own. Levels of
+different sectors do not couple and cross exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import FieldPoint, ParticleSpecies, SolverOptions, cyclotron_energy
-from .errors import AmbiguousContinuationError, BasisMismatchError, \
-    EigenResidualError, NotHermitianError
+from .errors import EigenResidualError, NotHermitianError
 from .lateral import lateral_states, renormalized_y_quantum, y_ladder, \
     y_zero_point
 from .vertical import VerticalSpectrum, dz_matrix
 
-OVERLAP_THRESHOLD = 0.7
-MAX_HALVINGS = 10
-# fields per batched solve in adiabatic_sweep: a fine field_step can ask
-# for thousands of march points, and the block stacks take about 9 kB per
-# field and array with two bound states and the default lateral basis
+# fields per batched solve in adiabatic_sweep: the spectra of a chunk take
+# about 50 kB per field with two bound states and the default lateral basis
 FIELD_CHUNK = 128
+# d/dz entries below this fraction of max|d/dz| do not couple sectors: in
+# symmetric wells the parity-forbidden entries come out of the FD
+# eigenvectors at up to 2e-9 of the largest, not at 0, while the allowed
+# ones of the wells tried stay above 5e-3
+DZ_FLOOR = 1e-6
 
 
 def shell_name(nx: int, ny: int) -> str:
@@ -96,8 +102,8 @@ class MolecularSpectrum:
 
     energies ascend; column k of vectors is level k over the product
     basis. labels hold the (vertical, shell) identity of each level,
-    eg "B:s" or "A:p_y", assigned from basis indices at zero field and by
-    adiabatic continuation along a sweep otherwise.
+    eg "B:s" or "A:p_y": the basis label of the level's rank at B = 0
+    within its symmetry sector.
     """
 
     basis: ProductBasis
@@ -139,9 +145,10 @@ class BlockHamiltonian:
     ladder, and through the prefactor sign * i * hbar*Omega_c(B) of the
     cross term. Everything else (the product basis, the n_x block index
     arrays and each block's y ladder) is built here once, and any set of
-    fields is then solved with one batched eigensolve per n_x block. The
-    d/dz matrix is computed on the first solve at a nonzero field only.
-    The lateral states are those with n_x + n_y <= options.lateral_quanta.
+    fields is then solved with one batched eigensolve per symmetry sector.
+    The d/dz matrix and the sectors are computed on the first solve at a
+    nonzero field only. The lateral states are those with
+    n_x + n_y <= options.lateral_quanta.
     """
 
     def __init__(self, vertical: VerticalSpectrum, species: ParticleSpecies,
@@ -164,12 +171,11 @@ class BlockHamiltonian:
             own = np.flatnonzero(lateral_nx == n)
             self.blocks.append(Block(index, vertical_energy[index], n + 0.5,
                                      half_ny[index], ladder[own][:, own]))
-        dim = len(self.basis)
-        # where the blocks' concatenated levels and raveled eigenvectors
-        # land in the full basis
+        # where the blocks' concatenated levels land before the final sort;
+        # it fixes the order of tied levels
         self.level_slots = np.concatenate([b.index for b in self.blocks])
-        self.vector_slots = np.concatenate(
-            [(b.index[:, None] * dim + b.index).ravel() for b in self.blocks])
+        self.names = np.array([self.basis.label_of(i)
+                               for i in range(len(self.basis))], dtype=object)
 
     def __len__(self) -> int:
         return len(self.basis)
@@ -208,137 +214,109 @@ class BlockHamiltonian:
             stacks.append(h)
         return stacks
 
-    def solve(self, b_values) -> FieldStack:
-        """Eigenpairs at every field, one diagonalize call per n_x block.
+    @cached_property
+    def zero_field_diagonals(self) -> list[np.ndarray]:
+        """Per n_x block, the diagonal of H at B = 0, where it is all of H;
+        bit for bit the diagonal hamiltonians([0.0]) builds."""
+        q = self.species.lateral_quantum
+        return [b.vertical_energy + (b.half_nx * q + b.half_ny * q)
+                for b in self.blocks]
 
-        Solving the conserved-n_x blocks independently keeps eigenvectors
-        from mixing across blocks when levels of different n_x cross.
+    @cached_property
+    def sectors(self) -> list[list[np.ndarray]]:
+        """Per n_x block, its symmetry sectors as block positions, each in
+        stable ascending order of the zero-field diagonal.
+
+        A sector is a connected component of the graph whose edges are
+        the nonzero entries of kron(d/dz, ladder), d/dz taken as zero
+        below DZ_FLOOR. Components are found by letting every position
+        take the smallest root among its neighbours until none changes.
+        """
+        dz = np.abs(self.dz)
+        coupled = dz > DZ_FLOOR * dz.max()
+        out = []
+        for block, diagonal in zip(self.blocks, self.zero_field_diagonals):
+            edges = np.kron(coupled, block.ladder != 0)
+            root = np.arange(len(edges))
+            while True:
+                nearest = np.where(edges, root, root.size).min(axis=1)
+                lower = np.minimum(root, nearest)
+                if (lower == root).all():
+                    break
+                root = lower
+            members = [np.flatnonzero(root == r) for r in np.unique(root)]
+            out.append([s[np.argsort(diagonal[s], kind="stable")]
+                        for s in members])
+        return out
+
+    def zero_field(self) -> MolecularSpectrum:
+        """The labeled spectrum at B = 0 in closed form: H is diagonal, so
+        each block's levels are its diagonal sorted stably."""
+        levels = []
+        for block, diagonal in zip(self.blocks, self.zero_field_diagonals):
+            order = np.argsort(diagonal, kind="stable")
+            levels.append((block.index[order], diagonal[order][None],
+                           np.eye(len(order))[None]))
+        return self._spectra((0.0,), levels)[0]
+
+    def spectra(self, b_values) -> list[MolecularSpectrum]:
+        """Labeled spectra at fields > 0, one diagonalize call per sector.
+
+        A sector's k-th level at every field takes the label of the
+        sector's k-th basis state, whose zero-field energy ranks k-th.
         """
         b_values = tuple(b_values)
-        energies, vectors = [], []
-        for h in self.hamiltonians(b_values):
-            block_e, block_v = diagonalize(h)
-            energies.append(block_e)
-            vectors.append(block_v.reshape(len(b_values), -1))
-        return FieldStack(self, b_values, np.concatenate(energies, axis=1),
-                          np.concatenate(vectors, axis=1))
+        levels = []
+        for block, stack, sectors in zip(self.blocks,
+                                         self.hamiltonians(b_values),
+                                         self.sectors):
+            for s in sectors:
+                levels.append((block.index[s],
+                               *diagonalize(stack[:, s[:, None], s])))
+        return self._spectra(b_values, levels)
 
-
-@dataclass(frozen=True)
-class FieldStack:
-    """Block eigenpairs of a set of fields, from BlockHamiltonian.solve.
-
-    Row i of each array belongs to b_values[i]: the eigenvalues of the
-    blocks concatenated in block order, and their eigenvectors raveled
-    and concatenated.
-    """
-
-    hamiltonian: BlockHamiltonian
-    b_values: tuple[float, ...]
-    energies: np.ndarray
-    vectors: np.ndarray
-
-    def spectrum(self, i: int) -> MolecularSpectrum:
-        """The full spectrum at field b_values[i], levels in ascending order.
-
-        Labels are assigned from the dominant basis component when B = 0
-        and left None otherwise (use label_states / adiabatic_sweep).
-        """
-        ham = self.hamiltonian
-        dim = len(ham)
-        all_e = np.empty(dim)
-        all_e[ham.level_slots] = self.energies[i]
-        all_v = np.zeros(dim * dim, dtype=complex)
-        all_v[ham.vector_slots] = self.vectors[i]
-        order = np.argsort(all_e, kind="stable")
-        spectrum = MolecularSpectrum(basis=ham.basis, b=self.b_values[i],
-                                     energies=all_e[order],
-                                     vectors=all_v.reshape(dim, dim)[:, order])
-        if spectrum.b == 0.0:
-            spectrum.labels = dominant_labels(spectrum)
-        return spectrum
-
-
-def dominant_labels(spectrum: MolecularSpectrum) -> tuple[str, ...]:
-    """Label every level by its largest basis component."""
-    dominant = np.argmax(np.abs(spectrum.vectors) ** 2, axis=0)
-    return tuple(spectrum.basis.label_of(k) for k in dominant.tolist())
-
-
-def label_states(spectrum: MolecularSpectrum,
-                 reference: MolecularSpectrum) -> MolecularSpectrum:
-    """Adiabatic labels: each level inherits the label of its ancestor in
-    `reference` under the optimal one-to-one overlap assignment.
-
-    Overlaps |<ref_i|new_j>| are taken between eigenvector columns over
-    the shared product basis, and the assignment maximizing their sum is
-    found by the Hungarian method (scipy's linear_sum_assignment). If any
-    matched pair falls below OVERLAP_THRESHOLD the continuation is ambiguous
-    and the caller must reduce the field step. The overlaps are the
-    moduli of a unitary matrix, so whenever every matched overlap exceeds
-    1/sqrt(2) the assignment is also the greedy largest-overlap-first one.
-    """
-    if reference.labels is None:
-        raise ValueError("reference spectrum is unlabeled")
-    if len(reference.basis) != len(spectrum.basis):
-        raise BasisMismatchError("reference basis size differs")
-    overlap = np.abs(reference.vectors.conj().T @ spectrum.vectors)
-    ref_index, new_index = linear_sum_assignment(overlap, maximize=True)
-    worst = overlap[ref_index, new_index].min()
-    if worst < OVERLAP_THRESHOLD:
-        raise AmbiguousContinuationError(
-            f"overlap {worst:.3f} below {OVERLAP_THRESHOLD} between "
-            f"B={reference.b} T and B={spectrum.b} T")
-    ancestor = np.empty_like(new_index)
-    ancestor[new_index] = ref_index
-    return replace(spectrum, labels=tuple(
-        reference.labels[i] for i in ancestor.tolist()))
-
-
-def _continue(ham: BlockHamiltonian, prev: MolecularSpectrum,
-              cur: MolecularSpectrum, depth: int = 0) -> MolecularSpectrum:
-    """cur labeled by continuation from prev, halving the step (solving
-    its midpoint) while it is ambiguous, up to MAX_HALVINGS deep."""
-    try:
-        return label_states(cur, prev)
-    except AmbiguousContinuationError:
-        if depth >= MAX_HALVINGS:
-            raise
-        mid = ham.solve([0.5 * (prev.b + cur.b)]).spectrum(0)
-        mid = _continue(ham, prev, mid, depth + 1)
-        return _continue(ham, mid, cur, depth + 1)
+    def _spectra(self, b_values, levels) -> list[MolecularSpectrum]:
+        """Spectra from (basis rows, energies, eigenvectors) per piece: the
+        k-th level of a piece is named after its k-th row. The pieces come
+        in block order and fill level_slots in turn; every field's levels
+        are then sorted stably."""
+        dim = len(self)
+        energies = np.empty((len(b_values), dim))
+        vectors = np.zeros((len(b_values), dim, dim), dtype=complex)
+        labels = np.empty(dim, dtype=object)
+        start = 0
+        for rows, piece_energies, piece_vectors in levels:
+            slots = self.level_slots[start:start + len(rows)]
+            start += len(rows)
+            energies[:, slots] = piece_energies
+            vectors[:, rows[:, None], slots] = piece_vectors
+            labels[slots] = self.names[rows]
+        spectra = []
+        for b, e, v in zip(b_values, energies, vectors):
+            order = np.argsort(e, kind="stable")
+            spectra.append(MolecularSpectrum(
+                basis=self.basis, b=b, energies=e[order],
+                vectors=v[:, order], labels=tuple(labels[order])))
+        return spectra
 
 
 def adiabatic_sweep(vertical: VerticalSpectrum, species: ParticleSpecies,
                     b_values, options: SolverOptions = SolverOptions(),
                     ) -> list[MolecularSpectrum]:
-    """Labeled spectra at the requested fields, continued from B = 0.
+    """Labeled spectra at the requested fields, each solved on its own.
 
-    The grid is a march in steps of options.field_step from zero plus the
-    requested fields. It is solved FIELD_CHUNK fields at a time, one
-    batched eigensolve per n_x block, and labels are continued along it
-    by label_states, building each field's full spectrum only when the
-    march reaches it. Where a step turns ambiguous, its midpoint is
-    solved and both halves continued (up to MAX_HALVINGS deep), reusing
-    the spectrum already solved at the far end.
+    B = 0 takes the closed form; the other fields are solved FIELD_CHUNK
+    at a time, one batched eigensolve per symmetry sector, and labeled by
+    rank within their sectors. A field's spectrum does not depend on
+    which other fields are requested.
     """
     requested = [round(float(b), 9) for b in b_values]
-    if not requested:
-        return []
     if any(b < 0 for b in requested):
         raise ValueError("magnetic fields must be >= 0")
-    march = np.arange(0.0, max(requested) + options.field_step / 2,
-                      options.field_step)
-    grid = sorted(set(round(float(b), 9) for b in march) | set(requested))
     ham = BlockHamiltonian(vertical, species, options)
-    wanted = set(requested)
-    out = {}
-    for start in range(0, len(grid), FIELD_CHUNK):
-        stack = ham.solve(grid[start:start + FIELD_CHUNK])
-        for i, b in enumerate(stack.b_values):
-            cur = stack.spectrum(i)
-            # the march starts at B = 0, where labels come from the basis
-            prev = cur if b == 0.0 else _continue(ham, prev, cur)
-            if b in wanted:
-                out[b] = prev
+    out = {0.0: ham.zero_field()} if 0.0 in requested else {}
+    coupled = list(dict.fromkeys(b for b in requested if b))
+    for start in range(0, len(coupled), FIELD_CHUNK):
+        chunk = coupled[start:start + FIELD_CHUNK]
+        out.update(zip(chunk, ham.spectra(chunk)))
     return [out[b] for b in requested]

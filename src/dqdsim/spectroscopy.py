@@ -147,8 +147,9 @@ def sweep_b(device: DeviceSpec, b_values,
             hole: ParticleSpecies = HOLE) -> tuple[GapCurve, list[SolvePoint]]:
     """Emission lines against field at fixed geometry.
 
-    Labels are continued adiabatically from B = 0, so the whole sweep is
-    marched in order regardless of which fields are requested.
+    Every field is solved on its own and labeled by rank within its
+    symmetry sectors, so a point does not depend on which other fields
+    are requested.
     """
     b_list = [float(b) + 0.0 for b in b_values]  # maps -0.0 to 0.0
     if sorted(b_list) != b_list:

@@ -5,18 +5,21 @@ and matrix machinery: transcendental roots by bracketed bisection, analytic
 box levels, oscillator integrals by Gauss-Hermite quadrature, and a plain
 Sturm count. The module also holds the dense Hamiltonian over the whole
 product basis (build_basis, y_matrix, product_basis, assemble), which the
-n_x block solver is checked against.
+n_x block solver is checked against, and the adiabatic march over whole
+n_x blocks (block_spectra, label_states, march), which the rank labels
+of the symmetry sectors are checked against.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, linear_sum_assignment
 
-from dqdsim.core import FieldPoint, ParticleSpecies, cyclotron_energy
-from dqdsim.errors import BasisMismatchError
+from dqdsim.core import FieldPoint, ParticleSpecies, SolverOptions, \
+    cyclotron_energy
 from dqdsim.lateral import renormalized_y_quantum, y_ladder, y_zero_point
-from dqdsim.molecular import ProductBasis
+from dqdsim.molecular import BlockHamiltonian, MolecularSpectrum, \
+    ProductBasis, diagonalize
 from dqdsim.vertical import VerticalSpectrum
 
 # CODATA 2018, fetched independently of the package constants
@@ -188,7 +191,7 @@ def assemble(vertical: VerticalSpectrum, dz: np.ndarray,
     would otherwise be inconsistent).
     """
     if lateral.b != field.b:
-        raise BasisMismatchError(
+        raise ValueError(
             f"lateral basis built at B={lateral.b} T, assembling at "
             f"B={field.b} T")
     basis = product_basis(vertical, lateral)
@@ -198,3 +201,104 @@ def assemble(vertical: VerticalSpectrum, dz: np.ndarray,
         h += species.hyz_sign * 1j * hoc * np.kron(
             dz[:vertical.n_bound, :vertical.n_bound], ymat)
     return h
+
+
+# The adiabatic march: whole n_x blocks diagonalized at every step of a
+# field grid from zero, each step's levels inheriting the labels of the
+# previous step by the optimal one-to-one overlap assignment. The library
+# labeled this way before it ranked levels within symmetry sectors.
+
+OVERLAP_THRESHOLD = 0.7
+MAX_HALVINGS = 10
+MARCH_CHUNK = 128  # fields per batched block solve
+
+
+class AmbiguousContinuation(Exception):
+    """A matched overlap of the march fell below OVERLAP_THRESHOLD."""
+
+
+def block_spectra(ham: BlockHamiltonian, b_values) -> list[MolecularSpectrum]:
+    """Spectra at the fields, one diagonalize call per whole n_x block.
+
+    Each block's ascending levels fill its level_slots before the stable
+    sort. Labels come from the dominant basis component at B = 0 and are
+    None otherwise.
+    """
+    b_values = tuple(b_values)
+    dim = len(ham)
+    energies = np.empty((len(b_values), dim))
+    vectors = np.zeros((len(b_values), dim, dim), dtype=complex)
+    for block, h in zip(ham.blocks, ham.hamiltonians(b_values)):
+        index = block.index
+        energies[:, index], vectors[:, index[:, None], index] = diagonalize(h)
+    spectra = []
+    for b, e, v in zip(b_values, energies, vectors):
+        order = np.argsort(e, kind="stable")
+        spectrum = MolecularSpectrum(basis=ham.basis, b=b, energies=e[order],
+                                     vectors=v[:, order])
+        if b == 0.0:
+            spectrum.labels = dominant_labels(spectrum)
+        spectra.append(spectrum)
+    return spectra
+
+
+def dominant_labels(spectrum: MolecularSpectrum) -> tuple[str, ...]:
+    """Label every level by its largest basis component."""
+    dominant = np.argmax(np.abs(spectrum.vectors) ** 2, axis=0)
+    return tuple(spectrum.basis.label_of(k) for k in dominant.tolist())
+
+
+def label_states(spectrum: MolecularSpectrum,
+                 reference: MolecularSpectrum) -> MolecularSpectrum:
+    """Each level inherits the label of its ancestor in `reference` under
+    the one-to-one assignment maximizing the summed overlaps
+    |<ref_i|new_j>| (the Hungarian method). Raises AmbiguousContinuation
+    when a matched overlap falls below OVERLAP_THRESHOLD. The overlaps are
+    the moduli of a unitary matrix, so whenever every matched overlap
+    exceeds 1/sqrt(2) the assignment is also the greedy largest-first one.
+    """
+    if reference.labels is None:
+        raise ValueError("reference spectrum is unlabeled")
+    overlap = np.abs(reference.vectors.conj().T @ spectrum.vectors)
+    ref_index, new_index = linear_sum_assignment(overlap, maximize=True)
+    worst = overlap[ref_index, new_index].min()
+    if worst < OVERLAP_THRESHOLD:
+        raise AmbiguousContinuation(
+            f"overlap {worst:.3f} between B={reference.b} T and "
+            f"B={spectrum.b} T")
+    ancestor = np.empty_like(new_index)
+    ancestor[new_index] = ref_index
+    return replace(spectrum, labels=tuple(
+        reference.labels[i] for i in ancestor.tolist()))
+
+
+def march(vertical: VerticalSpectrum, species: ParticleSpecies, b_values,
+          field_step: float = 0.1,
+          options: SolverOptions = SolverOptions()) -> list[MolecularSpectrum]:
+    """Labeled spectra at the fields, continued from B = 0 along a march
+    in steps of field_step plus the fields themselves, solved MARCH_CHUNK
+    fields at a time. An ambiguous step has its midpoint solved and both
+    halves continued, up to MAX_HALVINGS deep, reusing the far end."""
+    requested = [round(float(b), 9) for b in b_values]
+    steps = np.arange(0.0, max(requested) + field_step / 2, field_step)
+    grid = sorted(set(round(float(b), 9) for b in steps) | set(requested))
+    ham = BlockHamiltonian(vertical, species, options)
+
+    def follow(prev, cur, depth=0):
+        try:
+            return label_states(cur, prev)
+        except AmbiguousContinuation:
+            if depth >= MAX_HALVINGS:
+                raise
+            mid = block_spectra(ham, [0.5 * (prev.b + cur.b)])[0]
+            mid = follow(prev, mid, depth + 1)
+            return follow(mid, cur, depth + 1)
+
+    wanted, out = set(requested), {}
+    for start in range(0, len(grid), MARCH_CHUNK):
+        for cur in block_spectra(ham, grid[start:start + MARCH_CHUNK]):
+            # the march starts at B = 0, where labels come from the basis
+            prev = cur if cur.b == 0.0 else follow(prev, cur)
+            if cur.b in wanted:
+                out[cur.b] = prev
+    return [out[b] for b in requested]

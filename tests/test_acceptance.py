@@ -13,11 +13,10 @@ import numpy as np
 import oracles
 from dqdsim import (ELECTRON, CalibrationTarget, FieldPoint,
                     ParticleSpecies, PowerLawParams, SolverOptions,
-                    calibrate_depths, default_device, diagonalize,
-                    effective_interdot_distance, eval_powerlaw, fit_powerlaw,
-                    solve_point, sweep_b, sweep_l)
+                    adiabatic_sweep, calibrate_depths, default_device,
+                    diagonalize, effective_interdot_distance, eval_powerlaw,
+                    fit_powerlaw, solve_point, sweep_b, sweep_l)
 from dqdsim.cli import main
-from dqdsim.molecular import BlockHamiltonian
 from dqdsim.spectroscopy import vertical_spectrum
 from dqdsim.vertical import DoubleWellSpec, Grid1D, dz_matrix, \
     solve_double_well, solve_vertical
@@ -228,7 +227,7 @@ def test_criterion_09_numerical_properties():
     vert95 = vertical_spectrum(dev95, ELECTRON)
     dz95 = dz_matrix(vert95)
     b_small = FieldPoint(0.5)
-    spec = BlockHamiltonian(vert95, ELECTRON).solve([b_small.b]).spectrum(0)
+    spec = adiabatic_sweep(vert95, ELECTRON, [b_small.b])[0]
     basis95 = build_basis(ELECTRON, b_small, 6)
     pb = product_basis(vert95, basis95)
     ham95 = assemble(vert95, dz95, basis95, y_matrix(basis95, ELECTRON),
@@ -254,8 +253,8 @@ def test_criterion_09_numerical_properties():
     for cap, quanta in ((4, 6), (6, 8)):
         options = SolverOptions(vertical_cap=cap, lateral_quanta=quanta)
         v = vertical_spectrum(device, ELECTRON, options)
-        lows[cap] = BlockHamiltonian(v, ELECTRON, options).solve(
-            [field.b]).spectrum(0).energies[:2]
+        lows[cap] = adiabatic_sweep(v, ELECTRON, [field.b],
+                                    options)[0].energies[:2]
     checks["basis_convergence"] = np.max(np.abs(lows[4] - lows[6])) < 0.05
 
     elapsed = time.perf_counter() - t0

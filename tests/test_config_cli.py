@@ -34,7 +34,6 @@ grid_step = 0.02
 padding = 20.0
 vertical_cap = 4
 lateral_quanta = 6
-field_step = 0.1
 
 [sweep]
 l_values = 5, 7, 9.5
@@ -170,7 +169,9 @@ class TestNonFiniteInput:
          "[device] binding_energy"),
         ("sweep-b", "[sweep]\nb_values = 0, nan, 1\n", "[sweep] b_values"),
         ("sweep-l", "[sweep]\nl_values = 7, inf\n", "[sweep] l_values"),
-        ("solve", "[solver]\nfield_step = -inf\n", "[solver] field_step"),
+        # the key is gone, so any value of it is rejected by name
+        ("solve", "[solver]\nfield_step = -inf\n",
+         "unknown key 'field_step' in [solver]"),
     ], ids=["binding_energy", "b_values", "l_values", "field_step"])
     def test_config_value_exits_2(self, tmp_path, capsys, command, text,
                                   where):
@@ -229,6 +230,26 @@ class TestCliSweeps:
         text = outs[0].decode()
         assert text.startswith("B_T,line_low_meV,line_high_meV,gap_meV\n")
         assert text.endswith("\n") and not text.endswith("\n\n")
+
+    def test_one_field_sweep_b_is_the_golden_8t_row(self, tmp_path):
+        # every field is solved on its own: 8 T alone must give the 8 T row
+        # of the default 33-field sweep
+        cfg = write(tmp_path, "cfg.ini", "[sweep]\nb_values = 8\n")
+        out = tmp_path / "run"
+        assert main(["sweep-b", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "lines_vs_B.csv").read_text().splitlines()
+        golden = Path(__file__).parent / "golden" / "sweep_b"
+        assert len(rows) == 2
+        assert rows[1] == (golden / "lines_vs_B.csv").read_text(
+            ).splitlines()[-1]
+
+    def test_removed_field_step_key_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "old.ini", "[solver]\nfield_step = 0.1\n")
+        out = tmp_path / "run"
+        assert main(["sweep-b", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error (config): unknown key 'field_step' in [solver]\n")
+        assert not out.exists()
 
     def test_sweep_b_svg(self, tmp_path):
         cfg = write(tmp_path, "cfg.ini", "[sweep]\nb_values = 0, 0.2, 0.4\n")
@@ -378,10 +399,8 @@ class TestCliFitPowerlaw:
     (errors.ConfigError, "config", 2),
     (errors.DomainTooSmallError, "vertical", 3),
     (errors.NoBoundStateError, "vertical", 3),
-    (errors.BasisMismatchError, "molecular", 3),
     (errors.NotHermitianError, "molecular", 3),
     (errors.EigenResidualError, "molecular", 3),
-    (errors.AmbiguousContinuationError, "molecular", 3),
     (errors.MissingLabelError, "spectroscopy", 3),
     (errors.OutOfRangeError, "spectroscopy", 3),
     (errors.NoConvergenceError, "fitting", 4),

@@ -98,6 +98,7 @@ def test_device_validation():
                                    float("-inf")])
 @pytest.mark.parametrize("base,name", [
     (base, f.name) for base in (default_device(), ELECTRON, SolverOptions(),
+                                FieldPoint(0.0),
                                 CalibrationTarget(-150.0, -100.0))
     for f in fields(base) if f.name != "name"])
 def test_non_finite_field_values_rejected(base, name, value):

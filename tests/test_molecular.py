@@ -4,20 +4,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from dqdsim import (ELECTRON, HOLE, FieldPoint, ParticleSpecies,
                     SolverOptions, adiabatic_sweep, cyclotron_energy,
-                    diagonalize, dominant_labels, label_states, molecular)
-from dqdsim.errors import (AmbiguousContinuationError, BasisMismatchError,
-                           EigenResidualError, NotHermitianError)
+                    diagonalize, molecular)
+from dqdsim.errors import EigenResidualError, NotHermitianError
 from dqdsim.config import DEFAULT_B_VALUES
-from dqdsim.molecular import (OVERLAP_THRESHOLD, BlockHamiltonian,
-                              MolecularSpectrum, shell_name)
+from dqdsim.molecular import BlockHamiltonian, MolecularSpectrum, shell_name
 from dqdsim.spectroscopy import vertical_spectrum
 from dqdsim import default_device
 from dqdsim.vertical import DoubleWellSpec, dz_matrix, solve_double_well
-from oracles import assemble, build_basis, product_basis, y_matrix
+from oracles import (AmbiguousContinuation, OVERLAP_THRESHOLD, assemble,
+                     block_spectra, build_basis, dominant_labels,
+                     label_states, product_basis, y_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +131,7 @@ class TestAssemble:
         vert = electron_vertical
         dz = dz_matrix(vert)
         basis = build_basis(ELECTRON, FieldPoint(3.0), 4)
-        with pytest.raises(BasisMismatchError):
+        with pytest.raises(ValueError):
             assemble(vert, dz, basis, y_matrix(basis, ELECTRON), ELECTRON,
                      FieldPoint(4.0))
 
@@ -177,18 +178,18 @@ class TestBlockHamiltonian:
         lateral = build_basis(ELECTRON, FieldPoint(3.0), quanta)
         assert ham.basis.entries == product_basis(vert, lateral).entries
         assert len(ham.blocks) == quanta + 1
-        stack = ham.solve([3.0])
-        assert stack.energies.shape == (1, len(ham.basis))
+        spectrum = ham.spectra([3.0])[0]
+        assert spectrum.energies.shape == (len(ham.basis),)
+        assert sorted(spectrum.labels) == sorted(ham.names)
 
     def test_one_field_solves_match_batched_rows(self, hole_vertical):
-        # the zero-field sweep leaves the cross term out and the 5 T solve
-        # is a stack of one; both must equal the rows of the joint solve
+        # the zero-field sweep takes the closed form and the 5 T solve is
+        # a stack of one; both must equal the rows of the joint sweep
         vert = hole_vertical
-        stack = BlockHamiltonian(vert, HOLE).solve([0.0, 5.0])
+        joint = adiabatic_sweep(vert, HOLE, [0.0, 5.0])
         ones = (adiabatic_sweep(vert, HOLE, [0.0])[0],
-                BlockHamiltonian(vert, HOLE).solve([5.0]).spectrum(0))
-        for i, one in enumerate(ones):
-            spec = stack.spectrum(i)
+                adiabatic_sweep(vert, HOLE, [5.0])[0])
+        for spec, one in zip(joint, ones):
             assert spec.b == one.b
             assert spec.energies.tobytes() == one.energies.tobytes()
             assert spec.vectors.tobytes() == one.vectors.tobytes()
@@ -206,14 +207,10 @@ class TestBlockHamiltonian:
         # difference, so no level of an n_x block can jump in B
         device = default_device(steps * 0.01)  # L on the 0.01 nm grid
         ham = BlockHamiltonian(vertical_spectrum(device, species), species)
-        energies = ham.solve([b, b_next]).energies
-        start = 0
         for h in ham.hamiltonians([b, b_next]):
-            block = slice(start, start + h.shape[-1])
-            shift = np.abs(energies[1, block] - energies[0, block]).max()
+            energies, _ = diagonalize(h)
+            shift = np.abs(energies[1] - energies[0]).max()
             assert shift <= np.linalg.norm(h[1] - h[0], 2) + 1e-9
-            start = block.stop
-        assert start == len(ham)
 
 
 def greedy_labels(spectrum, reference, threshold=OVERLAP_THRESHOLD):
@@ -236,12 +233,12 @@ def greedy_labels(spectrum, reference, threshold=OVERLAP_THRESHOLD):
 
 
 def march_field_by_field(vert, species, b_values, step=0.1):
-    """Reference sweep: the same march solved one field at a time and
-    labelled greedily, halving ambiguous steps."""
+    """Reference sweep: the march solved one field at a time over whole
+    n_x blocks and labelled greedily, halving ambiguous steps."""
     ham = BlockHamiltonian(vert, species)
 
     def continue_to(prev, b, depth=0):
-        cur = ham.solve([b]).spectrum(0)
+        cur = block_spectra(ham, [b])[0]
         labels = greedy_labels(cur, prev)
         if labels is not None:
             return replace(cur, labels=labels)
@@ -251,11 +248,21 @@ def march_field_by_field(vert, species, b_values, step=0.1):
 
     march = np.arange(0.0, max(b_values) + step / 2, step)
     grid = sorted(set(round(float(b), 9) for b in march) | set(b_values))
-    prev = ham.solve([0.0]).spectrum(0)
+    prev = block_spectra(ham, [0.0])[0]
     out = {0.0: prev}
     for b in grid[1:]:
         prev = out[b] = continue_to(prev, b)
     return [out[b] for b in b_values]
+
+
+# per-sector stacks are a different LAPACK problem from whole n_x blocks,
+# so their energies agree to rounding, relative to the spectrum's scale
+ENERGY_RTOL = 1e-13
+
+
+def assert_energies_close(spec, ref):
+    scale = np.abs(ref.energies).max()
+    assert np.abs(spec.energies - ref.energies).max() <= ENERGY_RTOL * scale
 
 
 class TestBatchedSweepEquivalence:
@@ -269,8 +276,26 @@ class TestBatchedSweepEquivalence:
         reference = march_field_by_field(vert, species, self.FIELDS)
         for spec, ref in zip(batched, reference):
             assert spec.b == ref.b
-            assert spec.energies.tobytes() == ref.energies.tobytes()
+            assert_energies_close(spec, ref)
             assert spec.labels == ref.labels
+
+    @settings(deadline=None, max_examples=25)
+    @given(steps=st.integers(250, 1500),
+           species=st.sampled_from([ELECTRON, HOLE]),
+           fields=st.sets(st.integers(0, 800), min_size=1, max_size=6))
+    def test_rank_labels_match_the_oracle_march(self, steps, species,
+                                                fields):
+        # with two bound vertical states every sector is a Jacobi matrix,
+        # so ranking within sectors must reproduce the march's labels
+        device = default_device(steps * 0.01)  # L on the 0.01 nm grid
+        vert = vertical_spectrum(device, species)
+        assert vert.n_bound == 2
+        b_values = [k * 0.01 for k in sorted(fields)]
+        for spec, ref in zip(adiabatic_sweep(vert, species, b_values),
+                             oracles.march(vert, species, b_values)):
+            assert spec.b == ref.b
+            assert spec.labels == ref.labels
+            assert_energies_close(spec, ref)
 
     @pytest.mark.parametrize("barrier_l", [7.0, 9.5])
     @pytest.mark.parametrize("species", [ELECTRON, HOLE], ids=["e", "h"])
@@ -287,42 +312,142 @@ class TestBatchedSweepEquivalence:
     def test_field_chunks_do_not_change_results(self, electron_vertical,
                                                 monkeypatch):
         vert = electron_vertical
-        whole = adiabatic_sweep(vert, ELECTRON, self.FIELDS)
+        whole = adiabatic_sweep(vert, ELECTRON, DEFAULT_B_VALUES)
         monkeypatch.setattr(molecular, "FIELD_CHUNK", 7)
-        chunked = adiabatic_sweep(vert, ELECTRON, self.FIELDS)
+        chunked = adiabatic_sweep(vert, ELECTRON, DEFAULT_B_VALUES)
         for a, b in zip(whole, chunked):
             assert a.energies.tobytes() == b.energies.tobytes()
             assert a.labels == b.labels
 
     def test_coarse_step_halves_once_and_reuses_the_endpoint(
             self, electron_vertical, hole_vertical, monkeypatch):
-        # at L = 7 a 4 T step from zero is ambiguous for both carriers;
-        # one midpoint at 2 T resolves it, and the 4 T spectrum already
-        # solved in the batch is reused rather than solved again
+        # the oracle march: at L = 7 a 4 T step from zero is ambiguous for
+        # both carriers; one midpoint at 2 T resolves it, and the 4 T
+        # spectrum already solved in the batch is reused
         solved = []
-        solve = BlockHamiltonian.solve
 
-        def counting_solve(self, b_values):
+        def counting_spectra(ham, b_values):
             solved.extend(b_values)
-            return solve(self, b_values)
+            return block_spectra(ham, b_values)
 
         for species, vert in ((ELECTRON, electron_vertical),
                               (HOLE, hole_vertical)):
-            fine = adiabatic_sweep(vert, species, [8.0])[0]
+            fine = oracles.march(vert, species, [8.0])[0]
             solved.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(BlockHamiltonian, "solve", counting_solve)
-                coarse = adiabatic_sweep(vert, species, [8.0],
-                                         SolverOptions(field_step=4.0))[0]
+                patch.setattr(oracles, "block_spectra", counting_spectra)
+                coarse = oracles.march(vert, species, [8.0], field_step=4.0)[0]
             assert solved == [0.0, 4.0, 8.0, 2.0]
             assert coarse.labels == fine.labels
             assert coarse.energies.tobytes() == fine.energies.tobytes()
 
 
+class TestFieldLocality:
+    @pytest.fixture(scope="class")
+    def full_sweeps(self, electron_vertical, hole_vertical):
+        return {species.name: (vert, dict(zip(DEFAULT_B_VALUES,
+                                             adiabatic_sweep(
+                                                 vert, species,
+                                                 DEFAULT_B_VALUES))))
+                for species, vert in ((ELECTRON, electron_vertical),
+                                      (HOLE, hole_vertical))}
+
+    @settings(deadline=None, max_examples=30)
+    @given(species=st.sampled_from([ELECTRON, HOLE]),
+           fields=st.sets(st.sampled_from(DEFAULT_B_VALUES), min_size=1))
+    @example(species=ELECTRON, fields={8.0})
+    @example(species=HOLE, fields={8.0})
+    def test_subset_equals_the_full_sweep(self, full_sweeps, species,
+                                          fields):
+        # a field's spectrum does not depend on the other requested
+        # fields; 8 T alone once came out with diabatic labels
+        vert, full = full_sweeps[species.name]
+        b_values = sorted(fields)
+        for spec in adiabatic_sweep(vert, species, b_values):
+            ref = full[spec.b]
+            assert spec.labels == ref.labels
+            assert spec.energies.tobytes() == ref.energies.tobytes()
+
+
+class TestSectors:
+    @pytest.mark.parametrize("species", [ELECTRON, HOLE], ids=["e", "h"])
+    def test_two_jacobi_sectors_per_block(self, species):
+        # at L = 7 nm and 8 T every n_x block splits into two sectors that
+        # do not couple; ordered by n_y and gauged by i^n_y each sector is
+        # real, tridiagonal, and nonzero next to its diagonal
+        ham = BlockHamiltonian(vertical_spectrum(default_device(7.0),
+                                                 species), species)
+        assert ham.vertical.n_bound == 2
+        for block, (h,), sectors in zip(ham.blocks,
+                                        ham.hamiltonians([8.0]),
+                                        ham.sectors):
+            assert len(sectors) == 2
+            members = np.concatenate(sectors)
+            assert sorted(members) == list(range(len(block.index)))
+            first, second = sectors
+            assert np.all(h[np.ix_(first, second)] == 0)
+            for s in sectors:
+                ny = block.half_ny[s] - 0.5
+                path = s[np.argsort(ny)]
+                assert np.all(np.diff(np.sort(ny)) == 1)
+                gauge = 1j ** (block.half_ny[path] - 0.5)
+                real = gauge.conj()[:, None] * h[np.ix_(path, path)] * gauge
+                assert np.all(real.imag == 0)
+                off = np.abs(np.diag(real.real, 1))
+                assert np.all(off > 0)
+                assert np.all(np.triu(real, 2) == 0)
+
+    def test_parity_forbidden_entries_split_symmetric_wells(self):
+        # identical wells bind four states whose same-parity d/dz entries
+        # are numerically tiny; they must not join the parity sectors
+        vert = solve_double_well(DoubleWellSpec(9.0, 7.0, 400.0, 400.0),
+                                 ELECTRON)
+        ham = BlockHamiltonian(vert, ELECTRON)
+        assert vert.n_bound == 4
+        dz = np.abs(ham.dz)
+        assert 0 < dz[0, 2] < molecular.DZ_FLOOR * dz.max()
+        assert all(len(sectors) == 2 for sectors in ham.sectors[:-1])
+
+    @pytest.mark.parametrize("species", [ELECTRON, HOLE], ids=["e", "h"])
+    def test_symmetric_wells_match_a_fine_march(self, species):
+        # four bound states per carrier; across the parity sectors the
+        # march's overlaps are near zero, so it crosses diabatically, and
+        # so must the ranks
+        vert = solve_double_well(DoubleWellSpec(9.0, 7.0, 400.0, 400.0),
+                                 species)
+        assert vert.n_bound == 4
+        marched = oracles.march(vert, species, DEFAULT_B_VALUES,
+                                field_step=0.02)
+        for spec, ref in zip(adiabatic_sweep(vert, species,
+                                             DEFAULT_B_VALUES), marched):
+            assert spec.labels == ref.labels
+            assert_energies_close(spec, ref)
+
+    @settings(deadline=None, max_examples=15)
+    @given(k=st.integers(-2, 2), steps=st.integers(250, 1500),
+           fields=st.sets(st.integers(0, 32), min_size=1, max_size=4))
+    def test_scaling_covariance(self, k, steps, fields):
+        # (m, V, hbar*Omega) -> (lam m, V/lam, hbar*Omega/lam) scales H by
+        # 1/lam; for lam a power of 2 every rounding scales with it
+        lam = 2.0 ** k
+        device = default_device(steps * 0.01)
+        scaled_device = replace(device, depth_e_dot1=device.depth_e_dot1 / lam,
+                                depth_e_dot2=device.depth_e_dot2 / lam)
+        scaled = replace(ELECTRON, mass_ratio=ELECTRON.mass_ratio * lam,
+                         lateral_quantum=ELECTRON.lateral_quantum / lam)
+        b_values = [0.25 * n for n in sorted(fields)]
+        spectra = adiabatic_sweep(vertical_spectrum(device, ELECTRON),
+                                  ELECTRON, b_values)
+        scaled_spectra = adiabatic_sweep(
+            vertical_spectrum(scaled_device, scaled), scaled, b_values)
+        for spec, other in zip(spectra, scaled_spectra):
+            assert (spec.energies / lam).tobytes() == other.energies.tobytes()
+            assert spec.labels == other.labels
+
+
 def test_sweep_leaves_no_hamiltonian_alive(electron_vertical, monkeypatch):
     # with the cyclic collector off, a reference cycle through the
-    # Hamiltonian would keep it (and its stacks) alive after the sweep;
-    # the 4 T step forces the halving recursion
+    # Hamiltonian would keep it (and its stacks) alive after the sweep
     alive = weakref.WeakSet()
 
     class Recorded(BlockHamiltonian):
@@ -333,8 +458,7 @@ def test_sweep_leaves_no_hamiltonian_alive(electron_vertical, monkeypatch):
     monkeypatch.setattr(molecular, "BlockHamiltonian", Recorded)
     gc.disable()
     try:
-        spec = adiabatic_sweep(electron_vertical, ELECTRON, [8.0],
-                               SolverOptions(field_step=4.0))[0]
+        spec = adiabatic_sweep(electron_vertical, ELECTRON, [0.0, 8.0])[1]
         assert "A:s" in spec.labels
         assert len(alive) == 0
     finally:
@@ -344,7 +468,7 @@ def test_sweep_leaves_no_hamiltonian_alive(electron_vertical, monkeypatch):
 class TestSolveMolecular:
     def test_zero_field_labels_and_energies(self, electron_vertical):
         vert = electron_vertical
-        spec = BlockHamiltonian(vert, ELECTRON).solve([0.0]).spectrum(0)
+        spec = BlockHamiltonian(vert, ELECTRON).zero_field()
         assert spec.labels[0] == "B:s"
         assert set(spec.labels[1:3]) == {"B:p_y", "B:p_x"}
         assert spec.labels[3] == "A:s"
@@ -354,9 +478,20 @@ class TestSolveMolecular:
         assert spec.energies[3] == pytest.approx(
             vert.energies[1] + 30.0, abs=1e-10)
 
+    @pytest.mark.parametrize("species", [ELECTRON, HOLE], ids=["e", "h"])
+    def test_zero_field_closed_form_matches_block_eigh(self, species):
+        # the closed form must keep the tie order and labels of the
+        # eigensolved diagonal blocks
+        vert = vertical_spectrum(default_device(7.0), species)
+        ham = BlockHamiltonian(vert, species)
+        closed = ham.zero_field()
+        ref = block_spectra(ham, [0.0])[0]
+        assert closed.labels == ref.labels
+        assert closed.energies.tobytes() == ref.energies.tobytes()
+        assert np.array_equal(np.abs(closed.vectors), np.abs(ref.vectors))
+
     def test_eigenvector_unitarity(self, electron_vertical):
-        spec = BlockHamiltonian(electron_vertical, ELECTRON).solve(
-            [7.0]).spectrum(0)
+        spec = adiabatic_sweep(electron_vertical, ELECTRON, [7.0])[0]
         gram = spec.vectors.conj().T @ spec.vectors
         assert np.max(np.abs(gram - np.eye(len(spec.basis)))) < 1e-8
 
@@ -365,10 +500,8 @@ class TestSolveMolecular:
         # the default parametrization scales every hole energy to half
         # the electron value (depths, masses and quanta all halve), which
         # makes a strong cross-check of the full assembly
-        e_spec = BlockHamiltonian(electron_vertical, ELECTRON).solve(
-            [8.0]).spectrum(0)
-        h_spec = BlockHamiltonian(hole_vertical, HOLE).solve(
-            [8.0]).spectrum(0)
+        e_spec = adiabatic_sweep(electron_vertical, ELECTRON, [8.0])[0]
+        h_spec = adiabatic_sweep(hole_vertical, HOLE, [8.0])[0]
         np.testing.assert_allclose(h_spec.energies, e_spec.energies / 2,
                                    atol=5e-3)
 
@@ -378,7 +511,7 @@ class TestSolveMolecular:
         dz = dz_matrix(vert)
         b = FieldPoint(0.5)
         n = 6
-        spec = BlockHamiltonian(vert, ELECTRON).solve([b.b]).spectrum(0)
+        spec = adiabatic_sweep(vert, ELECTRON, [b.b])[0]
         basis = build_basis(ELECTRON, b, n)
         pb = product_basis(vert, basis)
         ymat = y_matrix(basis, ELECTRON)
@@ -421,8 +554,7 @@ class TestSolveMolecular:
         for cap, quanta in ((4, 6), (6, 8)):
             options = SolverOptions(vertical_cap=cap, lateral_quanta=quanta)
             vert = vertical_spectrum(device, ELECTRON, options)
-            spec = BlockHamiltonian(vert, ELECTRON, options).solve(
-                [8.0]).spectrum(0)
+            spec = adiabatic_sweep(vert, ELECTRON, [8.0], options)[0]
             lows[(cap, quanta)] = spec.energies[:2]
         delta = np.abs(lows[(4, 6)] - lows[(6, 8)])
         assert np.max(delta) < 0.05
@@ -463,6 +595,9 @@ class TestLabeling:
         assert [s.b for s in specs] == [0.0, 3.0, 8.0]
         assert specs[0].labels[0] == "B:s"
 
+    # the oracle march's continuation, which the rank labels are checked
+    # against
+
     def test_ambiguous_continuation_raises(self):
         from dqdsim.molecular import ProductBasis
 
@@ -480,7 +615,7 @@ class TestLabeling:
         cur = MolecularSpectrum(basis=basis_stub, b=0.1,
                                 energies=np.arange(3.0),
                                 vectors=q.astype(complex))
-        with pytest.raises(AmbiguousContinuationError):
+        with pytest.raises(AmbiguousContinuation):
             label_states(cur, ref)
 
     def test_permuted_phase_rotated_copy_keeps_labels(self,
@@ -497,13 +632,14 @@ class TestLabeling:
 
     def test_labels_survive_fine_march(self, electron_vertical):
         # a 45 degree rotation split into fine steps stays unambiguous
-        specs = adiabatic_sweep(electron_vertical, ELECTRON, [2.2],
-                                SolverOptions(field_step=0.05))
-        assert "A:s" in specs[0].labels
+        marched = oracles.march(electron_vertical, ELECTRON, [2.2],
+                                field_step=0.05)[0]
+        ranked = adiabatic_sweep(electron_vertical, ELECTRON, [2.2])[0]
+        assert marched.labels == ranked.labels
 
     def test_unlabeled_reference_rejected(self, electron_vertical):
-        spec = BlockHamiltonian(electron_vertical, ELECTRON).solve(
-            [1.0]).spectrum(0)
+        spec = block_spectra(BlockHamiltonian(electron_vertical, ELECTRON),
+                             [1.0])[0]
         assert spec.labels is None
         with pytest.raises(ValueError):
             label_states(spec, spec)

@@ -97,6 +97,31 @@ def test_zero_field_reads_no_eigenvectors(monkeypatch):
     assert f"{curve.gaps()[0]:.6f}" == "46.650122"
 
 
+def test_zero_field_sweep_l_makes_no_eigensolve(monkeypatch):
+    # B = 0 takes the closed form: no eigensolve, no d/dz, no sectors
+    calls = {"diagonalize": 0, "eigh": 0, "dz_matrix": 0, "sectors": 0}
+
+    def spy(name, function):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(molecular, "diagonalize",
+                        spy("diagonalize", molecular.diagonalize))
+    monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
+    monkeypatch.setattr(molecular, "dz_matrix",
+                        spy("dz_matrix", molecular.dz_matrix))
+    monkeypatch.setattr(molecular.BlockHamiltonian, "sectors", property(
+        spy("sectors", molecular.BlockHamiltonian.sectors.func)))
+    curve, points = sweep_l(default_device(), [3.0, 7.0, 12.0])
+    assert len(curve.samples) == 3 and points[1].electron.labels[0] == "B:s"
+    assert calls == {"diagonalize": 0, "eigh": 0, "dz_matrix": 0,
+                     "sectors": 0}
+    sweep_b(default_device(), [0.0, 1.0])  # the spies do count
+    assert all(calls.values())
+
+
 class TestSweepL:
     def test_gap_strictly_decreasing(self, device):
         ls = [2.0, 3.0, 5.0, 7.0, 9.5, 12.0, 15.0, 20.0]
