@@ -1,27 +1,28 @@
 """Full 3D molecular spectrum from vertical times lateral product states.
 
 The kinetic cross term of the Voigt-field gauge couples the vertical and
-lateral motions through (sign) * i * hbar*Omega_c * y * d/dz. In the
-product basis {vertical bound states} x {lateral oscillator states} this
-is a kron of the d/dz matrix with the y ladder matrix, purely imaginary
-off-diagonal, Hermitian overall. n_x is conserved, so the Hamiltonian is
-block-diagonal in n_x; the field-independent parts are built once per
-vertical spectrum and a set of fields is diagonalized in batched stacks.
-The cross term vanishes at B = 0, where H is diagonal: no eigensolve is
+lateral motions through (sign) * i * hbar*Omega_c * y * d/dz, a kron of
+the d/dz matrix with the y ladder over the product basis {vertical bound
+states} x {lateral oscillator states}. n_x is conserved, and each n_x
+block splits into symmetry sectors, the connected components of its
+coupling graph. In the gauge |v, n_y> -> (-sign*i)^n_y |v, n_y> a sector
+is real symmetric, diag(e0(B)) + hbar*Omega_c(B) <0|y|1>(B) K, with
+K = kron(d/dz, ladder) * sign(n_y' - n_y) field-free and the same for
+either sign: the sign phases the eigenvectors and no eigenvalue. K is
+built once per vertical spectrum, and each sector is solved in one real
+batched stack over the fields. At B = 0 H is diagonal: no eigensolve is
 made and no d/dz matrix is read. The lateral basis size
 (options.lateral_quanta) comes from the SolverOptions that
 adiabatic_sweep takes.
 
-adiabatic_sweep is the one way from fields to labeled spectra. Each n_x
-block splits further into symmetry sectors, the connected components of
-its coupling graph. In the gauge |v, n_y> -> i^n_y |v, n_y> a sector is
-real symmetric, and with two bound vertical states it is tridiagonal
-with nonzero off-diagonals (a Jacobi matrix), whose eigenvalues are
-simple: no two levels of a sector ever cross (with more bound states,
-generically so; von Neumann and Wigner). The adiabatic label of a
-sector's k-th level at any field is therefore the basis label of its
-k-th level at B = 0, and every field is solved on its own. Levels of
-different sectors do not couple and cross exactly.
+adiabatic_sweep is the one way from fields to labeled spectra. With two
+bound vertical states a sector is tridiagonal with nonzero off-diagonals
+(a Jacobi matrix), whose eigenvalues are simple: no two levels of a
+sector ever cross (with more bound states, generically so; von Neumann
+and Wigner). The adiabatic label of a sector's k-th level at any field
+is therefore the basis label of its k-th level at B = 0, and every field
+is solved on its own. Levels of different sectors do not couple and
+cross exactly.
 """
 
 from __future__ import annotations
@@ -41,11 +42,13 @@ from .vertical import VerticalSpectrum, dz_matrix
 # fields per batched solve in adiabatic_sweep: the spectra of a chunk take
 # about 50 kB per field with two bound states and the default lateral basis
 FIELD_CHUNK = 128
-# d/dz entries below this fraction of max|d/dz| do not couple sectors: in
-# symmetric wells the parity-forbidden entries come out of the FD
-# eigenvectors at up to 2e-9 of the largest, not at 0, while the allowed
-# ones of the wells tried stay above 5e-3
+# d/dz entries below this fraction of max|d/dz| are set to 0 in the sector
+# couplings: in symmetric wells the parity-forbidden entries come out of
+# the FD eigenvectors at up to 2e-9 of the largest, not at 0, while the
+# allowed ones of the wells tried stay above 5e-3
 DZ_FLOOR = 1e-6
+# (-i)^k; entry sign*n_y mod 4 is the exact gauge phase (-sign*i)^n_y
+QUARTER_TURNS = np.array([1, -1j, -1, 1j])
 
 
 def shell_name(nx: int, ny: int) -> str:
@@ -142,12 +145,12 @@ class BlockHamiltonian:
 
     The field enters H only through the dressed lateral quantum
     hbar*Omega_y(B), in the diagonal and in the scale <0|y|1> of the y
-    ladder, and through the prefactor sign * i * hbar*Omega_c(B) of the
-    cross term. Everything else (the product basis, the n_x block index
-    arrays and each block's y ladder) is built here once, and any set of
-    fields is then solved with one batched eigensolve per symmetry sector.
-    The d/dz matrix and the sectors are computed on the first solve at a
-    nonzero field only. The lateral states are those with
+    ladder, and through hbar*Omega_c(B) of the cross term. Everything else
+    (the product basis, the n_x block index arrays and each block's y
+    ladder) is built here once, and any set of fields is then solved with
+    one real batched eigensolve per symmetry sector. The d/dz matrix, the
+    sectors, their couplings K and their gauge phases are computed on the
+    first solve at a nonzero field only. The lateral states are those with
     n_x + n_y <= options.lateral_quanta.
     """
 
@@ -180,37 +183,27 @@ class BlockHamiltonian:
     def __len__(self) -> int:
         return len(self.basis)
 
-    @cached_property
-    def dz(self) -> np.ndarray:
-        """<v_i| d/dz |v_j> over the bound vertical states, in 1/nm."""
-        return dz_matrix(self.vertical)
-
     def hamiltonians(self, b_values) -> list[np.ndarray]:
-        """Per n_x block, the stacked Hamiltonians of all fields, in meV:
-        one array of shape (fields, m, m) per block, in block order."""
+        """Per symmetry sector, in the order of sectors, the real stacked
+        Hamiltonians of all fields in the gauge, in meV: one array of
+        shape (fields, m, m) per sector,
+        diag(e0(B)) + hbar*Omega_c(B) <0|y|1>(B) K."""
         species = self.species
         # the field scalars come one field at a time from the scalar
-        # functions, so every entry matches a dense one-field assembly bit
-        # for bit (math.hypot and np.hypot need not round alike)
+        # functions, so every diagonal matches a dense one-field assembly
+        # bit for bit (math.hypot and np.hypot need not round alike)
         hoc = [cyclotron_energy(species, FieldPoint(b)) for b in b_values]
         q_y = [renormalized_y_quantum(species.lateral_quantum, c) for c in hoc]
-        y01 = np.array([y_zero_point(species, q) for q in q_y])
-        prefactor = species.hyz_sign * 1j * np.array(hoc)
+        scale = np.array(hoc) * [y_zero_point(species, q) for q in q_y]
         q_y = np.array(q_y)
-        coupled = any(b_values)  # else the cross term is 0 and d/dz unread
         stacks = []
-        for index, vertical_energy, half_nx, half_ny, ladder in self.blocks:
-            m = len(index)
-            e0 = vertical_energy + (half_nx * species.lateral_quantum
-                                    + half_ny * q_y[:, None])
-            h = np.zeros((len(b_values), m, m), dtype=complex)
+        for block, members, coupling, _ in self.sectors:
+            m = len(members)
+            e0 = block.vertical_energy[members] + (
+                block.half_nx * species.lateral_quantum
+                + block.half_ny[members] * q_y[:, None])
+            h = scale[:, None, None] * coupling
             h[:, np.arange(m), np.arange(m)] = e0
-            if coupled:
-                # kron(dz, ladder * y01) at every field
-                ymat = ladder * y01[:, None, None]
-                cross = (self.dz[None, :, None, :, None]
-                         * ymat[:, None, :, None, :]).reshape(-1, m, m)
-                h += prefactor[:, None, None] * cross
             stacks.append(h)
         return stacks
 
@@ -223,30 +216,37 @@ class BlockHamiltonian:
                 for b in self.blocks]
 
     @cached_property
-    def sectors(self) -> list[list[np.ndarray]]:
-        """Per n_x block, its symmetry sectors as block positions, each in
-        stable ascending order of the zero-field diagonal.
+    def sectors(self) -> list[tuple]:
+        """The symmetry sectors of every n_x block, in block order: each
+        as its block, its positions in the block in stable ascending order
+        of zero-field energy, its real symmetric coupling K over them, and
+        their gauge phases (-sign*i)^n_y.
 
-        A sector is a connected component of the graph whose edges are
-        the nonzero entries of kron(d/dz, ladder), d/dz taken as zero
-        below DZ_FLOOR. Components are found by letting every position
-        take the smallest root among its neighbours until none changes.
+        A block's K is kron(d/dz, ladder) * sign(n_y' - n_y), with d/dz
+        entries below DZ_FLOOR of the largest set to exactly 0, so its
+        nonzero entries are the edges of the block's coupling graph. A
+        sector is a connected component of that graph, found by letting
+        every position take the smallest root among its neighbours until
+        none changes.
         """
-        dz = np.abs(self.dz)
-        coupled = dz > DZ_FLOOR * dz.max()
+        dz = dz_matrix(self.vertical)
+        dz = np.where(np.abs(dz) > DZ_FLOOR * np.abs(dz).max(), dz, 0.0)
         out = []
         for block, diagonal in zip(self.blocks, self.zero_field_diagonals):
-            edges = np.kron(coupled, block.ladder != 0)
-            root = np.arange(len(edges))
+            ny = (block.half_ny - 0.5).astype(int)
+            coupling = np.kron(dz, block.ladder) * np.sign(ny - ny[:, None])
+            root = np.arange(len(coupling))
             while True:
-                nearest = np.where(edges, root, root.size).min(axis=1)
+                nearest = np.where(coupling != 0, root, root.size).min(axis=1)
                 lower = np.minimum(root, nearest)
                 if (lower == root).all():
                     break
                 root = lower
-            members = [np.flatnonzero(root == r) for r in np.unique(root)]
-            out.append([s[np.argsort(diagonal[s], kind="stable")]
-                        for s in members])
+            for r in np.unique(root):
+                s = np.flatnonzero(root == r)
+                s = s[np.argsort(diagonal[s], kind="stable")]
+                out.append((block, s, coupling[np.ix_(s, s)], QUARTER_TURNS[
+                    self.species.hyz_sign * ny[s] % 4]))
         return out
 
     def zero_field(self) -> MolecularSpectrum:
@@ -263,16 +263,17 @@ class BlockHamiltonian:
         """Labeled spectra at fields > 0, one diagonalize call per sector.
 
         A sector's k-th level at every field takes the label of the
-        sector's k-th basis state, whose zero-field energy ranks k-th.
+        sector's k-th basis state, whose zero-field energy ranks k-th. Its
+        real eigenvectors times the gauge phases are the eigenvectors over
+        the product basis.
         """
         b_values = tuple(b_values)
         levels = []
-        for block, stack, sectors in zip(self.blocks,
-                                         self.hamiltonians(b_values),
-                                         self.sectors):
-            for s in sectors:
-                levels.append((block.index[s],
-                               *diagonalize(stack[:, s[:, None], s])))
+        for (block, members, _, phases), stack in zip(
+                self.sectors, self.hamiltonians(b_values)):
+            energies, vectors = diagonalize(stack)
+            levels.append((block.index[members], energies,
+                           phases[:, None] * vectors))
         return self._spectra(b_values, levels)
 
     def _spectra(self, b_values, levels) -> list[MolecularSpectrum]:

@@ -3,11 +3,12 @@
 The scalar references deliberately avoid the package's finite-difference
 and matrix machinery: transcendental roots by bracketed bisection, analytic
 box levels, oscillator integrals by Gauss-Hermite quadrature, and a plain
-Sturm count. The module also holds the dense Hamiltonian over the whole
+Sturm count. The module also holds the d/dz matrix by numpy's gradient
+and trapezoid rules (dz_reference), the dense Hamiltonian over the whole
 product basis (build_basis, y_matrix, product_basis, assemble), which the
-n_x block solver is checked against, and the adiabatic march over whole
-n_x blocks (block_spectra, label_states, march), which the rank labels
-of the symmetry sectors are checked against.
+symmetry sectors are checked against, and the adiabatic march over whole
+n_x blocks of that dense Hamiltonian (block_spectra, label_states,
+march), which the rank labels of the sectors are checked against.
 """
 
 from dataclasses import dataclass, replace
@@ -20,7 +21,7 @@ from dqdsim.core import FieldPoint, ParticleSpecies, SolverOptions, \
 from dqdsim.lateral import renormalized_y_quantum, y_ladder, y_zero_point
 from dqdsim.molecular import BlockHamiltonian, MolecularSpectrum, \
     ProductBasis, diagonalize
-from dqdsim.vertical import VerticalSpectrum
+from dqdsim.vertical import VerticalSpectrum, dz_matrix
 
 # CODATA 2018, fetched independently of the package constants
 HBAR_SI = 1.054571817e-34
@@ -106,6 +107,19 @@ def sturm_count(diag, off, energy):
             pivot = -np.finfo(float).tiny
         count += pivot < 0.0
     return count
+
+
+def dz_reference(spectrum: VerticalSpectrum) -> np.ndarray:
+    """<v_i| d/dz |v_j> with np.gradient derivatives (one-sided at the
+    ends) and trapezoid quadrature, antisymmetrized as (D - D^T)/2."""
+    psi = spectrum.bound_wavefunctions
+    h = spectrum.grid.step
+    dpsi = np.gradient(psi, h, axis=0)
+    d = np.empty((psi.shape[1], psi.shape[1]))
+    for i in range(psi.shape[1]):
+        for j in range(psi.shape[1]):
+            d[i, j] = np.trapezoid(psi[:, i] * dpsi[:, j], dx=h)
+    return (d - d.T) / 2.0
 
 
 # The dense Hamiltonian over the whole product basis, assembled in one
@@ -217,8 +231,22 @@ class AmbiguousContinuation(Exception):
     """A matched overlap of the march fell below OVERLAP_THRESHOLD."""
 
 
+def dense_hamiltonians(ham: BlockHamiltonian, b_values) -> np.ndarray:
+    """The dense complex H of assemble at each field, over ham's basis."""
+    dz = dz_matrix(ham.vertical)
+    stack = []
+    for b in b_values:
+        field = FieldPoint(b)
+        lateral = build_basis(ham.species, field, len(ham.blocks) - 1)
+        stack.append(assemble(ham.vertical, dz, lateral,
+                              y_matrix(lateral, ham.species), ham.species,
+                              field))
+    return np.array(stack)
+
+
 def block_spectra(ham: BlockHamiltonian, b_values) -> list[MolecularSpectrum]:
-    """Spectra at the fields, one diagonalize call per whole n_x block.
+    """Spectra at the fields, one diagonalize call per whole n_x block of
+    the dense H.
 
     Each block's ascending levels fill its level_slots before the stable
     sort. Labels come from the dominant basis component at B = 0 and are
@@ -228,9 +256,11 @@ def block_spectra(ham: BlockHamiltonian, b_values) -> list[MolecularSpectrum]:
     dim = len(ham)
     energies = np.empty((len(b_values), dim))
     vectors = np.zeros((len(b_values), dim, dim), dtype=complex)
-    for block, h in zip(ham.blocks, ham.hamiltonians(b_values)):
+    dense = dense_hamiltonians(ham, b_values)
+    for block in ham.blocks:
         index = block.index
-        energies[:, index], vectors[:, index[:, None], index] = diagonalize(h)
+        energies[:, index], vectors[:, index[:, None], index] = diagonalize(
+            dense[:, index[:, None], index])
     spectra = []
     for b, e, v in zip(b_values, energies, vectors):
         order = np.argsort(e, kind="stable")

@@ -153,22 +153,33 @@ class TestAssemble:
 
 class TestBlockHamiltonian:
     @pytest.mark.parametrize("b", [0.0, 0.1, 3.3, 8.0])
-    def test_block_stacks_scatter_to_assemble(self, electron_vertical, b):
-        vert = electron_vertical
-        dz = dz_matrix(vert)
-        ham = BlockHamiltonian(vert, ELECTRON)
+    def test_block_stacks_scatter_to_assemble(self, electron_vertical,
+                                              hole_vertical, b):
+        # each real sector stack, phased back out of the gauge and
+        # scattered over the product basis, is the dense H: the diagonal
+        # bit for bit, the cross term to rounding, and 0 between sectors
         field = FieldPoint(b)
-        lateral = build_basis(ELECTRON, field)
-        dense = assemble(vert, dz, lateral, y_matrix(lateral, ELECTRON),
-                         ELECTRON, field)
-        stacks = ham.hamiltonians([2.0, b])
-        scattered = np.zeros_like(dense)
-        for block, stack in zip(ham.blocks, stacks):
-            m = len(block.index)
-            assert stack.shape == (2, m, m)
-            scattered[np.ix_(block.index, block.index)] = stack[1]
-        assert scattered.tobytes() == dense.tobytes()
-        assert ham.basis.entries == product_basis(vert, lateral).entries
+        for species, vert in ((ELECTRON, electron_vertical),
+                              (HOLE, hole_vertical)):
+            ham = BlockHamiltonian(vert, species)
+            lateral = build_basis(species, field)
+            dense = assemble(vert, dz_matrix(vert), lateral,
+                             y_matrix(lateral, species), species, field)
+            stacks = ham.hamiltonians([2.0, b])
+            assert len(stacks) == len(ham.sectors)
+            scattered = np.zeros_like(dense)
+            for (block, members, _, phases), stack in zip(ham.sectors,
+                                                          stacks):
+                m = len(members)
+                assert stack.shape == (2, m, m) and stack.dtype == float
+                rows = block.index[members]
+                scattered[np.ix_(rows, rows)] = (
+                    phases[:, None] * stack[1] * phases.conj())
+            assert np.diag(scattered).tobytes() == np.diag(dense).tobytes()
+            assert (np.abs(scattered - dense).max()
+                    <= 4 * np.finfo(float).eps * np.abs(dense).max())
+            assert np.all(dense[scattered == 0] == 0)
+            assert ham.basis.entries == product_basis(vert, lateral).entries
 
     @pytest.mark.parametrize("quanta", [0, 2, 8])
     def test_lateral_basis_from_options(self, electron_vertical, quanta):
@@ -203,8 +214,8 @@ class TestBlockHamiltonian:
     def test_block_levels_continuous_in_field(self, steps, species, b,
                                               b_next):
         # Weyl's inequality: the k-th ascending eigenvalues of two
-        # Hermitian matrices differ by at most the spectral norm of their
-        # difference, so no level of an n_x block can jump in B
+        # symmetric matrices differ by at most the spectral norm of their
+        # difference, so no level of a sector can jump in B
         device = default_device(steps * 0.01)  # L on the 0.01 nm grid
         ham = BlockHamiltonian(vertical_spectrum(device, species), species)
         for h in ham.hamiltonians([b, b_next]):
@@ -373,40 +384,44 @@ class TestSectors:
     @pytest.mark.parametrize("species", [ELECTRON, HOLE], ids=["e", "h"])
     def test_two_jacobi_sectors_per_block(self, species):
         # at L = 7 nm and 8 T every n_x block splits into two sectors that
-        # do not couple; ordered by n_y and gauged by i^n_y each sector is
-        # real, tridiagonal, and nonzero next to its diagonal
+        # the dense H does not couple; ordered by n_y each sector's K is
+        # real symmetric, tridiagonal, and nonzero next to its diagonal
         ham = BlockHamiltonian(vertical_spectrum(default_device(7.0),
                                                  species), species)
         assert ham.vertical.n_bound == 2
-        for block, (h,), sectors in zip(ham.blocks,
-                                        ham.hamiltonians([8.0]),
-                                        ham.sectors):
+        dense = oracles.dense_hamiltonians(ham, [8.0])[0]
+        for block in ham.blocks:
+            sectors = [s for s in ham.sectors if s[0] is block]
             assert len(sectors) == 2
-            members = np.concatenate(sectors)
+            members = np.concatenate([s[1] for s in sectors])
             assert sorted(members) == list(range(len(block.index)))
-            first, second = sectors
-            assert np.all(h[np.ix_(first, second)] == 0)
-            for s in sectors:
-                ny = block.half_ny[s] - 0.5
-                path = s[np.argsort(ny)]
-                assert np.all(np.diff(np.sort(ny)) == 1)
-                gauge = 1j ** (block.half_ny[path] - 0.5)
-                real = gauge.conj()[:, None] * h[np.ix_(path, path)] * gauge
-                assert np.all(real.imag == 0)
-                off = np.abs(np.diag(real.real, 1))
-                assert np.all(off > 0)
-                assert np.all(np.triu(real, 2) == 0)
+            first, second = (block.index[s[1]] for s in sectors)
+            assert np.all(dense[np.ix_(first, second)] == 0)
+            for _, members, k, _ in sectors:
+                assert k.dtype == float and (k == k.T).all()
+                ny = block.half_ny[members] - 0.5
+                order = np.argsort(ny)
+                assert np.all(np.diff(ny[order]) == 1)
+                path = k[np.ix_(order, order)]
+                assert np.all(np.diag(path, 1) != 0)
+                assert np.all(np.triu(path, 2) == 0)
 
     def test_parity_forbidden_entries_split_symmetric_wells(self):
         # identical wells bind four states whose same-parity d/dz entries
-        # are numerically tiny; they must not join the parity sectors
+        # are numerically tiny; they must neither join the parity sectors
+        # nor reach any sector's coupling
         vert = solve_double_well(DoubleWellSpec(9.0, 7.0, 400.0, 400.0),
                                  ELECTRON)
         ham = BlockHamiltonian(vert, ELECTRON)
         assert vert.n_bound == 4
-        dz = np.abs(ham.dz)
-        assert 0 < dz[0, 2] < molecular.DZ_FLOOR * dz.max()
-        assert all(len(sectors) == 2 for sectors in ham.sectors[:-1])
+        dz = np.abs(dz_matrix(vert))
+        floor = molecular.DZ_FLOOR * dz.max()
+        assert 0 < dz[0, 2] < floor
+        blocks = [id(sector[0]) for sector in ham.sectors]
+        assert all(blocks.count(id(b)) == 2 for b in ham.blocks[:-1])
+        for _, _, coupling, _ in ham.sectors:
+            k = np.abs(coupling)
+            assert not np.any((k > 0) & (k < floor))
 
     @pytest.mark.parametrize("species", [ELECTRON, HOLE], ids=["e", "h"])
     def test_symmetric_wells_match_a_fine_march(self, species):
@@ -495,15 +510,36 @@ class TestSolveMolecular:
         gram = spec.vectors.conj().T @ spec.vectors
         assert np.max(np.abs(gram - np.eye(len(spec.basis)))) < 1e-8
 
-    def test_hole_spectrum_is_half_the_electron_one(self, electron_vertical,
-                                                    hole_vertical):
-        # the default parametrization scales every hole energy to half
-        # the electron value (depths, masses and quanta all halve), which
-        # makes a strong cross-check of the full assembly
-        e_spec = adiabatic_sweep(electron_vertical, ELECTRON, [8.0])[0]
-        h_spec = adiabatic_sweep(hole_vertical, HOLE, [8.0])[0]
-        np.testing.assert_allclose(h_spec.energies, e_spec.energies / 2,
-                                   atol=5e-3)
+    def test_hole_spectrum_is_half_the_electron_one(self):
+        # the default parametrization scales the hole Hamiltonian to half
+        # the electron one (depths and quanta halve, the mass doubles), and
+        # a halving rounds exactly, so every energy halves bit for bit
+        fields = [0.0, 3.0, 8.0]
+        for barrier_l in (3.0, 7.0, 12.0):
+            device = default_device(barrier_l)
+            for e, h in zip(
+                    adiabatic_sweep(vertical_spectrum(device, ELECTRON),
+                                    ELECTRON, fields),
+                    adiabatic_sweep(vertical_spectrum(device, HOLE), HOLE,
+                                    fields)):
+                assert (e.energies / 2).tobytes() == h.energies.tobytes()
+                assert e.labels == h.labels
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    @pytest.mark.parametrize("species", [ELECTRON, HOLE], ids=["e", "h"])
+    def test_vectors_are_product_basis_eigenvectors(self, species, sign):
+        # the real sector eigenvectors times the gauge phases solve the
+        # dense complex H; without the phases the residual is of order |H|
+        species = replace(species, hyz_sign=sign)
+        vert = vertical_spectrum(default_device(7.0), species)
+        ham = BlockHamiltonian(vert, species)
+        zero, spec = adiabatic_sweep(vert, species, [0.0, 8.0])
+        h = oracles.dense_hamiltonians(ham, [8.0])[0]
+        residual = h @ spec.vectors - spec.vectors * spec.energies
+        assert np.abs(residual).max() <= 1e-10 * np.abs(h).max()
+        assert np.array_equal(np.abs(zero.vectors),
+                              np.abs(zero.vectors) ** 2)
+        assert (np.abs(zero.vectors).sum(axis=0) == 1).all()
 
     def test_second_order_perturbation_at_half_tesla(self):
         device = default_device(9.5)

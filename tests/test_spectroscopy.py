@@ -122,6 +122,33 @@ def test_zero_field_sweep_l_makes_no_eigensolve(monkeypatch):
     assert all(calls.values())
 
 
+def test_every_eigensolve_is_a_real_sector_stack(monkeypatch):
+    # the gauged sectors are real symmetric: src hands diagonalize only
+    # real stacks, one per sector, and hamiltonians builds one per sector
+    stacks, sectors = [], []
+    diagonalize = molecular.diagonalize
+    hamiltonians = molecular.BlockHamiltonian.hamiltonians
+
+    def spy_diagonalize(h):
+        stacks.append(h)
+        return diagonalize(h)
+
+    def spy_hamiltonians(ham, b_values):
+        out = hamiltonians(ham, b_values)
+        assert len(out) == len(ham.sectors)
+        sectors.extend(len(sector[1]) for sector in ham.sectors)
+        return out
+
+    monkeypatch.setattr(molecular, "diagonalize", spy_diagonalize)
+    monkeypatch.setattr(molecular.BlockHamiltonian, "hamiltonians",
+                        spy_hamiltonians)
+    sweep_b(default_device(), [0.0, 3.0, 8.0])
+    solve_point(default_device(9.5), FieldPoint(8.0))
+    assert len(stacks) == len(sectors) > 0
+    assert [h.shape[-1] for h in stacks] == sectors
+    assert all(np.isrealobj(h) for h in stacks)
+
+
 class TestSweepL:
     def test_gap_strictly_decreasing(self, device):
         ls = [2.0, 3.0, 5.0, 7.0, 9.5, 12.0, 15.0, 20.0]
