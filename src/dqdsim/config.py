@@ -122,7 +122,10 @@ def _axis_values(section, prefix):
 def parse_config(path) -> RunConfig:
     """Load and validate a config file; unknown sections or keys fail."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     for section in parser.sections():

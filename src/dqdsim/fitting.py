@@ -55,6 +55,8 @@ def fit_powerlaw(points) -> tuple[PowerLawParams, np.ndarray]:
     only delta is searched. A vectorised scan of delta over [0, 10 max L]
     picks the best grid cell and a bounded 1-D minimiser refines delta
     inside it; delta >= 0 always. Needs at least three distinct distances.
+    Raises ValueError naming the first point with a NaN or infinite L or
+    gap.
     Raises SingularFitError unless the fitted 1/L^3 term at the smallest
     distance, A/(L_min + delta)^3, exceeds 1e-9 max(|gap|, 1): flat data
     (A ~ 0) and data rising with L (A < 0) are rejected.
@@ -62,6 +64,9 @@ def fit_powerlaw(points) -> tuple[PowerLawParams, np.ndarray]:
     """
     ls = np.array([float(l) for l, _ in points])
     gaps = np.array([float(g) for _, g in points])
+    for l, gap in zip(ls, gaps):
+        if not np.isfinite([l, gap]).all():
+            raise ValueError(f"point (L={l}, gap={gap}) must be finite")
     if len(ls) < 3:
         raise SingularFitError("need at least 3 points")
     if len(np.unique(ls)) != len(ls):

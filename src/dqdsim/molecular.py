@@ -3,9 +3,10 @@
 The kinetic cross term of the Voigt-field gauge couples the vertical and
 lateral motions through (sign) * i * hbar*Omega_c * y * d/dz, a kron of
 the d/dz matrix with the y ladder over the product basis {vertical bound
-states} x {lateral oscillator states}. n_x is conserved, and each n_x
-block splits into symmetry sectors, the connected components of its
-coupling graph. In the gauge |v, n_y> -> (-sign*i)^n_y |v, n_y> a sector
+states} x {lateral oscillator states}, ordered (v, n_x, n_y). H splits
+into symmetry sectors, the connected components of its coupling graph
+over the whole basis; the y ladder conserves n_x, so each sector lies in
+one n_x block. In the gauge |v, n_y> -> (-sign*i)^n_y |v, n_y> a sector
 is real symmetric, diag(e0(B)) + hbar*Omega_c(B) <0|y|1>(B) K, with
 K = kron(d/dz, ladder) * sign(n_y' - n_y) field-free and the same for
 either sign: the sign phases the eigenvectors and no eigenvalue. K is
@@ -22,16 +23,17 @@ sector ever cross (with more bound states, generically so; von Neumann
 and Wigner). The adiabatic label of a sector's k-th level at any field
 is therefore the basis label of its k-th level at B = 0, and every field
 is solved on its own. Levels of different sectors do not couple and
-cross exactly.
+cross exactly. At every field exactly degenerate levels are listed in
+basis order of the states that name them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .core import FieldPoint, ParticleSpecies, SolverOptions, cyclotron_energy
 from .errors import EigenResidualError, NotHermitianError
@@ -128,55 +130,44 @@ class MolecularSpectrum:
         return None if idx is None else float(self.energies[idx])
 
 
-class Block(NamedTuple):
-    """One conserved-n_x block: its positions in the product basis; the
-    vertical energy and n_y + 1/2 of each position, and its n_x + 1/2;
-    the y ladder of its lateral states."""
-
-    index: np.ndarray
-    vertical_energy: np.ndarray
-    half_nx: float
-    half_ny: np.ndarray
-    ladder: np.ndarray
-
-
 class BlockHamiltonian:
     """The field-independent parts of H for one vertical spectrum.
 
     The field enters H only through the dressed lateral quantum
     hbar*Omega_y(B), in the diagonal and in the scale <0|y|1> of the y
     ladder, and through hbar*Omega_c(B) of the cross term. Everything else
-    (the product basis, the n_x block index arrays and each block's y
-    ladder) is built here once, and any set of fields is then solved with
+    (the product basis and, over all of it, the vertical energy, n_x + 1/2,
+    n_y + 1/2 and n_y of each state, the zero-field diagonal and the state
+    names) is built here once, and any set of fields is then solved with
     one real batched eigensolve per symmetry sector. The d/dz matrix, the
     sectors, their couplings K and their gauge phases are computed on the
     first solve at a nonzero field only. The lateral states are those with
     n_x + n_y <= options.lateral_quanta.
+
+    Every spectrum is indexed by basis position before it is sorted: a
+    sector's k-th level sits at the position of its k-th member, the state
+    that names it, and at B = 0 each state's own level sits at its
+    position. One stable sort per field then lists exactly degenerate
+    levels in basis order (v, n_x, n_y), whatever the field.
     """
 
     def __init__(self, vertical: VerticalSpectrum, species: ParticleSpecies,
                  options: SolverOptions = SolverOptions()):
-        states = lateral_states(options.lateral_quanta)
-        n_v, n_lat = vertical.n_bound, len(states)
+        self.states = lateral_states(options.lateral_quanta)
+        n_v, n_lat = vertical.n_bound, len(self.states)
         self.vertical = vertical
         self.species = species
         self.basis = ProductBasis(
-            tuple((v, nx, ny) for v in range(n_v) for nx, ny in states),
+            tuple((v, nx, ny) for v in range(n_v) for nx, ny in self.states),
             vertical.labels[:n_v])
-        lateral_nx, lateral_ny = np.array(states).T
-        ladder = y_ladder(states)
-        nx = np.tile(lateral_nx, n_v)
-        vertical_energy = np.repeat(vertical.bound_energies, n_lat)
-        half_ny = np.tile(lateral_ny + 0.5, n_v)
-        self.blocks = []
-        for n in range(options.lateral_quanta + 1):
-            index = np.flatnonzero(nx == n)
-            own = np.flatnonzero(lateral_nx == n)
-            self.blocks.append(Block(index, vertical_energy[index], n + 0.5,
-                                     half_ny[index], ladder[own][:, own]))
-        # where the blocks' concatenated levels land before the final sort;
-        # it fixes the order of tied levels
-        self.level_slots = np.concatenate([b.index for b in self.blocks])
+        nx, self.ny = np.tile(np.array(self.states).T, n_v)
+        self.vertical_energy = np.repeat(vertical.bound_energies, n_lat)
+        self.half_nx, self.half_ny = nx + 0.5, self.ny + 0.5
+        q = species.lateral_quantum
+        # the diagonal of H at B = 0, where it is all of H; bit for bit the
+        # diagonal hamiltonians([0.0]) builds
+        self.diagonal = self.vertical_energy + (self.half_nx * q
+                                                + self.half_ny * q)
         self.names = np.array([self.basis.label_of(i)
                                for i in range(len(self.basis))], dtype=object)
 
@@ -197,107 +188,76 @@ class BlockHamiltonian:
         scale = np.array(hoc) * [y_zero_point(species, q) for q in q_y]
         q_y = np.array(q_y)
         stacks = []
-        for block, members, coupling, _ in self.sectors:
+        for members, coupling, _ in self.sectors:
             m = len(members)
-            e0 = block.vertical_energy[members] + (
-                block.half_nx * species.lateral_quantum
-                + block.half_ny[members] * q_y[:, None])
+            e0 = self.vertical_energy[members] + (
+                self.half_nx[members] * species.lateral_quantum
+                + self.half_ny[members] * q_y[:, None])
             h = scale[:, None, None] * coupling
             h[:, np.arange(m), np.arange(m)] = e0
             stacks.append(h)
         return stacks
 
     @cached_property
-    def zero_field_diagonals(self) -> list[np.ndarray]:
-        """Per n_x block, the diagonal of H at B = 0, where it is all of H;
-        bit for bit the diagonal hamiltonians([0.0]) builds."""
-        q = self.species.lateral_quantum
-        return [b.vertical_energy + (b.half_nx * q + b.half_ny * q)
-                for b in self.blocks]
-
-    @cached_property
     def sectors(self) -> list[tuple]:
-        """The symmetry sectors of every n_x block, in block order: each
-        as its block, its positions in the block in stable ascending order
-        of zero-field energy, its real symmetric coupling K over them, and
+        """The symmetry sectors: each as its members, in stable ascending
+        order of zero-field energy, their real symmetric coupling K, and
         their gauge phases (-sign*i)^n_y.
 
-        A block's K is kron(d/dz, ladder) * sign(n_y' - n_y), with d/dz
-        entries below DZ_FLOOR of the largest set to exactly 0, so its
-        nonzero entries are the edges of the block's coupling graph. A
-        sector is a connected component of that graph, found by letting
-        every position take the smallest root among its neighbours until
-        none changes.
+        K = kron(d/dz, ladder) * sign(n_y' - n_y) over the whole product
+        basis, with d/dz entries below DZ_FLOOR of the largest set to
+        exactly 0, so its nonzero entries are the edges of the coupling
+        graph and a sector is a connected component of that graph. The y
+        ladder is zero across n_x, so every sector lies in one n_x block.
         """
         dz = dz_matrix(self.vertical)
         dz = np.where(np.abs(dz) > DZ_FLOOR * np.abs(dz).max(), dz, 0.0)
+        coupling = np.kron(dz, y_ladder(self.states)) * np.sign(
+            self.ny - self.ny[:, None])
+        n, component = connected_components(coupling, directed=False)
+        order = np.argsort(self.diagonal, kind="stable")
         out = []
-        for block, diagonal in zip(self.blocks, self.zero_field_diagonals):
-            ny = (block.half_ny - 0.5).astype(int)
-            coupling = np.kron(dz, block.ladder) * np.sign(ny - ny[:, None])
-            root = np.arange(len(coupling))
-            while True:
-                nearest = np.where(coupling != 0, root, root.size).min(axis=1)
-                lower = np.minimum(root, nearest)
-                if (lower == root).all():
-                    break
-                root = lower
-            for r in np.unique(root):
-                s = np.flatnonzero(root == r)
-                s = s[np.argsort(diagonal[s], kind="stable")]
-                out.append((block, s, coupling[np.ix_(s, s)], QUARTER_TURNS[
-                    self.species.hyz_sign * ny[s] % 4]))
+        for c in range(n):
+            members = order[component[order] == c]
+            out.append((members, coupling[np.ix_(members, members)],
+                        QUARTER_TURNS[self.species.hyz_sign * self.ny[members]
+                                      % 4]))
         return out
 
     def zero_field(self) -> MolecularSpectrum:
         """The labeled spectrum at B = 0 in closed form: H is diagonal, so
-        each block's levels are its diagonal sorted stably."""
-        levels = []
-        for block, diagonal in zip(self.blocks, self.zero_field_diagonals):
-            order = np.argsort(diagonal, kind="stable")
-            levels.append((block.index[order], diagonal[order][None],
-                           np.eye(len(order))[None]))
-        return self._spectra((0.0,), levels)[0]
+        each state's level is its diagonal entry."""
+        return self._spectra((0.0,), self.diagonal[None],
+                             np.eye(len(self), dtype=complex)[None])[0]
 
     def spectra(self, b_values) -> list[MolecularSpectrum]:
         """Labeled spectra at fields > 0, one diagonalize call per sector.
 
         A sector's k-th level at every field takes the label of the
-        sector's k-th basis state, whose zero-field energy ranks k-th. Its
-        real eigenvectors times the gauge phases are the eigenvectors over
-        the product basis.
+        sector's k-th member, whose zero-field energy ranks k-th. Its real
+        eigenvectors times the gauge phases are the eigenvectors over the
+        product basis.
         """
         b_values = tuple(b_values)
-        levels = []
-        for (block, members, _, phases), stack in zip(
-                self.sectors, self.hamiltonians(b_values)):
-            energies, vectors = diagonalize(stack)
-            levels.append((block.index[members], energies,
-                           phases[:, None] * vectors))
-        return self._spectra(b_values, levels)
-
-    def _spectra(self, b_values, levels) -> list[MolecularSpectrum]:
-        """Spectra from (basis rows, energies, eigenvectors) per piece: the
-        k-th level of a piece is named after its k-th row. The pieces come
-        in block order and fill level_slots in turn; every field's levels
-        are then sorted stably."""
         dim = len(self)
         energies = np.empty((len(b_values), dim))
         vectors = np.zeros((len(b_values), dim, dim), dtype=complex)
-        labels = np.empty(dim, dtype=object)
-        start = 0
-        for rows, piece_energies, piece_vectors in levels:
-            slots = self.level_slots[start:start + len(rows)]
-            start += len(rows)
-            energies[:, slots] = piece_energies
-            vectors[:, rows[:, None], slots] = piece_vectors
-            labels[slots] = self.names[rows]
+        for (members, _, phases), stack in zip(
+                self.sectors, self.hamiltonians(b_values)):
+            energies[:, members], sector_vectors = diagonalize(stack)
+            vectors[:, members[:, None], members] = (phases[:, None]
+                                                     * sector_vectors)
+        return self._spectra(b_values, energies, vectors)
+
+    def _spectra(self, b_values, energies, vectors) -> list[MolecularSpectrum]:
+        """Spectra from levels indexed by basis position, level j named
+        after state j: every field's levels sorted stably."""
         spectra = []
         for b, e, v in zip(b_values, energies, vectors):
             order = np.argsort(e, kind="stable")
             spectra.append(MolecularSpectrum(
                 basis=self.basis, b=b, energies=e[order],
-                vectors=v[:, order], labels=tuple(labels[order])))
+                vectors=v[:, order], labels=tuple(self.names[order])))
         return spectra
 
 

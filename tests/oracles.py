@@ -123,8 +123,8 @@ def dz_reference(spectrum: VerticalSpectrum) -> np.ndarray:
 
 
 # The dense Hamiltonian over the whole product basis, assembled in one
-# matrix at one field. The library solves the same H block by block in
-# n_x (molecular.BlockHamiltonian); this is the reference those blocks are
+# matrix at one field. The library solves the same H sector by sector
+# (molecular.BlockHamiltonian); this is the reference those sectors are
 # checked against, entry by entry.
 
 @dataclass(frozen=True)
@@ -234,31 +234,38 @@ class AmbiguousContinuation(Exception):
 def dense_hamiltonians(ham: BlockHamiltonian, b_values) -> np.ndarray:
     """The dense complex H of assemble at each field, over ham's basis."""
     dz = dz_matrix(ham.vertical)
+    quanta = max(nx + ny for _, nx, ny in ham.basis.entries)
     stack = []
     for b in b_values:
         field = FieldPoint(b)
-        lateral = build_basis(ham.species, field, len(ham.blocks) - 1)
+        lateral = build_basis(ham.species, field, quanta)
         stack.append(assemble(ham.vertical, dz, lateral,
                               y_matrix(lateral, ham.species), ham.species,
                               field))
     return np.array(stack)
 
 
+def nx_blocks(basis: ProductBasis) -> list[np.ndarray]:
+    """The positions of each n_x block in the product basis, by n_x."""
+    nx = np.array([nx for _, nx, _ in basis.entries])
+    return [np.flatnonzero(nx == n) for n in np.unique(nx)]
+
+
 def block_spectra(ham: BlockHamiltonian, b_values) -> list[MolecularSpectrum]:
     """Spectra at the fields, one diagonalize call per whole n_x block of
     the dense H.
 
-    Each block's ascending levels fill its level_slots before the stable
-    sort. Labels come from the dominant basis component at B = 0 and are
-    None otherwise.
+    Each block's ascending levels fill its positions in the product basis
+    in turn before the stable sort, so tied levels need not come out in
+    basis order. Labels come from the dominant basis component at B = 0
+    and are None otherwise.
     """
     b_values = tuple(b_values)
     dim = len(ham)
     energies = np.empty((len(b_values), dim))
     vectors = np.zeros((len(b_values), dim, dim), dtype=complex)
     dense = dense_hamiltonians(ham, b_values)
-    for block in ham.blocks:
-        index = block.index
+    for index in nx_blocks(ham.basis):
         energies[:, index], vectors[:, index[:, None], index] = diagonalize(
             dense[:, index[:, None], index])
     spectra = []

@@ -145,6 +145,18 @@ class TestCliSolve:
         assert code == 2
         assert "config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "barrier_l = 7\n",
+        "[device]\nbarrier_l = 7\nbarrier_l = 8\n",
+        "[device]\nbarrier_l = 7\n[device]\nwell_width_h = 4\n",
+    ], ids=["no_section_header", "repeated_key", "repeated_section"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, text):
+        cfg = write(tmp_path, "bad.ini", text)
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error (config): ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("b", ["0", "2"])
     def test_single_vertical_state_exits_2(self, tmp_path, capsys, b):
         # both emission lines need a bonding and an antibonding state
@@ -392,6 +404,17 @@ class TestCliFitPowerlaw:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["fit-powerlaw", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("row, where", [
+        ("5,nan", "L=5.0, gap=nan"), ("5,inf", "L=5.0, gap=inf"),
+        ("nan,40", "L=nan, gap=40.0")], ids=["nan_gap", "inf_gap", "nan_l"])
+    def test_non_finite_point_exits_2(self, tmp_path, capsys, row, where):
+        points = write(tmp_path, "points.csv", f"3,50\n{row}\n7,30\n9,28\n")
+        out = tmp_path / "fit"
+        assert main(["fit-powerlaw", points, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error (config): ") and where in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("error, module, code", [

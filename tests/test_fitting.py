@@ -95,6 +95,16 @@ class TestFitPowerLaw:
         assert params.offset_delta == pytest.approx(delta, rel=2e-3,
                                                     abs=1e-4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        good = [(3.0, 50.0), (7.0, 40.0), (9.5, 38.0)]
+        for k in range(3):
+            for point in ((bad, good[k][1]), (good[k][0], bad)):
+                points = good[:k] + [point] + good[k + 1:]
+                with pytest.raises(ValueError, match=rf"point \(L={point[0]}"
+                                   rf", gap={point[1]}\) must be finite"):
+                    fit_powerlaw(points)
+
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(SingularFitError):
             fit_powerlaw([(3.0, 50.0), (3.0, 60.0), (7.0, 40.0)])

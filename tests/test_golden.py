@@ -27,6 +27,8 @@ RUNS = {
     "solve_b8": ["solve", "--b", "8"],
     "sweep_b": ["sweep-b"],
     "calibrate": ["calibrate", "{golden}/calibrate_targets.csv"],
+    # fits the stored gap curve, so it runs after sweep_l when regenerating
+    "fit_powerlaw": ["fit-powerlaw", "{golden}/sweep_l/gap_vs_L.csv"],
 }
 
 

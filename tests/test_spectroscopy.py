@@ -136,7 +136,7 @@ def test_every_eigensolve_is_a_real_sector_stack(monkeypatch):
     def spy_hamiltonians(ham, b_values):
         out = hamiltonians(ham, b_values)
         assert len(out) == len(ham.sectors)
-        sectors.extend(len(sector[1]) for sector in ham.sectors)
+        sectors.extend(len(members) for members, _, _ in ham.sectors)
         return out
 
     monkeypatch.setattr(molecular, "diagonalize", spy_diagonalize)
