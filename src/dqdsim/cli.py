@@ -84,10 +84,8 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep_l(args) -> int:
     run = _load_config(args)
-    threads = args.threads or os.cpu_count() or 1
     curve, points = spectroscopy.sweep_l(run.device, run.l_values,
-                                         run.options, run.electron, run.hole,
-                                         threads=threads)
+                                         run.options, run.electron, run.hole)
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "gap_vs_L.csv"), "L_nm,gap_meV",
                [(_fmt(l), _fmt(g)) for l, g in curve.samples])
@@ -212,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-l", help="gap curve against interdot distance")
     common(p, svg=True)
-    p.add_argument("--threads", type=int, default=None,
-                   help="sweep-point fan-out (default: all cores)")
     p.set_defaults(func=cmd_sweep_l)
 
     p = sub.add_parser("sweep-b", help="emission lines against field")

@@ -168,8 +168,9 @@ class BlockHamiltonian:
         # diagonal hamiltonians([0.0]) builds
         self.diagonal = self.vertical_energy + (self.half_nx * q
                                                 + self.half_ny * q)
-        self.names = np.array([self.basis.label_of(i)
-                               for i in range(len(self.basis))], dtype=object)
+        shells = [shell_name(nx, ny) for nx, ny in self.states]
+        self.names = np.array([f"{v}:{s}" for v in self.basis.vertical_labels
+                               for s in shells], dtype=object)
 
     def __len__(self) -> int:
         return len(self.basis)

@@ -115,14 +115,13 @@ def sweep_l(device_template: DeviceSpec, l_values,
             threads: int = 1) -> tuple[GapCurve, list[SolvePoint]]:
     """Zero-field gap curve against interdot distance, plus level tables.
 
-    Points are independent; with threads > 1 they are solved concurrently
-    and reassembled in input order.
+    Points are solved in turn: threads > 1, a pool the interpreter lock
+    makes slower, stays only for bench/. with_barrier rejects L <= 0.
     """
     l_list = [float(l) for l in l_values]
-    if any(l <= 0 for l in l_list):
-        raise ValueError("interdot distances must be > 0")
-    if sorted(l_list) != l_list:
-        raise ValueError("l_values must be ascending")
+    bad = next((l for a, l in zip(l_list, l_list[1:]) if l <= a), None)
+    if bad is not None:
+        raise ValueError(f"l_values must be strictly ascending at L={bad} nm")
 
     def run(l):
         try:

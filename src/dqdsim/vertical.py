@@ -234,6 +234,12 @@ def _shoot(energy: float, runs: list[tuple[float, int]], c_h2: float,
     return count, x, log_scale
 
 
+def _runs(v: np.ndarray) -> list[tuple[float, int]]:
+    """(value, length) of each run of equal consecutive entries of v."""
+    bounds = [0, *(np.flatnonzero(v[1:] != v[:-1]) + 1).tolist(), len(v)]
+    return [(float(v[s]), e - s) for s, e in zip(bounds, bounds[1:])]
+
+
 def _lowest_eigenvalues(potential: np.ndarray, c_h2: float, k: int,
                         upper: float | None = None) -> np.ndarray:
     """The lowest k eigenvalues, ascending, of the FD matrix 2 c_h2 +
@@ -241,12 +247,10 @@ def _lowest_eigenvalues(potential: np.ndarray, c_h2: float, k: int,
     those below it (by default Weyl's bound max V + lambda_{k+1}(-Lapl.)).
     Bisection on the Sturm count from (min V, upper) isolates each root; a
     safeguarded secant on psi_{n+1} polishes it in a 2 eps c/h^2 bracket."""
-    starts = np.flatnonzero(np.diff(potential)) + 1
-    lengths = np.diff(np.concatenate(([0], starts, [len(potential)])))
-    runs = list(zip(potential[np.r_[0, starts]].tolist(), lengths.tolist()))
-    lower = float(potential.min())
+    runs = _runs(potential)
+    lower = min(value for value, _ in runs)
     if upper is None:
-        upper = float(potential.max()) + 4.0 * c_h2 * math.sin(
+        upper = max(value for value, _ in runs) + 4.0 * c_h2 * math.sin(
             (k + 1) * math.pi / (2 * (len(potential) + 1))) ** 2
     if upper - lower >= 4.0 * c_h2:  # cos theta would pass -1
         raise ValueError("grid step too coarse for these well depths")

@@ -2,8 +2,9 @@
 
 The scalar references deliberately avoid the package's finite-difference
 and matrix machinery: transcendental roots by bracketed bisection, analytic
-box levels, oscillator integrals by Gauss-Hermite quadrature, and a plain
-Sturm count. The module also holds the d/dz matrix by numpy's gradient
+box levels, oscillator integrals by Gauss-Hermite quadrature, a plain
+Sturm count, and the run encoding of a potential by np.diff (diff_runs).
+The module also holds the d/dz matrix by numpy's gradient
 and trapezoid rules (dz_reference), the dense Hamiltonian over the whole
 product basis (build_basis, y_matrix, product_basis, assemble), which the
 symmetry sectors are checked against, and the adiabatic march over whole
@@ -107,6 +108,14 @@ def sturm_count(diag, off, energy):
             pivot = -np.finfo(float).tiny
         count += pivot < 0.0
     return count
+
+
+def diff_runs(potential):
+    """(value, length) runs of equal consecutive nodes, from np.diff: the
+    encoding the transfer-matrix eigensolver first used."""
+    starts = np.flatnonzero(np.diff(potential)) + 1
+    lengths = np.diff(np.concatenate(([0], starts, [len(potential)])))
+    return list(zip(potential[np.r_[0, starts]].tolist(), lengths.tolist()))
 
 
 def dz_reference(spectrum: VerticalSpectrum) -> np.ndarray:

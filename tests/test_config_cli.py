@@ -281,7 +281,7 @@ class TestCliSweeps:
     @pytest.mark.parametrize("command, flag", [
         ("solve", "--threads=8"), ("solve", "--svg"),
         ("sweep-b", "--threads=8"), ("calibrate", "--svg"),
-        ("fit-powerlaw", "--threads=8")])
+        ("fit-powerlaw", "--threads=8"), ("sweep-l", "--threads=8")])
     def test_flags_only_where_read(self, tmp_path, capsys, command, flag):
         positional = {"calibrate": ["t.csv"], "fit-powerlaw": ["p.csv"]}
         with pytest.raises(SystemExit) as exit_info:
@@ -290,17 +290,28 @@ class TestCliSweeps:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_sweep_l_threads_deterministic(self, tmp_path):
+    def test_sweep_l_starts_no_thread_pool(self, tmp_path, monkeypatch):
+        # the vertical solve holds the interpreter lock: a pool only adds
+        # switching, so the CLI sweeps the distances in turn
+        def no_pool(*args, **kwargs):
+            raise AssertionError("sweep-l started a thread pool")
+
+        monkeypatch.setattr(spectroscopy, "ThreadPoolExecutor", no_pool)
         cfg = write(tmp_path, "cfg.ini",
                     "[sweep]\nl_values = 5, 7, 9.5\n"
                     "[solver]\ngrid_step = 0.02\n")
-        outs = []
-        for name, threads in (("one", "1"), ("many", "4")):
-            out = tmp_path / name
-            assert main(["sweep-l", "--config", cfg, "--out", str(out),
-                         "--threads", threads]) == 0
-            outs.append((out / "gap_vs_L.csv").read_bytes())
-        assert outs[0] == outs[1]
+        out = tmp_path / "run"
+        assert main(["sweep-l", "--config", cfg, "--out", str(out)]) == 0
+        assert len((out / "gap_vs_L.csv").read_text().splitlines()) == 4
+
+    def test_repeated_distance_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "cfg.ini", "[sweep]\nl_values = 7, 7, 9\n")
+        out = tmp_path / "run"
+        assert main(["sweep-l", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error (config): l_values must be strictly ascending at "
+            "L=7.0 nm\n")
+        assert not out.exists()
 
 
 class TestCliCalibrate:

@@ -193,6 +193,19 @@ class TestBlockHamiltonian:
         assert spectrum.energies.shape == (len(ham.basis),)
         assert sorted(spectrum.labels) == sorted(ham.names)
 
+    @pytest.mark.parametrize("quanta", range(7))
+    @pytest.mark.parametrize("well", [
+        DoubleWellSpec(4.5, 7.0, 239.0, 203.0),
+        DoubleWellSpec(9.0, 7.0, 400.0, 400.0)], ids=["2-state", "4-state"])
+    def test_names_are_the_basis_labels(self, well, quanta):
+        vert = solve_double_well(well, ELECTRON)
+        ham = BlockHamiltonian(vert, ELECTRON,
+                               SolverOptions(lateral_quanta=quanta))
+        assert len(ham.names) == len(ham.basis) == (
+            vert.n_bound * (quanta + 1) * (quanta + 2) // 2)
+        for i, name in enumerate(ham.names):
+            assert name == ham.basis.label_of(i)
+
     def test_one_field_solves_match_batched_rows(self, hole_vertical):
         # the zero-field sweep takes the closed form and the 5 T solve is
         # a stack of one; both must equal the rows of the joint sweep

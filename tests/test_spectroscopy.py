@@ -201,6 +201,16 @@ class TestSweepL:
         with pytest.raises(ValueError):
             sweep_l(device, [-1.0, 5.0])
 
+    def test_repeated_distance_rejected_before_any_solve(self, device,
+                                                         monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("a point was solved")
+
+        monkeypatch.setattr(spectroscopy, "solve_point", unexpected)
+        with pytest.raises(ValueError, match=r"^l_values must be strictly "
+                                             r"ascending at L=7\.0 nm$"):
+            sweep_l(device, [5.0, 7.0, 7.0, 9.0])
+
     def test_electron_level_tables_labeled(self, device):
         _, points = sweep_l(device, [7.0])
         labels = points[0].electron.labels

@@ -429,6 +429,39 @@ def assert_matches_eigh(potential, grid, species, n_states):
     assert np.max(np.abs(spectrum.energies - bound)) <= eps
 
 
+class TestRunEncoding:
+    """vertical._runs against the np.diff encoding it replaced."""
+
+    @staticmethod
+    def assert_same_runs(potential):
+        runs = vertical._runs(potential)
+        # repr tells -0.0 from 0.0 and a float from an np.float64
+        assert repr(runs) == repr(oracles.diff_runs(potential))
+        assert sum(m for _, m in runs) == len(potential)
+        return runs
+
+    @pytest.mark.parametrize("potential, count", [
+        ([-5.0] * 7, 1),  # constant
+        ([2.0], 1),
+        ([0.0, -1.0, 0.0, -1.0, 0.0], 5),  # every run of length 1
+        ([-3.0, 0.0, 0.0, 0.0, -2.0], 3),  # length-1 runs at both ends
+        ([0.0, -0.0, -239.0, -239.0, 0.0], 3)])
+    def test_edge_cases(self, potential, count):
+        assert len(self.assert_same_runs(np.array(potential))) == count
+
+    @settings(deadline=None, max_examples=300)
+    @given(runs=st.lists(
+        st.tuples(st.one_of(st.sampled_from([0.0, -0.0, -203.0, -239.0]),
+                            st.floats(allow_nan=False, allow_infinity=False)),
+                  st.one_of(st.just(1), st.integers(1, 40))),
+        min_size=1, max_size=12))
+    def test_random_potentials(self, runs):
+        # no infinities: solve_vertical rejects them, and np.diff splits
+        # two equal infinite nodes (inf - inf is nan)
+        self.assert_same_runs(
+            np.concatenate([np.full(m, value) for value, m in runs]))
+
+
 class TestTransferMatrixEigenvalues:
     """The O(runs) eigenvalues against LAPACK's O(n) eigh_tridiagonal."""
 
