@@ -5,8 +5,8 @@ Library layout:
 - core: constants, units, device and carrier data model
 - vertical: 1D finite-difference double-well eigensolver
 - lateral: analytic 2D oscillator basis with magnetic renormalization
-- molecular: symmetry sectors of the product basis, per-sector
-  diagonalization, labeling
+- molecular: symmetry sectors of the product basis, one diagonalization
+  per sector size, labeling
 - spectroscopy: excitonic emission lines, sweeps, effective distance
 - fitting: well-depth calibration and the 1/L^3 gap law
 - cli: command line front end (solve, sweep-l, sweep-b, calibrate,

@@ -10,11 +10,11 @@ one n_x block. In the gauge |v, n_y> -> (-sign*i)^n_y |v, n_y> a sector
 is real symmetric, diag(e0(B)) + hbar*Omega_c(B) <0|y|1>(B) K, with
 K = kron(d/dz, ladder) * sign(n_y' - n_y) field-free and the same for
 either sign: the sign phases the eigenvectors and no eigenvalue. K is
-built once per vertical spectrum, and each sector is solved in one real
-batched stack over the fields. At B = 0 H is diagonal: no eigensolve is
-made and no d/dz matrix is read. The lateral basis size
-(options.lateral_quanta) comes from the SolverOptions that
-adiabatic_sweep takes.
+built once per vertical spectrum; the sectors of equal size are stacked,
+and each size is solved in one real batched eigensolve over the fields.
+At B = 0 H is diagonal: no eigensolve is made and no d/dz matrix is read.
+The lateral basis size (options.lateral_quanta) comes from the
+SolverOptions that adiabatic_sweep takes.
 
 adiabatic_sweep is the one way from fields to labeled spectra. With two
 bound vertical states a sector is tridiagonal with nonzero off-diagonals
@@ -24,13 +24,15 @@ and Wigner). The adiabatic label of a sector's k-th level at any field
 is therefore the basis label of its k-th level at B = 0, and every field
 is solved on its own. Levels of different sectors do not couple and
 cross exactly. At every field exactly degenerate levels are listed in
-basis order of the states that name them.
+basis order of the states that name them. A spectrum stores its sorted
+energies and labels and the real sector eigenvectors it was solved with;
+its eigenvectors over the product basis are built on first read only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -41,8 +43,9 @@ from .lateral import lateral_states, renormalized_y_quantum, y_ladder, \
     y_zero_point
 from .vertical import VerticalSpectrum, dz_matrix
 
-# fields per batched solve in adiabatic_sweep: the spectra of a chunk take
-# about 50 kB per field with two bound states and the default lateral basis
+# fields per batched solve in adiabatic_sweep: with two bound states and
+# the default lateral basis a chunk's spectra keep about 4 kB per field,
+# 6 kB at the peak of the solve, and each read of .vectors adds 50 kB
 FIELD_CHUNK = 128
 # d/dz entries below this fraction of max|d/dz| are set to 0 in the sector
 # couplings: in symmetric wells the parity-forbidden entries come out of
@@ -75,9 +78,21 @@ class ProductBasis:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def label_of(self, index: int) -> str:
-        v, nx, ny = self.entries[index]
-        return f"{self.vertical_labels[v]}:{shell_name(nx, ny)}"
+
+@lru_cache(maxsize=16)
+def basis_parts(vertical_labels: tuple[str, ...], lateral_quanta: int):
+    """The lateral states, the product basis, and n_x + 1/2, n_y, n_y + 1/2
+    and the name of each basis state, built once and shared (read-only)."""
+    states = lateral_states(lateral_quanta)
+    basis = ProductBasis(tuple((v, *lateral) for v in range(
+        len(vertical_labels)) for lateral in states), vertical_labels)
+    nx, ny = np.tile(np.array(states).T, len(vertical_labels))
+    names = np.array([f"{v}:{shell_name(*lateral)}" for v in vertical_labels
+                      for lateral in states], dtype=object)
+    arrays = (nx + 0.5, ny, ny + 0.5, names)
+    for array in arrays:
+        array.flags.writeable = False
+    return (states, basis) + arrays
 
 
 def diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,29 +120,34 @@ def diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class MolecularSpectrum:
     """Labeled eigenlevels of the full problem at one field point.
 
-    energies ascend; column k of vectors is level k over the product
-    basis. labels hold the (vertical, shell) identity of each level,
-    eg "B:s" or "A:p_y": the basis label of the level's rank at B = 0
-    within its symmetry sector.
-    """
+    energies ascend; labels hold the (vertical, shell) identity of each
+    level, eg "B:s" or "A:p_y": the basis label of the level's rank at
+    B = 0 within its symmetry sector. A chunk of fields shares
+    sector_vectors, per sector size the members (k, m), phases (k, m) and
+    real eigenvectors (fields, k, m, m); this field is row, and level j sat
+    at basis position order[j]. vectors, level j over the product basis in
+    column j, is phased and scattered from them on first read."""
 
     basis: ProductBasis
     b: float
     energies: np.ndarray
-    vectors: np.ndarray
-    labels: tuple[str, ...] | None = None
-
-    def index_of_label(self, label: str) -> int | None:
-        if self.labels is None:
-            return None
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            return None
+    labels: tuple[str, ...]
+    sector_vectors: list = field(repr=False)
+    row: int = field(repr=False)
+    order: np.ndarray = field(repr=False)
 
     def energy_of_label(self, label: str) -> float | None:
-        idx = self.index_of_label(label)
-        return None if idx is None else float(self.energies[idx])
+        if label not in self.labels:
+            return None
+        return float(self.energies[self.labels.index(label)])
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        vectors = np.zeros((len(self.basis),) * 2, dtype=complex)
+        for members, phases, sector_vectors in self.sector_vectors:
+            vectors[members[..., None], members[:, None]] = (
+                phases[..., None] * sector_vectors[self.row])
+        return vectors[:, self.order]
 
 
 class BlockHamiltonian:
@@ -135,50 +155,42 @@ class BlockHamiltonian:
 
     The field enters H only through the dressed lateral quantum
     hbar*Omega_y(B), in the diagonal and in the scale <0|y|1> of the y
-    ladder, and through hbar*Omega_c(B) of the cross term. Everything else
-    (the product basis and, over all of it, the vertical energy, n_x + 1/2,
-    n_y + 1/2 and n_y of each state, the zero-field diagonal and the state
-    names) is built here once, and any set of fields is then solved with
-    one real batched eigensolve per symmetry sector. The d/dz matrix, the
-    sectors, their couplings K and their gauge phases are computed on the
-    first solve at a nonzero field only. The lateral states are those with
+    ladder, and through hbar*Omega_c(B) of the cross term. The rest is
+    built once: the basis parts once per basis (basis_parts), the vertical
+    energy and zero-field diagonal of each state here, and the d/dz
+    matrix, the sectors, their couplings K and gauge phases on the first
+    solve at a nonzero field only. The lateral states are those with
     n_x + n_y <= options.lateral_quanta.
 
     Every spectrum is indexed by basis position before it is sorted: a
     sector's k-th level sits at the position of its k-th member, the state
     that names it, and at B = 0 each state's own level sits at its
-    position. One stable sort per field then lists exactly degenerate
-    levels in basis order (v, n_x, n_y), whatever the field.
+    position. One stable sort of every field's levels then lists exactly
+    degenerate levels in basis order (v, n_x, n_y), whatever the field.
     """
 
     def __init__(self, vertical: VerticalSpectrum, species: ParticleSpecies,
                  options: SolverOptions = SolverOptions()):
-        self.states = lateral_states(options.lateral_quanta)
-        n_v, n_lat = vertical.n_bound, len(self.states)
+        (self.states, self.basis, self.half_nx, self.ny, self.half_ny,
+         self.names) = basis_parts(vertical.labels[:vertical.n_bound],
+                                   options.lateral_quanta)
         self.vertical = vertical
         self.species = species
-        self.basis = ProductBasis(
-            tuple((v, nx, ny) for v in range(n_v) for nx, ny in self.states),
-            vertical.labels[:n_v])
-        nx, self.ny = np.tile(np.array(self.states).T, n_v)
-        self.vertical_energy = np.repeat(vertical.bound_energies, n_lat)
-        self.half_nx, self.half_ny = nx + 0.5, self.ny + 0.5
+        self.vertical_energy = np.repeat(vertical.bound_energies,
+                                         len(self.states))
         q = species.lateral_quantum
         # the diagonal of H at B = 0, where it is all of H; bit for bit the
         # diagonal hamiltonians([0.0]) builds
         self.diagonal = self.vertical_energy + (self.half_nx * q
                                                 + self.half_ny * q)
-        shells = [shell_name(nx, ny) for nx, ny in self.states]
-        self.names = np.array([f"{v}:{s}" for v in self.basis.vertical_labels
-                               for s in shells], dtype=object)
 
     def __len__(self) -> int:
         return len(self.basis)
 
     def hamiltonians(self, b_values) -> list[np.ndarray]:
-        """Per symmetry sector, in the order of sectors, the real stacked
-        Hamiltonians of all fields in the gauge, in meV: one array of
-        shape (fields, m, m) per sector,
+        """Per sector size, in the order of sectors, the real stacked
+        Hamiltonians of its sectors at all fields in the gauge, in meV: one
+        array of shape (fields, k, m, m) per size,
         diag(e0(B)) + hbar*Omega_c(B) <0|y|1>(B) K."""
         species = self.species
         # the field scalars come one field at a time from the scalar
@@ -190,20 +202,21 @@ class BlockHamiltonian:
         q_y = np.array(q_y)
         stacks = []
         for members, coupling, _ in self.sectors:
-            m = len(members)
+            m = members.shape[1]
             e0 = self.vertical_energy[members] + (
                 self.half_nx[members] * species.lateral_quantum
-                + self.half_ny[members] * q_y[:, None])
-            h = scale[:, None, None] * coupling
-            h[:, np.arange(m), np.arange(m)] = e0
+                + self.half_ny[members] * q_y[:, None, None])
+            h = scale[:, None, None, None] * coupling
+            h[..., np.arange(m), np.arange(m)] = e0
             stacks.append(h)
         return stacks
 
     @cached_property
     def sectors(self) -> list[tuple]:
-        """The symmetry sectors: each as its members, in stable ascending
-        order of zero-field energy, their real symmetric coupling K, and
-        their gauge phases (-sign*i)^n_y.
+        """The symmetry sectors stacked by size, one entry per size m, largest
+        first: the members of its k sectors (k, m), each row in stable
+        ascending order of zero-field energy, their real symmetric couplings
+        K (k, m, m) and their gauge phases (-sign*i)^n_y (k, m).
 
         K = kron(d/dz, ladder) * sign(n_y' - n_y) over the whole product
         basis, with d/dz entries below DZ_FLOOR of the largest set to
@@ -217,49 +230,49 @@ class BlockHamiltonian:
             self.ny - self.ny[:, None])
         n, component = connected_components(coupling, directed=False)
         order = np.argsort(self.diagonal, kind="stable")
+        sectors = [order[component[order] == c] for c in range(n)]
         out = []
-        for c in range(n):
-            members = order[component[order] == c]
-            out.append((members, coupling[np.ix_(members, members)],
-                        QUARTER_TURNS[self.species.hyz_sign * self.ny[members]
+        for m in sorted({len(s) for s in sectors}, reverse=True):
+            rows = np.array([s for s in sectors if len(s) == m])
+            out.append((rows, coupling[rows[..., None], rows[:, None]],
+                        QUARTER_TURNS[self.species.hyz_sign * self.ny[rows]
                                       % 4]))
         return out
 
     def zero_field(self) -> MolecularSpectrum:
         """The labeled spectrum at B = 0 in closed form: H is diagonal, so
-        each state's level is its diagonal entry."""
-        return self._spectra((0.0,), self.diagonal[None],
-                             np.eye(len(self), dtype=complex)[None])[0]
+        each state is a sector of one, its level its diagonal entry."""
+        one = np.ones((len(self), 1))
+        return self._spectra((0.0,), self.diagonal[None], [(
+            np.arange(len(self))[:, None], one, one[None, ..., None])])[0]
 
     def spectra(self, b_values) -> list[MolecularSpectrum]:
-        """Labeled spectra at fields > 0, one diagonalize call per sector.
+        """Labeled spectra at fields > 0, one diagonalize call per size.
 
         A sector's k-th level at every field takes the label of the
         sector's k-th member, whose zero-field energy ranks k-th. Its real
         eigenvectors times the gauge phases are the eigenvectors over the
-        product basis.
+        product basis; the spectra keep them unscattered.
         """
         b_values = tuple(b_values)
-        dim = len(self)
-        energies = np.empty((len(b_values), dim))
-        vectors = np.zeros((len(b_values), dim, dim), dtype=complex)
+        energies = np.empty((len(b_values), len(self)))
+        sector_vectors = []
         for (members, _, phases), stack in zip(
                 self.sectors, self.hamiltonians(b_values)):
-            energies[:, members], sector_vectors = diagonalize(stack)
-            vectors[:, members[:, None], members] = (phases[:, None]
-                                                     * sector_vectors)
-        return self._spectra(b_values, energies, vectors)
+            energies[:, members], vectors = diagonalize(stack)
+            sector_vectors.append((members, phases, vectors))
+        return self._spectra(b_values, energies, sector_vectors)
 
-    def _spectra(self, b_values, energies, vectors) -> list[MolecularSpectrum]:
+    def _spectra(self, b_values, energies, sector_vectors,
+                 ) -> list[MolecularSpectrum]:
         """Spectra from levels indexed by basis position, level j named
-        after state j: every field's levels sorted stably."""
-        spectra = []
-        for b, e, v in zip(b_values, energies, vectors):
-            order = np.argsort(e, kind="stable")
-            spectra.append(MolecularSpectrum(
-                basis=self.basis, b=b, energies=e[order],
-                vectors=v[:, order], labels=tuple(self.names[order])))
-        return spectra
+        after state j: the levels of all fields sorted stably at once."""
+        order = np.argsort(energies, axis=1, kind="stable")
+        energies = np.take_along_axis(energies, order, axis=1)
+        labels = self.names[order].tolist()
+        return [MolecularSpectrum(self.basis, b, energies[i], tuple(labels[i]),
+                                  sector_vectors, i, order[i])
+                for i, b in enumerate(b_values)]
 
 
 def adiabatic_sweep(vertical: VerticalSpectrum, species: ParticleSpecies,
@@ -268,7 +281,7 @@ def adiabatic_sweep(vertical: VerticalSpectrum, species: ParticleSpecies,
     """Labeled spectra at the requested fields, each solved on its own.
 
     B = 0 takes the closed form; the other fields are solved FIELD_CHUNK
-    at a time, one batched eigensolve per symmetry sector, and labeled by
+    at a time, one batched eigensolve per sector size, and labeled by
     rank within their sectors. A field's spectrum does not depend on
     which other fields are requested.
     """

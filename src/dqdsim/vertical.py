@@ -45,9 +45,6 @@ class Grid1D:
     def step(self) -> float:
         return (self.z_max - self.z_min) / (self.n_points - 1)
 
-    def nodes(self) -> np.ndarray:
-        return np.linspace(self.z_min, self.z_max, self.n_points)
-
 
 @dataclass(frozen=True)
 class DoubleWellSpec:
@@ -90,7 +87,8 @@ def grid_for_wells(spec: DoubleWellSpec,
     H/step and L/step are all integers. Off that lattice the edges snap
     to cell boundaries: at the default 0.01 nm step L = 7.003 and
     7.005 nm are both sampled as a 7.00 nm barrier, and L = 7.006 nm as
-    7.01 nm (see ROADMAP item 4).
+    7.01 nm (see the ROADMAP item "Exact geometry at any L, and inversion
+    by root-finding").
     """
     step, padding = options.grid_step, options.padding
     span = 2 * spec.width_h + spec.barrier_l + 2 * padding
@@ -138,11 +136,10 @@ class VerticalSpectrum:
     require_bound=False. labels classify
     consecutive pairs as bonding (lower) / antibonding (upper).
     wavefunctions holds the grid-sampled, L2-normalized real
-    eigenfunctions as columns, largest-amplitude lobe positive, and
-    localization the per-state probability weights (w1, w2) integrated
-    over each well's support. Both are computed on first read, from the
-    raw eigenvector columns that eigenvectors() returns, so callers that
-    read only energies never pay for eigenvectors.
+    eigenfunctions as columns, largest-amplitude lobe positive. It is
+    computed on first read, from the raw eigenvector columns that
+    eigenvectors() returns, so callers that read only energies never pay
+    for eigenvectors.
     """
 
     grid: Grid1D
@@ -169,17 +166,6 @@ class VerticalSpectrum:
     @property
     def bound_wavefunctions(self) -> np.ndarray:
         return self.wavefunctions[:, :self.n_bound]
-
-    @cached_property
-    def localization(self) -> np.ndarray:
-        weights = np.zeros((len(self.energies), 2))
-        if self.well_spec is not None:
-            h = self.grid.step
-            for col, (i_lo, i_hi) in enumerate(
-                    well_node_slices(self.well_spec, self.grid)):
-                weights[:, col] = np.sum(
-                    self.wavefunctions[i_lo:i_hi, :] ** 2, axis=0) * h
-        return weights
 
 
 def state_labels(count: int) -> tuple[str, ...]:

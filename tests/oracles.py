@@ -5,11 +5,16 @@ and matrix machinery: transcendental roots by bracketed bisection, analytic
 box levels, oscillator integrals by Gauss-Hermite quadrature, a plain
 Sturm count, and the run encoding of a potential by np.diff (diff_runs).
 The module also holds the d/dz matrix by numpy's gradient
-and trapezoid rules (dz_reference), the dense Hamiltonian over the whole
-product basis (build_basis, y_matrix, product_basis, assemble), which the
-symmetry sectors are checked against, and the adiabatic march over whole
-n_x blocks of that dense Hamiltonian (block_spectra, label_states,
-march), which the rank labels of the sectors are checked against.
+and trapezoid rules (dz_reference), the grid nodes and the well weights
+of the vertical states (nodes, localization), the dense Hamiltonian over
+the whole product basis (build_basis, y_matrix, product_basis, assemble,
+label_of), which the symmetry sectors are checked against, the sectors
+one at a time (sector_list) and the dense eigenvectors that one
+eigensolve per sector scatters over the product basis (scattered_vectors),
+which MolecularSpectrum.vectors is checked against, and the adiabatic
+march over whole n_x blocks of that dense Hamiltonian (block_spectra,
+label_states, march), which the rank labels of the sectors are checked
+against.
 """
 
 from dataclasses import dataclass, replace
@@ -20,9 +25,10 @@ from scipy.optimize import brentq, linear_sum_assignment
 from dqdsim.core import FieldPoint, ParticleSpecies, SolverOptions, \
     cyclotron_energy
 from dqdsim.lateral import renormalized_y_quantum, y_ladder, y_zero_point
-from dqdsim.molecular import BlockHamiltonian, MolecularSpectrum, \
-    ProductBasis, diagonalize
-from dqdsim.vertical import VerticalSpectrum, dz_matrix
+from dqdsim.molecular import BlockHamiltonian, ProductBasis, diagonalize, \
+    shell_name
+from dqdsim.vertical import Grid1D, VerticalSpectrum, dz_matrix, \
+    well_node_slices
 
 # CODATA 2018, fetched independently of the package constants
 HBAR_SI = 1.054571817e-34
@@ -112,8 +118,11 @@ def sturm_count(diag, off, energy):
 
 def diff_runs(potential):
     """(value, length) runs of equal consecutive nodes, from np.diff: the
-    encoding the transfer-matrix eigensolver first used."""
-    starts = np.flatnonzero(np.diff(potential)) + 1
+    encoding the transfer-matrix eigensolver first used. The difference of
+    two finite nodes near +-max float overflows to +-inf, which is nonzero
+    and so still splits them; only its warning is silenced."""
+    with np.errstate(over="ignore"):
+        starts = np.flatnonzero(np.diff(potential)) + 1
     lengths = np.diff(np.concatenate(([0], starts, [len(potential)])))
     return list(zip(potential[np.r_[0, starts]].tolist(), lengths.tolist()))
 
@@ -129,6 +138,24 @@ def dz_reference(spectrum: VerticalSpectrum) -> np.ndarray:
         for j in range(psi.shape[1]):
             d[i, j] = np.trapezoid(psi[:, i] * dpsi[:, j], dx=h)
     return (d - d.T) / 2.0
+
+
+def nodes(grid: Grid1D) -> np.ndarray:
+    """The grid's node positions, in nm."""
+    return np.linspace(grid.z_min, grid.z_max, grid.n_points)
+
+
+def localization(spectrum: VerticalSpectrum) -> np.ndarray:
+    """Per state the probability weights (w1, w2) summed over the nodes
+    whose cells lie inside each well; zeros without a well_spec."""
+    weights = np.zeros((len(spectrum.energies), 2))
+    if spectrum.well_spec is not None:
+        h = spectrum.grid.step
+        for col, (i_lo, i_hi) in enumerate(
+                well_node_slices(spectrum.well_spec, spectrum.grid)):
+            weights[:, col] = np.sum(
+                spectrum.wavefunctions[i_lo:i_hi, :] ** 2, axis=0) * h
+    return weights
 
 
 # The dense Hamiltonian over the whole product basis, assembled in one
@@ -190,6 +217,12 @@ class DenseProductBasis(ProductBasis):
     e0: tuple[float, ...]
 
 
+def label_of(basis: ProductBasis, index: int) -> str:
+    """The name "vertical:shell" of basis state `index`."""
+    v, nx, ny = basis.entries[index]
+    return f"{basis.vertical_labels[v]}:{shell_name(nx, ny)}"
+
+
 def product_basis(vertical: VerticalSpectrum,
                   lateral: LateralBasis) -> DenseProductBasis:
     lat_e = lateral.energies()
@@ -226,6 +259,41 @@ def assemble(vertical: VerticalSpectrum, dz: np.ndarray,
     return h
 
 
+# The symmetry sectors one at a time. The library stacks the sectors of
+# equal size and keeps their eigenvectors unscattered until they are read;
+# this is each sector on its own, and the dense eigenvectors over the
+# product basis that one eigensolve per sector scatters for every field.
+
+def sector_list(ham: BlockHamiltonian) -> list[tuple]:
+    """Per sector, from the size stacks of ham.sectors in order: its
+    members, its coupling K and its gauge phases."""
+    return [(members[i], coupling[i], phases[i])
+            for members, coupling, phases in ham.sectors
+            for i in range(len(members))]
+
+
+def scattered_vectors(ham: BlockHamiltonian, b_values) -> np.ndarray:
+    """The eigenvectors over the product basis at fields > 0, or at B = 0
+    alone, as a dense complex (fields, dim, dim) array with each field's
+    levels in ascending stable order: one diagonalize call per sector, its
+    real eigenvectors times its gauge phases scattered into the sector's
+    rows and columns. At B = 0 they are the columns of the identity."""
+    dim = len(ham)
+    if list(b_values) == [0.0]:
+        order = np.argsort(ham.diagonal, kind="stable")
+        return np.eye(dim, dtype=complex)[None][:, :, order]
+    energies = np.empty((len(b_values), dim))
+    vectors = np.zeros((len(b_values), dim, dim), dtype=complex)
+    stacks = [stack[:, i] for stack in ham.hamiltonians(b_values)
+              for i in range(stack.shape[1])]
+    for (members, _, phases), stack in zip(sector_list(ham), stacks):
+        energies[:, members], sector_vectors = diagonalize(stack)
+        vectors[:, members[:, None], members] = (phases[:, None]
+                                                 * sector_vectors)
+    return np.array([v[:, np.argsort(e, kind="stable")]
+                     for e, v in zip(energies, vectors)])
+
+
 # The adiabatic march: whole n_x blocks diagonalized at every step of a
 # field grid from zero, each step's levels inheriting the labels of the
 # previous step by the optimal one-to-one overlap assignment. The library
@@ -238,6 +306,18 @@ MARCH_CHUNK = 128  # fields per batched block solve
 
 class AmbiguousContinuation(Exception):
     """A matched overlap of the march fell below OVERLAP_THRESHOLD."""
+
+
+@dataclass(eq=False)
+class DenseSpectrum:
+    """Levels at one field with their eigenvectors over the product basis
+    as dense columns; labels are None until the march assigns them."""
+
+    basis: ProductBasis
+    b: float
+    energies: np.ndarray
+    vectors: np.ndarray
+    labels: tuple[str, ...] | None = None
 
 
 def dense_hamiltonians(ham: BlockHamiltonian, b_values) -> np.ndarray:
@@ -260,7 +340,7 @@ def nx_blocks(basis: ProductBasis) -> list[np.ndarray]:
     return [np.flatnonzero(nx == n) for n in np.unique(nx)]
 
 
-def block_spectra(ham: BlockHamiltonian, b_values) -> list[MolecularSpectrum]:
+def block_spectra(ham: BlockHamiltonian, b_values) -> list[DenseSpectrum]:
     """Spectra at the fields, one diagonalize call per whole n_x block of
     the dense H.
 
@@ -280,22 +360,21 @@ def block_spectra(ham: BlockHamiltonian, b_values) -> list[MolecularSpectrum]:
     spectra = []
     for b, e, v in zip(b_values, energies, vectors):
         order = np.argsort(e, kind="stable")
-        spectrum = MolecularSpectrum(basis=ham.basis, b=b, energies=e[order],
-                                     vectors=v[:, order])
+        spectrum = DenseSpectrum(basis=ham.basis, b=b, energies=e[order],
+                                 vectors=v[:, order])
         if b == 0.0:
             spectrum.labels = dominant_labels(spectrum)
         spectra.append(spectrum)
     return spectra
 
 
-def dominant_labels(spectrum: MolecularSpectrum) -> tuple[str, ...]:
+def dominant_labels(spectrum) -> tuple[str, ...]:
     """Label every level by its largest basis component."""
     dominant = np.argmax(np.abs(spectrum.vectors) ** 2, axis=0)
-    return tuple(spectrum.basis.label_of(k) for k in dominant.tolist())
+    return tuple(label_of(spectrum.basis, k) for k in dominant.tolist())
 
 
-def label_states(spectrum: MolecularSpectrum,
-                 reference: MolecularSpectrum) -> MolecularSpectrum:
+def label_states(spectrum: DenseSpectrum, reference) -> DenseSpectrum:
     """Each level inherits the label of its ancestor in `reference` under
     the one-to-one assignment maximizing the summed overlaps
     |<ref_i|new_j>| (the Hungarian method). Raises AmbiguousContinuation
@@ -320,7 +399,7 @@ def label_states(spectrum: MolecularSpectrum,
 
 def march(vertical: VerticalSpectrum, species: ParticleSpecies, b_values,
           field_step: float = 0.1,
-          options: SolverOptions = SolverOptions()) -> list[MolecularSpectrum]:
+          options: SolverOptions = SolverOptions()) -> list[DenseSpectrum]:
     """Labeled spectra at the fields, continued from B = 0 along a march
     in steps of field_step plus the fields themselves, solved MARCH_CHUNK
     fields at a time. An ambiguous step has its midpoint solved and both

@@ -13,13 +13,14 @@ from dqdsim import (ELECTRON, HOLE, FieldPoint, ParticleSpecies,
                     diagonalize, molecular)
 from dqdsim.errors import EigenResidualError, NotHermitianError
 from dqdsim.config import DEFAULT_B_VALUES
-from dqdsim.molecular import BlockHamiltonian, MolecularSpectrum, shell_name
+from dqdsim.molecular import BlockHamiltonian, ProductBasis, shell_name
 from dqdsim.spectroscopy import vertical_spectrum
 from dqdsim import default_device
 from dqdsim.vertical import DoubleWellSpec, dz_matrix, solve_double_well
-from oracles import (AmbiguousContinuation, OVERLAP_THRESHOLD, assemble,
-                     block_spectra, build_basis, dominant_labels,
-                     label_states, product_basis, y_matrix)
+from oracles import (AmbiguousContinuation, OVERLAP_THRESHOLD, DenseSpectrum,
+                     assemble, block_spectra, build_basis, dominant_labels,
+                     label_of, label_states, product_basis, sector_list,
+                     y_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -170,10 +171,11 @@ class TestBlockHamiltonian:
             assert len(stacks) == len(ham.sectors)
             scattered = np.zeros_like(dense)
             for (members, _, phases), stack in zip(ham.sectors, stacks):
-                m = len(members)
-                assert stack.shape == (2, m, m) and stack.dtype == float
-                scattered[np.ix_(members, members)] = (
-                    phases[:, None] * stack[1] * phases.conj())
+                k, m = members.shape
+                assert stack.shape == (2, k, m, m) and stack.dtype == float
+                for rows, ph, h in zip(members, phases, stack[1]):
+                    scattered[np.ix_(rows, rows)] = (
+                        ph[:, None] * h * ph.conj())
             assert np.diag(scattered).tobytes() == np.diag(dense).tobytes()
             assert (np.abs(scattered - dense).max()
                     <= 4 * np.finfo(float).eps * np.abs(dense).max())
@@ -189,7 +191,7 @@ class TestBlockHamiltonian:
         assert ham.basis.entries == product_basis(vert, lateral).entries
         spectrum = ham.spectra([3.0])[0]
         # two bound states: every n_x block is two sectors
-        assert len(ham.sectors) == 2 * (quanta + 1)
+        assert len(sector_list(ham)) == 2 * (quanta + 1)
         assert spectrum.energies.shape == (len(ham.basis),)
         assert sorted(spectrum.labels) == sorted(ham.names)
 
@@ -204,7 +206,7 @@ class TestBlockHamiltonian:
         assert len(ham.names) == len(ham.basis) == (
             vert.n_bound * (quanta + 1) * (quanta + 2) // 2)
         for i, name in enumerate(ham.names):
-            assert name == ham.basis.label_of(i)
+            assert name == label_of(ham.basis, i)
 
     def test_one_field_solves_match_batched_rows(self, hole_vertical):
         # the zero-field sweep takes the closed form and the 5 T solve is
@@ -231,10 +233,12 @@ class TestBlockHamiltonian:
         # difference, so no level of a sector can jump in B
         device = default_device(steps * 0.01)  # L on the 0.01 nm grid
         ham = BlockHamiltonian(vertical_spectrum(device, species), species)
-        for h in ham.hamiltonians([b, b_next]):
-            energies, _ = diagonalize(h)
-            shift = np.abs(energies[1] - energies[0]).max()
-            assert shift <= np.linalg.norm(h[1] - h[0], 2) + 1e-9
+        for stack in ham.hamiltonians([b, b_next]):
+            for i in range(stack.shape[1]):
+                h = stack[:, i]
+                energies, _ = diagonalize(h)
+                shift = np.abs(energies[1] - energies[0]).max()
+                assert shift <= np.linalg.norm(h[1] - h[0], 2) + 1e-9
 
 
 def greedy_labels(spectrum, reference, threshold=OVERLAP_THRESHOLD):
@@ -425,7 +429,8 @@ class TestSectors:
         assert ham.vertical.n_bound == 2
         dense = oracles.dense_hamiltonians(ham, [8.0])[0]
         for block in oracles.nx_blocks(ham.basis):
-            sectors = [s for s in ham.sectors if np.isin(s[0], block).all()]
+            sectors = [s for s in sector_list(ham)
+                       if np.isin(s[0], block).all()]
             assert len(sectors) == 2
             first, second = (s[0] for s in sectors)
             assert sorted(np.concatenate([first, second])) == list(block)
@@ -454,9 +459,9 @@ class TestSectors:
         # has no y coupling and four single-state sectors
         quanta = SolverOptions().lateral_quanta
         per_nx = Counter(ham.basis.entries[members[0]][1]
-                         for members, _, _ in ham.sectors)
+                         for members, _, _ in sector_list(ham))
         assert [per_nx[n] for n in range(quanta + 1)] == [2] * quanta + [4]
-        for _, coupling, _ in ham.sectors:
+        for _, coupling, _ in sector_list(ham):
             k = np.abs(coupling)
             assert not np.any((k > 0) & (k < floor))
 
@@ -468,12 +473,13 @@ class TestSectors:
                      solve_double_well(DoubleWellSpec(9.0, 7.0, 400.0, 400.0),
                                        species)):
             ham = BlockHamiltonian(vert, species)
-            every = np.concatenate([s[0] for s in ham.sectors])
+            every = np.concatenate([s[0] for s in sector_list(ham)])
             assert sorted(every) == list(range(len(ham)))
-            for (members, _, _), h in zip(ham.sectors,
-                                          ham.hamiltonians([0.0])):
+            stacks = [stack[0, i] for stack in ham.hamiltonians([0.0])
+                      for i in range(stack.shape[1])]
+            for (members, _, _), h in zip(sector_list(ham), stacks):
                 assert len({ham.basis.entries[i][1] for i in members}) == 1
-                levels = list(zip(np.diag(h[0]), members))
+                levels = list(zip(np.diag(h), members))
                 assert sorted(levels) == levels
 
     @pytest.mark.parametrize("species", [ELECTRON, HOLE], ids=["e", "h"])
@@ -483,7 +489,7 @@ class TestSectors:
         # shell is threefold degenerate
         vert = vertical_spectrum(default_device(2.5), species)
         basis = BlockHamiltonian(vert, species).basis
-        position = {basis.label_of(k): k for k in range(len(basis))}
+        position = {label_of(basis, k): k for k in range(len(basis))}
         zero, high = adiabatic_sweep(vert, species, [0.0, 8.0])
         for spec in (zero, high):
             for run in tied_runs(spec.energies):
@@ -577,6 +583,45 @@ class TestSolveMolecular:
         assert closed.energies.tobytes() == ref.energies.tobytes()
         assert np.array_equal(np.abs(closed.vectors),
                               np.abs(ref.vectors[:, match]))
+
+    @pytest.mark.parametrize("species", [ELECTRON, HOLE], ids=["e", "h"])
+    @pytest.mark.parametrize("well", [2.5, 7.0, 15.0, DoubleWellSpec(
+        9.0, 7.0, 400.0, 400.0)], ids=["2.5nm", "7nm", "15nm", "4-state"])
+    def test_vectors_equal_the_dense_scatter(self, species, well):
+        # .vectors, built on read from the stacked sector eigenvectors, is
+        # bit for bit what one eigensolve per sector scattered densely
+        if isinstance(well, float):
+            vert = vertical_spectrum(default_device(well), species)
+        else:
+            vert = solve_double_well(well, species)
+        ham = BlockHamiltonian(vert, species)
+        fields = [0.05, 1.0, 3.3, 8.0, 12.0]
+        zero, *spectra = adiabatic_sweep(vert, species, [0.0] + fields)
+        dense = oracles.scattered_vectors(ham, [0.0])[0]
+        assert zero.vectors.dtype == dense.dtype == complex
+        assert zero.vectors.tobytes() == dense.tobytes()
+        for spec, dense in zip(spectra,
+                               oracles.scattered_vectors(ham, fields)):
+            assert spec.vectors.shape == dense.shape == (len(ham),) * 2
+            assert spec.vectors.tobytes() == dense.tobytes()
+
+    def test_basis_is_built_once_and_shared_read_only(self, electron_vertical,
+                                                       hole_vertical):
+        # the field- and energy-free parts depend only on the vertical
+        # labels and the lateral basis size
+        electron = BlockHamiltonian(electron_vertical, ELECTRON)
+        hole = BlockHamiltonian(hole_vertical, HOLE)
+        assert electron.basis is hole.basis
+        for name in ("half_nx", "ny", "half_ny", "names"):
+            array = getattr(electron, name)
+            assert array is getattr(hole, name)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = array[1]
+        wider = BlockHamiltonian(electron_vertical, ELECTRON,
+                                 SolverOptions(lateral_quanta=4))
+        assert wider.basis is not electron.basis
+        assert len(wider) == 2 * 15 < len(electron)
 
     def test_eigenvector_unitarity(self, electron_vertical):
         spec = adiabatic_sweep(electron_vertical, ELECTRON, [7.0])[0]
@@ -708,8 +753,6 @@ class TestLabeling:
     # against
 
     def test_ambiguous_continuation_raises(self):
-        from dqdsim.molecular import ProductBasis
-
         basis_stub = ProductBasis(
             entries=((0, 0, 0), (0, 0, 1), (1, 0, 0)),
             vertical_labels=("B", "A"))
@@ -717,13 +760,13 @@ class TestLabeling:
         # 1/sqrt(3) ~ 0.58, below the continuation threshold
         m = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [1.0, 0.0, -1.0]])
         q, _ = np.linalg.qr(m)
-        ref = MolecularSpectrum(basis=basis_stub, b=0.0,
-                                energies=np.arange(3.0),
-                                vectors=np.eye(3, dtype=complex),
-                                labels=("a", "b", "c"))
-        cur = MolecularSpectrum(basis=basis_stub, b=0.1,
-                                energies=np.arange(3.0),
-                                vectors=q.astype(complex))
+        ref = DenseSpectrum(basis=basis_stub, b=0.0,
+                            energies=np.arange(3.0),
+                            vectors=np.eye(3, dtype=complex),
+                            labels=("a", "b", "c"))
+        cur = DenseSpectrum(basis=basis_stub, b=0.1,
+                            energies=np.arange(3.0),
+                            vectors=q.astype(complex))
         with pytest.raises(AmbiguousContinuation):
             label_states(cur, ref)
 
@@ -733,9 +776,9 @@ class TestLabeling:
         rng = np.random.default_rng(11)
         perm = rng.permutation(len(ref.labels))
         phases = np.exp(2j * np.pi * rng.random(len(perm)))
-        shuffled = MolecularSpectrum(basis=ref.basis, b=ref.b,
-                                     energies=ref.energies[perm],
-                                     vectors=ref.vectors[:, perm] * phases)
+        shuffled = DenseSpectrum(basis=ref.basis, b=ref.b,
+                                 energies=ref.energies[perm],
+                                 vectors=ref.vectors[:, perm] * phases)
         labelled = label_states(shuffled, ref)
         assert labelled.labels == tuple(ref.labels[k] for k in perm)
 

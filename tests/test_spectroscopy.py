@@ -1,8 +1,10 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import oracles
 from dqdsim import (ELECTRON, HOLE, DeviceSpec, FieldPoint, default_device,
                     effective_interdot_distance, emission_lines, molecular,
                     solve_point, spectroscopy, sweep_b, sweep_l)
@@ -97,6 +99,57 @@ def test_zero_field_reads_no_eigenvectors(monkeypatch):
     assert f"{curve.gaps()[0]:.6f}" == "46.650122"
 
 
+def test_sweeps_build_no_product_basis_vectors(monkeypatch):
+    # the sector eigenvectors are phased and scattered over the product
+    # basis only when a caller reads .vectors, and no sweep or line does
+    def unread(*_):
+        raise AssertionError("product-basis vectors built")
+
+    monkeypatch.setattr(molecular.MolecularSpectrum, "vectors",
+                        property(unread))
+    device = default_device(7.0)
+    curve, points = sweep_b(device, [0.0, 1.0, 8.0])
+    for point in points:
+        assert emission_lines(point.electron, point.hole, device) == \
+            point.lines
+    assert f"{curve.gaps()[0]:.6f}" == "46.650122"
+    assert solve_point(device, FieldPoint(3.3)).gap > 0
+    with pytest.raises(AssertionError, match="product-basis"):
+        points[2].electron.vectors
+
+
+@pytest.mark.parametrize("barrier_l", [2.5, 7.0])
+def test_one_eigensolve_per_sector_size_per_chunk(monkeypatch, barrier_l):
+    # equal-size sectors share one stack: per carrier and per chunk of
+    # fields, sweep_b makes one diagonalize call per distinct sector size
+    calls = []
+    diagonalize = molecular.diagonalize
+
+    def spy(h):
+        calls.append(h.shape)
+        return diagonalize(h)
+
+    monkeypatch.setattr(molecular, "diagonalize", spy)
+    device = default_device(barrier_l)
+    fields = [round(0.05 * k, 9) for k in range(161)]  # 0 to 8 T
+    sweep_b(device, fields)
+    coupled = len(fields) - 1
+    chunks = math.ceil(coupled / molecular.FIELD_CHUNK)
+    assert chunks == 2
+    expected, levels = 0, 0
+    for species in (ELECTRON, HOLE):
+        ham = molecular.BlockHamiltonian(
+            spectroscopy.vertical_spectrum(device, species), species)
+        sectors = oracles.sector_list(ham)
+        sizes = {len(members) for members, _, _ in sectors}
+        assert len(sizes) < len(sectors)  # some sectors share a size
+        expected += len(sizes) * chunks
+        levels += len(ham) * coupled
+    assert len(calls) == expected
+    # and the stacks hold every level of every coupled field once
+    assert sum(f * k * m for f, k, m, _ in calls) == levels
+
+
 def test_zero_field_sweep_l_makes_no_eigensolve(monkeypatch):
     # B = 0 takes the closed form: no eigensolve, no d/dz, no sectors
     calls = {"diagonalize": 0, "eigh": 0, "dz_matrix": 0, "sectors": 0}
@@ -124,7 +177,8 @@ def test_zero_field_sweep_l_makes_no_eigensolve(monkeypatch):
 
 def test_every_eigensolve_is_a_real_sector_stack(monkeypatch):
     # the gauged sectors are real symmetric: src hands diagonalize only
-    # real stacks, one per sector, and hamiltonians builds one per sector
+    # real stacks, one per sector size, and hamiltonians builds one per
+    # size, holding every sector of that size
     stacks, sectors = [], []
     diagonalize = molecular.diagonalize
     hamiltonians = molecular.BlockHamiltonian.hamiltonians
@@ -136,7 +190,7 @@ def test_every_eigensolve_is_a_real_sector_stack(monkeypatch):
     def spy_hamiltonians(ham, b_values):
         out = hamiltonians(ham, b_values)
         assert len(out) == len(ham.sectors)
-        sectors.extend(len(members) for members, _, _ in ham.sectors)
+        sectors.extend(members.shape for members, _, _ in ham.sectors)
         return out
 
     monkeypatch.setattr(molecular, "diagonalize", spy_diagonalize)
@@ -145,7 +199,7 @@ def test_every_eigensolve_is_a_real_sector_stack(monkeypatch):
     sweep_b(default_device(), [0.0, 3.0, 8.0])
     solve_point(default_device(9.5), FieldPoint(8.0))
     assert len(stacks) == len(sectors) > 0
-    assert [h.shape[-1] for h in stacks] == sectors
+    assert [h.shape[1:] for h in stacks] == [(k, m, m) for k, m in sectors]
     assert all(np.isrealobj(h) for h in stacks)
 
 
