@@ -140,6 +140,8 @@ def cmd_calibrate(args) -> int:
             continue
         if key not in known:
             raise errors.ConfigError(f"unknown target quantity {key!r}")
+        if key in kwargs:
+            raise errors.ConfigError(f"target quantity {key!r} is repeated")
         try:
             kwargs[key] = float(value)
         except ValueError:

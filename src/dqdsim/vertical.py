@@ -97,21 +97,13 @@ def grid_for_wells(spec: DoubleWellSpec,
     return Grid1D(z_min, z_min + (n - 1) * step, n)
 
 
-def well_node_slices(spec: DoubleWellSpec, grid: Grid1D,
-                     ) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Node index ranges [lo, hi) whose cells lie inside each well."""
-    h = grid.step
-
-    def srange(lo, hi):
-        i_lo = int(np.ceil((lo - grid.z_min) / h - 1e-9))
-        i_hi = int(np.ceil((hi - grid.z_min) / h - 1e-9))
-        return max(i_lo, 0), min(i_hi, grid.n_points)
-
-    return srange(*spec.well1_support), srange(*spec.well2_support)
-
-
-def build_potential(spec: DoubleWellSpec, grid: Grid1D) -> np.ndarray:
-    """Sample the piecewise-constant double-well potential on the grid."""
+def build_potential(spec: DoubleWellSpec, grid: Grid1D,
+                    ) -> list[tuple[float, int]]:
+    """The piecewise-constant double well on the grid as its runs: (value,
+    nodes) left to right, equal neighbours merged, lengths summing to
+    grid.n_points. A well [lo, hi) holds the nodes z in it, to 1e-9 of a
+    step: from ceil((lo - z_min)/h - 1e-9) up to ceil((hi - z_min)/h - 1e-9).
+    """
     # the Dirichlet walls sit one step beyond the end nodes
     pad_left = spec.well1_support[0] - (grid.z_min - grid.step)
     pad_right = (grid.z_max + grid.step) - spec.well2_support[1]
@@ -120,22 +112,28 @@ def build_potential(spec: DoubleWellSpec, grid: Grid1D) -> np.ndarray:
             f"grid [{grid.z_min}, {grid.z_max}] nm leaves padding "
             f"({pad_left:.2f}, {pad_right:.2f}) nm around the wells; "
             f"need >= {MIN_PADDING} nm on each side")
-    v = np.zeros(grid.n_points)
-    slices = well_node_slices(spec, grid)
-    for (i_lo, i_hi), depth in zip(slices, (spec.depth1, spec.depth2)):
-        v[i_lo:i_hi] = -depth
-    return v
+    edges = [math.ceil((z - grid.z_min) / grid.step - 1e-9)
+             for z in (*spec.well1_support, *spec.well2_support)]
+    values = (0.0, float(-spec.depth1), 0.0, float(-spec.depth2), 0.0)
+    runs = []
+    for value, lo, hi in zip(values, [0, *edges], [*edges, grid.n_points]):
+        if runs and runs[-1][0] == value:
+            runs[-1] = (runs[-1][0], runs[-1][1] + hi - lo)
+        elif hi > lo:
+            runs.append((value, hi - lo))
+    return runs
 
 
 @dataclass(eq=False)
 class VerticalSpectrum:
-    """Eigenpairs of the vertical problem.
+    """Eigenpairs of the vertical problem on `grid`.
 
     energies are ascending and measured from the barrier band edge; the
     first n_bound of them are negative (bound): all unless solved with
     require_bound=False. labels classify
-    consecutive pairs as bonding (lower) / antibonding (upper).
-    wavefunctions holds the grid-sampled, L2-normalized real
+    consecutive pairs as bonding (lower) / antibonding (upper). The
+    spectrum keeps no record of the wells or of the potential's runs it
+    was solved for. wavefunctions holds the grid-sampled, L2-normalized real
     eigenfunctions as columns, largest-amplitude lobe positive. It is
     computed on first read, from the raw eigenvector columns that
     eigenvectors() returns, so callers that read only energies never pay
@@ -143,7 +141,6 @@ class VerticalSpectrum:
     """
 
     grid: Grid1D
-    well_spec: DoubleWellSpec | None
     energies: np.ndarray
     n_bound: int
     labels: tuple[str, ...]
@@ -220,24 +217,18 @@ def _shoot(energy: float, runs: list[tuple[float, int]], c_h2: float,
     return count, x, log_scale
 
 
-def _runs(v: np.ndarray) -> list[tuple[float, int]]:
-    """(value, length) of each run of equal consecutive entries of v."""
-    bounds = [0, *(np.flatnonzero(v[1:] != v[:-1]) + 1).tolist(), len(v)]
-    return [(float(v[s]), e - s) for s, e in zip(bounds, bounds[1:])]
-
-
-def _lowest_eigenvalues(potential: np.ndarray, c_h2: float, k: int,
+def _lowest_eigenvalues(runs: list[tuple[float, int]], c_h2: float, k: int,
                         upper: float | None = None) -> np.ndarray:
-    """The lowest k eigenvalues, ascending, of the FD matrix 2 c_h2 +
-    potential on the diagonal, -c_h2 = -c/h^2 off it; with `upper`, only
+    """The lowest k eigenvalues, ascending, of the FD matrix 2 c_h2 + the
+    potential's runs on the diagonal, -c_h2 = -c/h^2 off it; with `upper`, only
     those below it (by default Weyl's bound max V + lambda_{k+1}(-Lapl.)).
     Bisection on the Sturm count from (min V, upper) isolates each root; a
     safeguarded secant on psi_{n+1} polishes it in a 2 eps c/h^2 bracket."""
-    runs = _runs(potential)
     lower = min(value for value, _ in runs)
     if upper is None:
+        n = sum(m for _, m in runs)
         upper = max(value for value, _ in runs) + 4.0 * c_h2 * math.sin(
-            (k + 1) * math.pi / (2 * (len(potential) + 1))) ** 2
+            (k + 1) * math.pi / (2 * (n + 1))) ** 2
     if upper - lower >= 4.0 * c_h2:  # cos theta would pass -1
         raise ValueError("grid step too coarse for these well depths")
     tol = 2.0 * np.finfo(float).eps * max(c_h2, -lower, upper)
@@ -267,36 +258,39 @@ def _lowest_eigenvalues(potential: np.ndarray, c_h2: float, k: int,
     return np.array(roots)
 
 
-def solve_vertical(potential: np.ndarray, grid: Grid1D,
+def solve_vertical(runs: list[tuple[float, int]], grid: Grid1D,
                    species: ParticleSpecies, n_states: int,
-                   well_spec: DoubleWellSpec | None = None,
                    require_bound: bool = True) -> VerticalSpectrum:
     """Lowest n_states eigenvalues of the 1D problem on the given grid; the
     eigenfunctions follow when first read.
 
-    Dirichlet walls sit one step outside the first and last nodes. With
-    require_bound (the default) only bound states, E < 0, are solved for,
-    at most n_states; raises NoBoundStateError when even the ground state
-    is unbound. require_bound=False serves potentials, such as a hard-wall
-    box, whose spectrum is legitimately positive. Vectors: LAPACK stein.
+    The potential comes as its runs (value, nodes) left to right, as
+    build_potential makes them. Dirichlet walls sit one step outside the
+    first and last nodes. With require_bound (the default) only bound
+    states, E < 0, are solved for, at most n_states; raises
+    NoBoundStateError when even the ground state is unbound.
+    require_bound=False serves potentials, such as a hard-wall box, whose
+    spectrum is legitimately positive. Vectors: LAPACK stein.
     """
     if n_states < 1:
         raise ValueError("n_states must be >= 1")
-    if len(potential) != grid.n_points:
-        raise ValueError("potential length does not match the grid")
-    if not np.isfinite(potential).all():
-        raise ValueError("array must not contain infs or NaNs")
+    if sum(m for _, m in runs) != grid.n_points:
+        raise ValueError("run lengths do not sum to the grid's node count")
+    if not all(math.isfinite(value) for value, _ in runs):
+        raise ValueError("potential values must be finite")
     n = grid.n_points
     c_h2 = kinetic_coefficient(species) / grid.step ** 2
-    energies = _lowest_eigenvalues(potential, c_h2, min(n_states, n - 1),
+    energies = _lowest_eigenvalues(runs, c_h2, min(n_states, n - 1),
                                    0.0 if require_bound else None)
     if not len(energies):
-        ground = _lowest_eigenvalues(potential, c_h2, 1)[0]
+        ground = _lowest_eigenvalues(runs, c_h2, 1)[0]
         raise NoBoundStateError(f"ground state energy {ground:.3f} meV is "
                                 "not bound")
 
     def eigenvectors() -> np.ndarray:
-        diag, off = 2.0 * c_h2 + potential, np.full(n - 1, -c_h2)
+        values, lengths = zip(*runs)
+        diag = 2.0 * c_h2 + np.repeat(values, lengths)
+        off = np.full(n - 1, -c_h2)
         stein, = get_lapack_funcs(("stein",), (diag, off))
         # one unsplit block: iblock all 1, isplit = [n]
         vectors, info = stein(diag, off, energies, np.ones(n, np.int32),
@@ -305,7 +299,7 @@ def solve_vertical(potential: np.ndarray, grid: Grid1D,
             raise LinAlgError(f"stein failed with info {info}")
         return vectors
 
-    return VerticalSpectrum(grid=grid, well_spec=well_spec, energies=energies,
+    return VerticalSpectrum(grid=grid, energies=energies,
                             n_bound=int(np.sum(energies < 0.0)),
                             labels=state_labels(len(energies)),
                             eigenvectors=eigenvectors)
@@ -318,7 +312,7 @@ def solve_double_well(spec: DoubleWellSpec, species: ParticleSpecies,
     options.vertical_cap, on the grid of grid_for_wells(spec, options)."""
     grid = grid_for_wells(spec, options)
     return solve_vertical(build_potential(spec, grid), grid, species,
-                          options.vertical_cap, well_spec=spec)
+                          options.vertical_cap)
 
 
 def dz_matrix(spectrum: VerticalSpectrum) -> np.ndarray:
@@ -328,11 +322,9 @@ def dz_matrix(spectrum: VerticalSpectrum) -> np.ndarray:
     Dirichlet condition of the FD solve, summed over the nodes: with
     a = sum_k psi_i[k] psi_j[k+1], the matrix is (a - a^T) / 2, so it is
     antisymmetric bit for bit, as the operator is between real
-    eigenfunctions. The quadrature weight h cancels the 1/(2h) of the
-    difference, leaving the 1/2.
+    eigenfunctions; one state gives the exact 1x1 zero. The quadrature
+    weight h cancels the 1/(2h) of the difference, leaving the 1/2.
     """
     psi = spectrum.bound_wavefunctions
-    if psi.shape[1] < 2:
-        raise ValueError("need at least 2 retained states for the dz matrix")
     a = psi[:-1].T @ psi[1:]
     return (a - a.T) / 2.0

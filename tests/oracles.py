@@ -3,10 +3,12 @@
 The scalar references deliberately avoid the package's finite-difference
 and matrix machinery: transcendental roots by bracketed bisection, analytic
 box levels, oscillator integrals by Gauss-Hermite quadrature, a plain
-Sturm count, and the run encoding of a potential by np.diff (diff_runs).
+Sturm count, and the run encoding of a potential by np.diff (diff_runs),
+which turns an array into the runs vertical.solve_vertical takes.
 The module also holds the d/dz matrix by numpy's gradient
-and trapezoid rules (dz_reference), the grid nodes and the well weights
-of the vertical states (nodes, localization), the dense Hamiltonian over
+and trapezoid rules (dz_reference), the grid nodes, the wells sampled
+at them and the well weights of the vertical states (nodes, well_masks,
+sampled_wells, localization), the dense Hamiltonian over
 the whole product basis (build_basis, y_matrix, product_basis, assemble,
 label_of), which the symmetry sectors are checked against, the sectors
 one at a time (sector_list) and the dense eigenvectors that one
@@ -27,8 +29,8 @@ from dqdsim.core import FieldPoint, ParticleSpecies, SolverOptions, \
 from dqdsim.lateral import renormalized_y_quantum, y_ladder, y_zero_point
 from dqdsim.molecular import BlockHamiltonian, ProductBasis, diagonalize, \
     shell_name
-from dqdsim.vertical import Grid1D, VerticalSpectrum, dz_matrix, \
-    well_node_slices
+from dqdsim.vertical import DoubleWellSpec, Grid1D, VerticalSpectrum, \
+    dz_matrix
 
 # CODATA 2018, fetched independently of the package constants
 HBAR_SI = 1.054571817e-34
@@ -145,17 +147,29 @@ def nodes(grid: Grid1D) -> np.ndarray:
     return np.linspace(grid.z_min, grid.z_max, grid.n_points)
 
 
-def localization(spectrum: VerticalSpectrum) -> np.ndarray:
+def well_masks(spec: DoubleWellSpec, grid: Grid1D) -> list[np.ndarray]:
+    """Per well [lo, hi), the nodes z of the grid with lo <= z < hi."""
+    z = nodes(grid)
+    return [(z >= lo) & (z < hi)
+            for lo, hi in (spec.well1_support, spec.well2_support)]
+
+
+def sampled_wells(spec: DoubleWellSpec, grid: Grid1D) -> np.ndarray:
+    """The double well at the grid's node positions: -depth at the nodes
+    inside each well, 0 elsewhere."""
+    potential = np.zeros(grid.n_points)
+    for mask, depth in zip(well_masks(spec, grid), (spec.depth1, spec.depth2)):
+        potential[mask] = -depth
+    return potential
+
+
+def localization(spectrum: VerticalSpectrum,
+                 spec: DoubleWellSpec) -> np.ndarray:
     """Per state the probability weights (w1, w2) summed over the nodes
-    whose cells lie inside each well; zeros without a well_spec."""
-    weights = np.zeros((len(spectrum.energies), 2))
-    if spectrum.well_spec is not None:
-        h = spectrum.grid.step
-        for col, (i_lo, i_hi) in enumerate(
-                well_node_slices(spectrum.well_spec, spectrum.grid)):
-            weights[:, col] = np.sum(
-                spectrum.wavefunctions[i_lo:i_hi, :] ** 2, axis=0) * h
-    return weights
+    inside each well of spec, the wells the spectrum was solved for."""
+    return np.stack([np.sum(spectrum.wavefunctions[mask] ** 2, axis=0)
+                     * spectrum.grid.step
+                     for mask in well_masks(spec, spectrum.grid)], axis=1)
 
 
 # The dense Hamiltonian over the whole product basis, assembled in one

@@ -66,7 +66,7 @@ def test_criterion_03_vertical_solver_oracles():
     n = int(round(width / step)) - 1
     grid = Grid1D(-width / 2 + step, -width / 2 + n * step, n)
     t0 = time.perf_counter()
-    box = solve_vertical(np.zeros(n), grid,
+    box = solve_vertical([(0.0, n)], grid,
                          ParticleSpecies("electron", 1.0, 30.0, -1),
                          n_states=3, require_bound=False)
     t_box = time.perf_counter() - t0

@@ -166,6 +166,21 @@ class TestCliSolve:
         assert code == 2
         assert "vertical_cap >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "sweep-b"])
+    def test_one_bound_electron_state_exits_3(self, tmp_path, capsys,
+                                              command):
+        # shallow dots bind one electron state: no antibonding A:s level,
+        # whether or not the field needs the 1x1 d/dz matrix
+        cfg = write(tmp_path, "shallow.ini",
+                    "[device]\ndepth_e_dot1 = 40\ndepth_e_dot2 = 40\n"
+                    "[solver]\nvertical_cap = 2\n")
+        out = tmp_path / "run"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error (spectroscopy): no level labeled 'A:s' in the electron "
+            "spectrum\n")
+        assert not out.exists()
+
     def test_zero_depths_exit_3(self, tmp_path, capsys):
         cfg = write(tmp_path, "zero.ini",
                     "[device]\ndepth_e_dot1 = 0\ndepth_e_dot2 = 0\n"
@@ -374,11 +389,24 @@ class TestCliCalibrate:
     @pytest.mark.parametrize("row", ["emission_low,nan", "uncoupled_l,nan",
                                      "depth_ratio,inf"])
     def test_non_finite_target_exits_2(self, tmp_path, capsys, row):
+        # the row sets its quantity once, in place of a finite line target
+        key, value = row.split(",")
+        rows = {"emission_low": "-138.8", "emission_high": "-104.1",
+                key: value}
         targets = write(tmp_path, "targets.csv",
-                        "emission_low,-138.8\nemission_high,-104.1\n"
-                        f"{row}\n")
+                        "".join(f"{k},{v}\n" for k, v in rows.items()))
         assert main(["calibrate", targets, "--out", str(tmp_path)]) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_repeated_target_exits_2(self, tmp_path, capsys):
+        targets = write(tmp_path, "targets.csv",
+                        "emission_low,-138.8\nemission_high,-104.1\n"
+                        "emission_low,-139.0\n")
+        out = tmp_path / "cal"
+        assert main(["calibrate", targets, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error (config): target quantity 'emission_low' is repeated\n")
+        assert not out.exists()
 
     def test_unreachable_target_exits_4(self, tmp_path, capsys):
         targets = write(tmp_path, "targets.csv",

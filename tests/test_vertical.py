@@ -34,33 +34,64 @@ def count_sign_changes(psi):
     return int(np.sum(signs[1:] != signs[:-1]))
 
 
+def sampled(runs):
+    """The node array of a potential given as (value, nodes) runs."""
+    values, lengths = zip(*runs)
+    return np.repeat(values, lengths)
+
+
 class TestBuildPotential:
     def test_zero_depths_give_zero_potential(self):
         spec = DoubleWellSpec(4.5, 7.0, 0.0, 0.0)
         grid = grid_for_wells(spec)
-        assert not np.any(build_potential(spec, grid))
+        assert build_potential(spec, grid) == [(0.0, grid.n_points)]
 
     def test_default_wells_shape(self):
-        from dqdsim.vertical import well_node_slices
-
         grid = grid_for_wells(DEFAULT_WELL)
-        v = build_potential(DEFAULT_WELL, grid)
-        step = grid.step
-        assert set(np.unique(v)) == {-239.0, -203.0, 0.0}
-        assert np.sum(v == -239.0) == round(4.5 / step)
-        assert np.sum(v == -203.0) == round(4.5 / step)
-        # barrier between the wells is exactly L of zero potential
-        (_, i1_hi), (i2_lo, _) = well_node_slices(DEFAULT_WELL, grid)
-        inner = v[i1_hi:i2_lo]
-        assert not np.any(inner)
-        assert len(inner) == round(7.0 / step)
+        # 20 nm of padding, 4.5 nm wells and exactly L = 7 nm of barrier
+        # between them, in 0.01 nm cells
+        assert build_potential(DEFAULT_WELL, grid) == [
+            (0.0, 2000), (-239.0, 450), (0.0, 700), (-203.0, 450),
+            (0.0, 2000)]
+        assert grid.n_points == 5600
 
     def test_symmetric_depths_even_about_midpoint(self):
         spec = DoubleWellSpec(4.5, 7.0, 239.0, 239.0)
+        runs = build_potential(spec, grid_for_wells(spec))
+        # mirror symmetry about the barrier midpoint reverses the runs
+        assert runs == runs[::-1]
+
+    def test_zero_node_barrier_merges_equal_wells(self):
+        # a barrier thinner than one cell holds no node, so equal wells
+        # make one run and a depth-0 second well joins the padding
+        spec = DoubleWellSpec(4.5, 0.004, 239.0, 239.0)
         grid = grid_for_wells(spec)
-        v = build_potential(spec, grid)
-        # mirror symmetry about the barrier midpoint maps node i to -i
-        np.testing.assert_allclose(v, v[::-1], atol=1e-12)
+        assert build_potential(spec, grid) == [(0.0, 2000), (-239.0, 900),
+                                               (0.0, 2000)]
+        spec = DoubleWellSpec(4.5, 0.004, 239.0, 0.0)
+        assert build_potential(spec, grid) == [(0.0, 2000), (-239.0, 450),
+                                               (0.0, 2450)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_runs_match_node_sampling_off_the_lattice(self, seed):
+        # random H, L, step and padding put the edges anywhere between
+        # the nodes; the first case is an off-lattice pair of equal wells
+        rng = np.random.default_rng(seed)
+        cases = [(5.17, 32.43, 0.0137, 20.0)] + [
+            (rng.uniform(1.0, 8.0), rng.uniform(0.001, 40.0),
+             rng.uniform(0.004, 0.03), rng.uniform(15.0, 25.0))
+            for _ in range(100)]
+        for width, barrier, step, padding in cases:
+            spec = DoubleWellSpec(float(width), float(barrier),
+                                  float(rng.choice([0.0, 203.0, 239.0])),
+                                  float(rng.choice([0.0, 203.0, 239.0])))
+            grid = grid_for_wells(spec, SolverOptions(grid_step=float(step),
+                                                      padding=float(padding)))
+            runs = build_potential(spec, grid)
+            assert all(m >= 1 for _, m in runs)
+            assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
+            assert np.array_equal(sampled(runs),
+                                  oracles.sampled_wells(spec, grid))
 
     def test_domain_too_small(self):
         # SolverOptions rejects a padding below MIN_PADDING, so a hand-made
@@ -106,8 +137,9 @@ class TestSolveVertical:
     def test_particle_in_a_box(self, width, n):
         grid = box_grid(width, step=0.01)
         species = ParticleSpecies("electron", 1.0, 30.0, -1)
-        spectrum = solve_vertical(np.zeros(grid.n_points), grid, species,
-                                  n_states=n, require_bound=False)
+        spectrum = solve_vertical(oracles.diff_runs(np.zeros(grid.n_points)),
+                                  grid, species, n_states=n,
+                                  require_bound=False)
         exact = oracles.box_energies(width, 1.0, n)
         assert spectrum.energies[n - 1] == pytest.approx(exact[n - 1],
                                                          rel=1e-3)
@@ -195,6 +227,40 @@ class TestSolveVertical:
         assert np.max(np.abs(d2)) < 0.02 * np.abs(np.mean(d1))
 
 
+class TestParity:
+    """Swapping the depths mirrors the double well about the barrier
+    midpoint, which leaves the spectrum unchanged."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(width_cells=st.integers(50, 800),
+           barrier_cells=st.integers(1, 3000),
+           step=st.sampled_from([0.005, 0.01, 0.02]),
+           padding=st.sampled_from([15.0, 20.0, 23.3]),
+           depths=st.tuples(st.floats(0.0, 600.0), st.floats(0.0, 600.0)),
+           species=st.sampled_from([ELECTRON, HOLE]))
+    def test_swapped_depths_reverse_the_runs_on_the_lattice(
+            self, width_cells, barrier_cells, step, padding, depths, species):
+        # H, L and the padding are whole numbers of cells: the lattice
+        options = SolverOptions(grid_step=step, padding=padding)
+        spec = DoubleWellSpec(width_cells * step, barrier_cells * step,
+                              *depths)
+        mirror = DoubleWellSpec(spec.width_h, spec.barrier_l, depths[1],
+                                depths[0])
+        grid = grid_for_wells(spec, options)
+        assert grid == grid_for_wells(mirror, options)
+        runs, mirrored = (build_potential(spec, grid),
+                          build_potential(mirror, grid))
+        assert mirrored == runs[::-1]
+        energies, swapped = (
+            solve_vertical(r, grid, species, 4, require_bound=False).energies
+            for r in (runs, mirrored))
+        # both lie within the solver's bisection bracket of the same roots
+        c_h2 = kinetic_coefficient(species) / grid.step ** 2
+        bracket = 2 * np.finfo(float).eps * max(c_h2, *depths)
+        assert len(energies) == len(swapped) == 4
+        assert np.max(np.abs(energies - swapped)) <= bracket
+
+
 class TestClassification:
     def test_symmetric_labels(self):
         spec = DoubleWellSpec(4.5, 7.0, 239.0, 239.0)
@@ -202,9 +268,9 @@ class TestClassification:
         assert spectrum.labels[:2] == ("B", "A")
 
     def test_weak_coupling_localization(self):
-        spectrum = solve_double_well(
-            DoubleWellSpec(4.5, 9.5, 239.0, 203.0), ELECTRON, TWO_STATES)
-        w = oracles.localization(spectrum)
+        spec = DoubleWellSpec(4.5, 9.5, 239.0, 203.0)
+        spectrum = solve_double_well(spec, ELECTRON, TWO_STATES)
+        w = oracles.localization(spectrum, spec)
         # these barely-bound states keep ~1/3 of their weight in the
         # evanescent tails, so dominance is a ratio over the well weights
         assert w[0, 0] / (w[0, 0] + w[0, 1]) > 0.9  # ground: deep dot
@@ -217,15 +283,15 @@ class TestClassification:
         assert w[0, 0] == pytest.approx(np.sum(psi0[mask] ** 2) * h, abs=1e-9)
 
     def test_hybridization_grows_as_l_shrinks(self):
-        w_far = oracles.localization(solve_double_well(
-            DoubleWellSpec(4.5, 9.5, 239.0, 203.0), ELECTRON))
-        w_near = oracles.localization(solve_double_well(
-            DoubleWellSpec(4.5, 3.0, 239.0, 203.0), ELECTRON))
+        far = DoubleWellSpec(4.5, 9.5, 239.0, 203.0)
+        near = DoubleWellSpec(4.5, 3.0, 239.0, 203.0)
+        w_far = oracles.localization(solve_double_well(far, ELECTRON), far)
+        w_near = oracles.localization(solve_double_well(near, ELECTRON), near)
         assert w_near[0, 1] > w_far[0, 1]
 
     def test_weights_bounded_by_one(self):
         spectrum = solve_double_well(DEFAULT_WELL, ELECTRON, TWO_STATES)
-        total = oracles.localization(spectrum).sum(axis=1)
+        total = oracles.localization(spectrum, DEFAULT_WELL).sum(axis=1)
         assert np.all(total <= 1.0 + 1e-12)
         # deficit is the weight living in the barrier and padding
         h = spectrum.grid.step
@@ -292,13 +358,13 @@ class TestDzMatrix:
         d, ref = dz_matrix(spectrum), oracles.dz_reference(spectrum)
         assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    def test_requires_two_states(self):
+    def test_one_state_gives_the_1x1_zero(self):
         spec = DoubleWellSpec(4.5, 10.0, 239.0, 0.0)
         grid = grid_for_wells(spec)
         spectrum = solve_vertical(build_potential(spec, grid), grid,
-                                  ELECTRON, 1, well_spec=spec)
-        with pytest.raises(ValueError):
-            dz_matrix(spectrum)
+                                  ELECTRON, 1)
+        d = dz_matrix(spectrum)
+        assert d.shape == (1, 1) and d[0, 0] == 0.0
 
 
 def lattice_wells():
@@ -317,8 +383,8 @@ def fd_matrix(potential, species, step):
 def tridiagonal(spec, species):
     """Diagonal, off-diagonal and grid of the FD problem for a well."""
     grid = grid_for_wells(spec)
-    return (*fd_matrix(build_potential(spec, grid), species, grid.step),
-            grid)
+    return (*fd_matrix(sampled(build_potential(spec, grid)), species,
+                       grid.step), grid)
 
 
 def certificate_tolerance(diag, off):
@@ -389,7 +455,7 @@ class TestEigenvectorsOnDemand:
         spectrum = solve_double_well(DEFAULT_WELL, ELECTRON)
         # eigenvalues without any LAPACK call, stebz included
         assert calls == {}
-        oracles.localization(spectrum)
+        oracles.localization(spectrum, DEFAULT_WELL)
         spectrum.wavefunctions
         dz_matrix(spectrum)
         assert calls == {"stein": 1}
@@ -418,26 +484,30 @@ def assert_matches_eigh(potential, grid, species, n_states):
         with pytest.raises(NoBoundStateError,
                            match=r"^ground state energy -?\d+\.\d{3} meV "
                                  r"is not bound$") as caught:
-            solve_vertical(potential, grid, species, n_states=n_states)
+            solve_vertical(oracles.diff_runs(potential), grid, species,
+                           n_states=n_states)
         assert caught.value.exit_code == 3
         ground = float(str(caught.value).split()[3])
         assert abs(ground - reference[0]) <= 5e-4 + eps
         return
-    spectrum = solve_vertical(potential, grid, species, n_states=n_states)
+    spectrum = solve_vertical(oracles.diff_runs(potential), grid, species,
+                              n_states=n_states)
     assert len(spectrum.energies) == spectrum.n_bound == len(bound)
     assert np.all(np.diff(spectrum.energies) > 0)
     assert np.max(np.abs(spectrum.energies - bound)) <= eps
 
 
 class TestRunEncoding:
-    """vertical._runs against the np.diff encoding it replaced."""
+    """oracles.diff_runs, which turns the arrays these tests build into the
+    runs solve_vertical takes, gives back every node of the array."""
 
     @staticmethod
     def assert_same_runs(potential):
-        runs = vertical._runs(potential)
-        # repr tells -0.0 from 0.0 and a float from an np.float64
-        assert repr(runs) == repr(oracles.diff_runs(potential))
-        assert sum(m for _, m in runs) == len(potential)
+        runs = oracles.diff_runs(potential)
+        assert all(type(value) is float and type(m) is int and m >= 1
+                   for value, m in runs)
+        assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
+        assert np.array_equal(sampled(runs), potential)
         return runs
 
     @pytest.mark.parametrize("potential, count", [
@@ -489,7 +559,8 @@ class TestTransferMatrixEigenvalues:
         # at large L the bonding/antibonding pair is closer than any scan
         spec = DoubleWellSpec(4.5, barrier, depth, depth)
         grid = grid_for_wells(spec)
-        assert_matches_eigh(build_potential(spec, grid), grid, species, 4)
+        assert_matches_eigh(sampled(build_potential(spec, grid)), grid,
+                            species, 4)
 
     @settings(deadline=None, max_examples=30)
     @given(n=st.integers(3, 3000), n_states=st.integers(1, 6),
@@ -497,8 +568,9 @@ class TestTransferMatrixEigenvalues:
     def test_zero_potential_boxes(self, n, n_states, species):
         step = 0.01
         grid = Grid1D(0.0, (n - 1) * step, n)
-        spectrum = solve_vertical(np.zeros(n), grid, species,
-                                  n_states=n_states, require_bound=False)
+        spectrum = solve_vertical(oracles.diff_runs(np.zeros(n)), grid,
+                                  species, n_states=n_states,
+                                  require_bound=False)
         diag, off = fd_matrix(np.zeros(n), species, step)
         eps = certificate_tolerance(diag, off)
         k = min(n_states, n - 1)
