@@ -242,7 +242,7 @@ def main(argv=None) -> int:
     except errors.DqdError as exc:
         print(f"error ({exc.module}): {exc}", file=sys.stderr)
         return exc.exit_code
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error (config): {exc}", file=sys.stderr)
         return errors.ConfigError.exit_code
 

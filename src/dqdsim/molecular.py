@@ -172,12 +172,10 @@ class BlockHamiltonian:
     def __init__(self, vertical: VerticalSpectrum, species: ParticleSpecies,
                  options: SolverOptions = SolverOptions()):
         (self.states, self.basis, self.half_nx, self.ny, self.half_ny,
-         self.names) = basis_parts(vertical.labels[:vertical.n_bound],
-                                   options.lateral_quanta)
+         self.names) = basis_parts(vertical.labels, options.lateral_quanta)
         self.vertical = vertical
         self.species = species
-        self.vertical_energy = np.repeat(vertical.bound_energies,
-                                         len(self.states))
+        self.vertical_energy = np.repeat(vertical.energies, len(self.states))
         q = species.lateral_quantum
         # the diagonal of H at B = 0, where it is all of H; bit for bit the
         # diagonal hamiltonians([0.0]) builds

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .core import DeviceSpec, FieldPoint, ParticleSpecies, SolverOptions, \
     ELECTRON, HOLE
@@ -170,15 +172,18 @@ def effective_interdot_distance(gap: float, device_template: DeviceSpec,
                                 tol: float = 0.01,
                                 electron: ParticleSpecies = ELECTRON,
                                 hole: ParticleSpecies = HOLE) -> float:
-    """Invert the strictly decreasing zero-field gap curve by bisection.
+    """Invert the strictly decreasing zero-field gap curve by Brent's method.
 
     Returns the interdot distance whose zero-field gap equals `gap`, to
-    within `tol` nm. Raises OutOfRangeError when the gap lies outside
-    the curve's range over [L_MIN, L_MAX].
+    within `tol` nm: brentq keeps a sign-change bracket, so even the
+    staircase gap(L) of an off-lattice grid gives a point within `tol` of
+    a crossing. Raises OutOfRangeError when the gap lies outside the
+    curve's range over [L_MIN, L_MAX].
     """
-    if not tol > 0:  # also rejects NaN; bisection to 0 never ends
+    if not tol > 0:  # also rejects NaN
         raise ValueError(f"tol must be > 0, got {tol}")
 
+    @cache  # brentq's first two calls are the range ends solved here
     def model(l):
         return solve_point(device_template.with_barrier(l), FieldPoint(0.0),
                            options, electron, hole).gap
@@ -190,11 +195,4 @@ def effective_interdot_distance(gap: float, device_template: DeviceSpec,
             f"gap {gap:.3f} meV outside the model range "
             f"[{gap_lo:.3f}, {gap_hi:.3f}] meV for L in "
             f"[{L_MIN}, {L_MAX}] nm")
-    lo, hi = L_MIN, L_MAX
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if model(mid) > gap:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return brentq(lambda l: model(l) - gap, L_MIN, L_MAX, xtol=tol)

@@ -80,21 +80,20 @@ def grid_for_wells(spec: DoubleWellSpec,
     """Uniform grid of options.grid_step covering both wells plus
     options.padding nm of barrier on each side.
 
-    Nodes are staggered half a step off the well edges. The sampled
-    structure is exact (every edge on a cell boundary, so the exact well
-    widths and barrier thickness, and for equal depths a potential
-    exactly even about the barrier midpoint) only when padding/step,
-    H/step and L/step are all integers. Off that lattice the edges snap
-    to cell boundaries: at the default 0.01 nm step L = 7.003 and
-    7.005 nm are both sampled as a 7.00 nm barrier, and L = 7.006 nm as
-    7.01 nm (see the ROADMAP item "Exact geometry at any L, and inversion
-    by root-finding").
+    The nodes are centred on the barrier midpoint, so the grid is its own
+    mirror image and equal wells are sampled as mirror images (palindromic
+    runs) at any L, step and padding, unless a node lies exactly on an edge
+    (build_potential's [lo, hi) gives it to the right). The sampled wells
+    and barrier are exact, every edge half a step from its nearest nodes,
+    only when padding/step, H/step and L/step are all integers. Off that
+    lattice the edges snap to cell boundaries: at the default 0.01 nm step
+    L = 7.003 and 7.005 nm are both sampled as a 7.00 nm barrier, and
+    L = 7.006 nm as 7.01 nm (see the ROADMAP item "Exact geometry at any L").
     """
-    step, padding = options.grid_step, options.padding
-    span = 2 * spec.width_h + spec.barrier_l + 2 * padding
-    z_min = spec.well1_support[0] - padding + step / 2
-    n = int(round(span / step))
-    return Grid1D(z_min, z_min + (n - 1) * step, n)
+    span = 2 * spec.width_h + spec.barrier_l + 2 * options.padding
+    n = int(round(span / options.grid_step))
+    half = (n - 1) * options.grid_step / 2
+    return Grid1D(-half, half, n)
 
 
 def build_potential(spec: DoubleWellSpec, grid: Grid1D,
@@ -126,11 +125,10 @@ def build_potential(spec: DoubleWellSpec, grid: Grid1D,
 
 @dataclass(eq=False)
 class VerticalSpectrum:
-    """Eigenpairs of the vertical problem on `grid`.
+    """Bound eigenpairs of the vertical problem on `grid`.
 
-    energies are ascending and measured from the barrier band edge; the
-    first n_bound of them are negative (bound): all unless solved with
-    require_bound=False. labels classify
+    energies are ascending, measured from the barrier band edge and all
+    negative: only bound states are solved for. labels classify
     consecutive pairs as bonding (lower) / antibonding (upper). The
     spectrum keeps no record of the wells or of the potential's runs it
     was solved for. wavefunctions holds the grid-sampled, L2-normalized real
@@ -142,13 +140,8 @@ class VerticalSpectrum:
 
     grid: Grid1D
     energies: np.ndarray
-    n_bound: int
     labels: tuple[str, ...]
     eigenvectors: Callable[[], np.ndarray] = field(repr=False)
-
-    @property
-    def bound_energies(self) -> np.ndarray:
-        return self.energies[:self.n_bound]
 
     @cached_property
     def wavefunctions(self) -> np.ndarray:
@@ -159,10 +152,6 @@ class VerticalSpectrum:
             if vectors[i, j] < 0:
                 vectors[:, j] = -vectors[:, j]
         return vectors
-
-    @property
-    def bound_wavefunctions(self) -> np.ndarray:
-        return self.wavefunctions[:, :self.n_bound]
 
 
 def state_labels(count: int) -> tuple[str, ...]:
@@ -221,7 +210,8 @@ def _lowest_eigenvalues(runs: list[tuple[float, int]], c_h2: float, k: int,
                         upper: float | None = None) -> np.ndarray:
     """The lowest k eigenvalues, ascending, of the FD matrix 2 c_h2 + the
     potential's runs on the diagonal, -c_h2 = -c/h^2 off it; with `upper`, only
-    those below it (by default Weyl's bound max V + lambda_{k+1}(-Lapl.)).
+    those below it (by default Weyl's bound max V + lambda_{k+1}(-Lapl.),
+    which solve_vertical uses only for an unbound ground state).
     Bisection on the Sturm count from (min V, upper) isolates each root; a
     safeguarded secant on psi_{n+1} polishes it in a 2 eps c/h^2 bracket."""
     lower = min(value for value, _ in runs)
@@ -260,17 +250,14 @@ def _lowest_eigenvalues(runs: list[tuple[float, int]], c_h2: float, k: int,
 
 def solve_vertical(runs: list[tuple[float, int]], grid: Grid1D,
                    species: ParticleSpecies, n_states: int,
-                   require_bound: bool = True) -> VerticalSpectrum:
-    """Lowest n_states eigenvalues of the 1D problem on the given grid; the
-    eigenfunctions follow when first read.
+                   ) -> VerticalSpectrum:
+    """The bound states, E < 0, of the 1D problem on the given grid, at
+    most the lowest n_states; the eigenfunctions follow when first read.
 
     The potential comes as its runs (value, nodes) left to right, as
     build_potential makes them. Dirichlet walls sit one step outside the
-    first and last nodes. With require_bound (the default) only bound
-    states, E < 0, are solved for, at most n_states; raises
-    NoBoundStateError when even the ground state is unbound.
-    require_bound=False serves potentials, such as a hard-wall box, whose
-    spectrum is legitimately positive. Vectors: LAPACK stein.
+    first and last nodes. Raises NoBoundStateError, quoting the ground
+    energy, when even the ground state is unbound. Vectors: LAPACK stein.
     """
     if n_states < 1:
         raise ValueError("n_states must be >= 1")
@@ -280,8 +267,7 @@ def solve_vertical(runs: list[tuple[float, int]], grid: Grid1D,
         raise ValueError("potential values must be finite")
     n = grid.n_points
     c_h2 = kinetic_coefficient(species) / grid.step ** 2
-    energies = _lowest_eigenvalues(runs, c_h2, min(n_states, n - 1),
-                                   0.0 if require_bound else None)
+    energies = _lowest_eigenvalues(runs, c_h2, min(n_states, n - 1), 0.0)
     if not len(energies):
         ground = _lowest_eigenvalues(runs, c_h2, 1)[0]
         raise NoBoundStateError(f"ground state energy {ground:.3f} meV is "
@@ -300,7 +286,6 @@ def solve_vertical(runs: list[tuple[float, int]], grid: Grid1D,
         return vectors
 
     return VerticalSpectrum(grid=grid, energies=energies,
-                            n_bound=int(np.sum(energies < 0.0)),
                             labels=state_labels(len(energies)),
                             eigenvectors=eigenvectors)
 
@@ -316,7 +301,7 @@ def solve_double_well(spec: DoubleWellSpec, species: ParticleSpecies,
 
 
 def dz_matrix(spectrum: VerticalSpectrum) -> np.ndarray:
-    """Matrix of <v_i| d/dz |v_j> over the retained bound states, in 1/nm.
+    """Matrix of <v_i| d/dz |v_j> over the bound states, in 1/nm.
 
     Central differences with psi = 0 one node past each wall, the
     Dirichlet condition of the FD solve, summed over the nodes: with
@@ -325,6 +310,6 @@ def dz_matrix(spectrum: VerticalSpectrum) -> np.ndarray:
     eigenfunctions; one state gives the exact 1x1 zero. The quadrature
     weight h cancels the 1/(2h) of the difference, leaving the 1/2.
     """
-    psi = spectrum.bound_wavefunctions
+    psi = spectrum.wavefunctions
     a = psi[:-1].T @ psi[1:]
     return (a - a.T) / 2.0

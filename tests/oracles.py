@@ -2,7 +2,8 @@
 
 The scalar references deliberately avoid the package's finite-difference
 and matrix machinery: transcendental roots by bracketed bisection, analytic
-box levels, oscillator integrals by Gauss-Hermite quadrature, a plain
+box levels (continuum and FD, with the floor under a box that binds its
+lowest k FD levels), oscillator integrals by Gauss-Hermite quadrature, a plain
 Sturm count, and the run encoding of a potential by np.diff (diff_runs),
 which turns an array into the runs vertical.solve_vertical takes.
 The module also holds the d/dz matrix by numpy's gradient
@@ -44,6 +45,21 @@ def box_energies(width, mass_ratio, n_levels):
     """Hard-wall box levels E_n = n^2 pi^2 (hbar^2/2m) / W^2."""
     n = np.arange(1, n_levels + 1)
     return n ** 2 * np.pi ** 2 * (HB2_2M0 / mass_ratio) / width ** 2
+
+
+def fd_box_levels(n_points, c_h2, count):
+    """The lowest `count` levels of the FD box of n_points nodes, hard walls
+    one step past the end nodes, in closed form: 4 c/h^2 sin^2(j pi /
+    2(n + 1)) for j = 1..count, with c_h2 = c/h^2."""
+    j = np.arange(1, count + 1)
+    return 4 * c_h2 * np.sin(j * np.pi / (2 * (n_points + 1))) ** 2
+
+
+def box_floor(n_points, c_h2, count):
+    """V0 halfway between the count-th and (count + 1)-th FD box levels: a
+    uniform floor -V0 binds exactly the lowest `count` levels of the box,
+    and any potential at or below it binds at least that many."""
+    return float(np.mean(fd_box_levels(n_points, c_h2, count + 1)[-2:]))
 
 
 def finite_well_levels(depth, width, mass_ratio):
@@ -132,7 +148,7 @@ def diff_runs(potential):
 def dz_reference(spectrum: VerticalSpectrum) -> np.ndarray:
     """<v_i| d/dz |v_j> with np.gradient derivatives (one-sided at the
     ends) and trapezoid quadrature, antisymmetrized as (D - D^T)/2."""
-    psi = spectrum.bound_wavefunctions
+    psi = spectrum.wavefunctions
     h = spectrum.grid.step
     dpsi = np.gradient(psi, h, axis=0)
     d = np.empty((psi.shape[1], psi.shape[1]))
@@ -242,13 +258,12 @@ def product_basis(vertical: VerticalSpectrum,
     lat_e = lateral.energies()
     entries = []
     e0 = []
-    for v in range(vertical.n_bound):
+    for v, energy in enumerate(vertical.energies):
         for (nx, ny), el in zip(lateral.states, lat_e):
             entries.append((v, nx, ny))
-            e0.append(vertical.bound_energies[v] + el)
-    return DenseProductBasis(
-        entries=tuple(entries), e0=tuple(e0),
-        vertical_labels=vertical.labels[:vertical.n_bound])
+            e0.append(energy + el)
+    return DenseProductBasis(entries=tuple(entries), e0=tuple(e0),
+                             vertical_labels=vertical.labels)
 
 
 def assemble(vertical: VerticalSpectrum, dz: np.ndarray,
@@ -268,8 +283,7 @@ def assemble(vertical: VerticalSpectrum, dz: np.ndarray,
     h = np.diag(np.asarray(basis.e0, dtype=complex))
     hoc = cyclotron_energy(species, field)
     if hoc != 0.0:
-        h += species.hyz_sign * 1j * hoc * np.kron(
-            dz[:vertical.n_bound, :vertical.n_bound], ymat)
+        h += species.hyz_sign * 1j * hoc * np.kron(dz, ymat)
     return h
 
 

@@ -181,6 +181,13 @@ class TestCliSolve:
             "spectrum\n")
         assert not out.exists()
 
+    def test_out_given_an_existing_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["solve", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error (config): ")
+        assert out.read_text() == ""
+
     def test_zero_depths_exit_3(self, tmp_path, capsys):
         cfg = write(tmp_path, "zero.ini",
                     "[device]\ndepth_e_dot1 = 0\ndepth_e_dot2 = 0\n"
@@ -408,6 +415,12 @@ class TestCliCalibrate:
             "error (config): target quantity 'emission_low' is repeated\n")
         assert not out.exists()
 
+    def test_targets_given_a_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "cal"
+        assert main(["calibrate", str(tmp_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error (config): ")
+        assert not out.exists()
+
     def test_unreachable_target_exits_4(self, tmp_path, capsys):
         targets = write(tmp_path, "targets.csv",
                         "emission_low,-60.0\nemission_high,100.0\n")
@@ -443,6 +456,12 @@ class TestCliFitPowerlaw:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["fit-powerlaw", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path)]) == 2
+
+    def test_points_given_a_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "fit"
+        assert main(["fit-powerlaw", str(tmp_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error (config): ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("row, where", [
         ("5,nan", "L=5.0, gap=nan"), ("5,inf", "L=5.0, gap=inf"),

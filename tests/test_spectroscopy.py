@@ -315,10 +315,29 @@ class TestEffectiveDistance:
         recovered = effective_interdot_distance(target, device)
         assert recovered == pytest.approx(10.0, abs=0.02)
 
+    @pytest.mark.parametrize("l_star", [7.0, 10.0])
+    def test_brentq_reuses_the_range_solves(self, device, l_star,
+                                            monkeypatch):
+        # the range check solves L_MIN and L_MAX once, and brentq starts
+        # from them; bisection to 0.01 nm took 2 + 13 = 15 solves
+        target = solve_point(default_device(l_star)).gap
+        solved = []
+
+        def counting(device, *args):
+            solved.append(device.barrier_l)
+            return solve_point(device, *args)
+
+        monkeypatch.setattr(spectroscopy, "solve_point", counting)
+        recovered = effective_interdot_distance(target, device)
+        assert len(solved) <= 12
+        assert solved[:2] == [spectroscopy.L_MIN, spectroscopy.L_MAX]
+        assert len(set(solved)) == len(solved)
+        assert abs(recovered - l_star) <= 0.005
+
     @pytest.mark.parametrize("tol", [0.0, float("nan")])
     def test_non_positive_tolerance_rejected_before_solving(
             self, device, tol, monkeypatch):
-        # bisecting to a zero or NaN width would never stop
+        # no root finder can stop at a zero or NaN width
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before checking tol")
 

@@ -2,7 +2,7 @@ import collections
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstein
 
@@ -93,6 +93,28 @@ class TestBuildPotential:
             assert np.array_equal(sampled(runs),
                                   oracles.sampled_wells(spec, grid))
 
+    @settings(deadline=None, max_examples=200)
+    @given(width=st.floats(1.0, 8.0), barrier=st.floats(0.001, 40.0),
+           step=st.floats(0.004, 0.03), padding=st.floats(15.0, 25.0),
+           depth=st.sampled_from([203.0, 239.0]))
+    @example(width=5.17, barrier=32.43, step=0.0137, padding=20.0,
+             depth=239.0)
+    def test_equal_wells_give_palindromic_runs(self, width, barrier, step,
+                                               padding, depth):
+        # the grid is centred on the barrier midpoint, so equal wells are
+        # sampled as mirror images off the lattice too
+        spec = DoubleWellSpec(width, barrier, depth, depth)
+        grid = grid_for_wells(spec, SolverOptions(grid_step=step,
+                                                  padding=padding))
+        assert grid.z_min == -grid.z_max
+        # except where a node lies on an edge: [lo, hi) gives it to the
+        # right-hand side, which no mirror keeps
+        offsets = [(z - grid.z_min) / grid.step
+                   for z in (*spec.well1_support, *spec.well2_support)]
+        assume(all(abs(x - round(x)) > 1e-6 for x in offsets))
+        runs = build_potential(spec, grid)
+        assert runs == runs[::-1]
+
     def test_domain_too_small(self):
         # SolverOptions rejects a padding below MIN_PADDING, so a hand-made
         # grid with 10 nm of barrier outside each well reaches the check
@@ -124,7 +146,7 @@ class TestOptionsReachTheGrid:
                                 vertical_cap=cap)
         spectrum = solve_double_well(spec, ELECTRON, options)
         assert spectrum.grid == grid_for_wells(spec, options)
-        assert len(spectrum.energies) == spectrum.n_bound == cap
+        assert len(spectrum.energies) == cap
         grid = spectrum.grid
         expected = solve_vertical(build_potential(spec, grid), grid,
                                   ELECTRON, 4).energies[:cap]
@@ -135,14 +157,17 @@ class TestSolveVertical:
     @pytest.mark.parametrize("width,n", [(10.0, 1), (10.0, 2), (10.0, 3),
                                          (8.0, 1)])
     def test_particle_in_a_box(self, width, n):
+        # a uniform floor -v0 binds exactly the box's lowest n levels
         grid = box_grid(width, step=0.01)
         species = ParticleSpecies("electron", 1.0, 30.0, -1)
-        spectrum = solve_vertical(oracles.diff_runs(np.zeros(grid.n_points)),
-                                  grid, species, n_states=n,
-                                  require_bound=False)
+        v0 = oracles.box_floor(grid.n_points, kinetic_coefficient(species)
+                               / grid.step ** 2, n)
+        spectrum = solve_vertical([(-v0, grid.n_points)], grid, species,
+                                  n_states=n + 1)
+        assert len(spectrum.energies) == n
         exact = oracles.box_energies(width, 1.0, n)
-        assert spectrum.energies[n - 1] == pytest.approx(exact[n - 1],
-                                                         rel=1e-3)
+        assert spectrum.energies[n - 1] + v0 == pytest.approx(exact[n - 1],
+                                                              rel=1e-3)
 
     @pytest.mark.parametrize("depth,mass", [(239.0, 0.03), (203.0, 0.03),
                                             (119.5, 0.06), (101.5, 0.06)])
@@ -176,7 +201,7 @@ class TestSolveVertical:
         assert options.vertical_cap == 4
         spectrum = vertical_spectrum(default_device(barrier_l), species,
                                      options)
-        assert len(spectrum.energies) == spectrum.n_bound == 2
+        assert len(spectrum.energies) == 2
         assert np.all(spectrum.energies < 0)
 
     def test_no_bound_state(self):
@@ -251,12 +276,15 @@ class TestParity:
         runs, mirrored = (build_potential(spec, grid),
                           build_potential(mirror, grid))
         assert mirrored == runs[::-1]
+        # a floor -v0 under both binds at least 4 levels, shallow wells too
+        c_h2 = kinetic_coefficient(species) / grid.step ** 2
+        v0 = oracles.box_floor(grid.n_points, c_h2, 4)
         energies, swapped = (
-            solve_vertical(r, grid, species, 4, require_bound=False).energies
+            solve_vertical([(value - v0, m) for value, m in r], grid,
+                           species, 4).energies
             for r in (runs, mirrored))
         # both lie within the solver's bisection bracket of the same roots
-        c_h2 = kinetic_coefficient(species) / grid.step ** 2
-        bracket = 2 * np.finfo(float).eps * max(c_h2, *depths)
+        bracket = 2 * np.finfo(float).eps * max(c_h2, v0 + max(depths))
         assert len(energies) == len(swapped) == 4
         assert np.max(np.abs(energies - swapped)) <= bracket
 
@@ -310,7 +338,7 @@ class TestDzMatrix:
         assert np.array_equal(d, -d.T)
         # raw integrals are antisymmetric before symmetrization too
         h = spectrum.grid.step
-        psi = spectrum.bound_wavefunctions
+        psi = spectrum.wavefunctions
         dpsi = np.gradient(psi, h, axis=0)
         raw01 = np.trapezoid(psi[:, 0] * dpsi[:, 1], dx=h)
         raw10 = np.trapezoid(psi[:, 1] * dpsi[:, 0], dx=h)
@@ -321,7 +349,7 @@ class TestDzMatrix:
         # equal parity are not connected by d/dz
         spec = DoubleWellSpec(6.0, 4.0, 600.0, 600.0)
         spectrum = solve_double_well(spec, ELECTRON)
-        assert spectrum.n_bound == 4
+        assert len(spectrum.energies) == 4
         d = dz_matrix(spectrum)
         assert abs(d[0, 1]) > 1e-3
         assert abs(d[0, 2]) < 1e-8
@@ -333,7 +361,7 @@ class TestDzMatrix:
         d = dz_matrix(spectrum)
         h = spectrum.grid.step
         z = oracles.nodes(spectrum.grid)
-        psi = spectrum.bound_wavefunctions
+        psi = spectrum.wavefunctions
         z01 = np.trapezoid(psi[:, 0] * z * psi[:, 1], dx=h)
         de = spectrum.energies[1] - spectrum.energies[0]
         c = 1269.994  # hbar^2/2m for m = 0.03 m0
@@ -415,7 +443,7 @@ class TestEigenvectorsOnDemand:
         spectrum = solve_double_well(spec, species)
         energies = spectrum.energies
         # the default device binds 2 states per carrier at every L
-        assert len(energies) == spectrum.n_bound == 2
+        assert len(energies) == 2
         assert oracles.sturm_count(diag, off, 0.0) == 2
         for i, energy in enumerate(energies):
             # exactly i eigenvalues below E_i - eps and i + 1 below E_i + eps
@@ -472,8 +500,8 @@ def lowest_eigh(diag, off, n_states):
 
 
 def assert_matches_eigh(potential, grid, species, n_states):
-    """solve_vertical and eigh_tridiagonal agree on the count, order and
-    n_bound of the bound states, and on each energy within eps; a potential
+    """solve_vertical and eigh_tridiagonal agree on the count and order of
+    the bound states, and on each energy within eps; a potential
     with none raises NoBoundStateError with the ground energy."""
     diag, off = fd_matrix(potential, species, grid.step)
     eps = certificate_tolerance(diag, off)
@@ -492,7 +520,7 @@ def assert_matches_eigh(potential, grid, species, n_states):
         return
     spectrum = solve_vertical(oracles.diff_runs(potential), grid, species,
                               n_states=n_states)
-    assert len(spectrum.energies) == spectrum.n_bound == len(bound)
+    assert len(spectrum.energies) == len(bound)
     assert np.all(np.diff(spectrum.energies) > 0)
     assert np.max(np.abs(spectrum.energies - bound)) <= eps
 
@@ -565,19 +593,20 @@ class TestTransferMatrixEigenvalues:
     @settings(deadline=None, max_examples=30)
     @given(n=st.integers(3, 3000), n_states=st.integers(1, 6),
            species=SPECIES)
-    def test_zero_potential_boxes(self, n, n_states, species):
+    def test_floored_boxes(self, n, n_states, species):
+        # a uniform floor -v0 between the k-th and (k + 1)-th FD box levels
+        # binds exactly the lowest k, each shifted down by v0
         step = 0.01
         grid = Grid1D(0.0, (n - 1) * step, n)
-        spectrum = solve_vertical(oracles.diff_runs(np.zeros(n)), grid,
-                                  species, n_states=n_states,
-                                  require_bound=False)
-        diag, off = fd_matrix(np.zeros(n), species, step)
-        eps = certificate_tolerance(diag, off)
+        c_h2 = kinetic_coefficient(species) / step ** 2
         k = min(n_states, n - 1)
-        # the FD box levels in closed form: 4 c/h^2 sin^2(j pi / 2(n + 1))
-        exact = 4 * kinetic_coefficient(species) / step ** 2 * np.sin(
-            np.arange(1, k + 1) * np.pi / (2 * (n + 1))) ** 2
-        assert len(spectrum.energies) == k and spectrum.n_bound == 0
+        v0 = oracles.box_floor(n, c_h2, k)
+        spectrum = solve_vertical([(-v0, n)], grid, species,
+                                  n_states=n_states)
+        diag, off = fd_matrix(np.full(n, -v0), species, step)
+        eps = certificate_tolerance(diag, off)
+        assert len(spectrum.energies) == k
         assert np.max(np.abs(spectrum.energies
                              - lowest_eigh(diag, off, n_states))) <= eps
-        assert np.max(np.abs(spectrum.energies - exact)) <= eps
+        assert np.max(np.abs(spectrum.energies + v0
+                             - oracles.fd_box_levels(n, c_h2, k))) <= eps
