@@ -153,8 +153,8 @@ def cmd_calibrate(args) -> int:
         target = fitting.CalibrationTarget(**kwargs)
     except ValueError as exc:
         raise errors.ConfigError(str(exc))
-    result = fitting.calibrate_depths(target, run.electron, run.hole,
-                                      run.options)
+    result = fitting.calibrate_depths(target, run.device, run.electron,
+                                      run.hole, run.options)
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "calibration.csv"),
                "quantity,value_meV",

@@ -107,6 +107,10 @@ class DeviceSpec:
             return self.depth_h_dot1, self.depth_h_dot2
         raise ValueError(f"unknown species {species.name!r}")
 
+    def line_energy(self, e_level: float, h_level: float) -> float:
+        """Exciton line: both levels (from band edges) + offset - binding."""
+        return self.reference_offset + e_level + h_level - self.binding_energy
+
     def with_barrier(self, barrier_l: float) -> "DeviceSpec":
         return replace(self, barrier_l=barrier_l)
 

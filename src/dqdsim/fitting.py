@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .core import ELECTRON, HOLE, ParticleSpecies, SolverOptions, \
-    require_finite
+from .core import ELECTRON, HOLE, DeviceSpec, ParticleSpecies, \
+    SolverOptions, default_device, require_finite
 from .errors import NoBoundStateError, NoConvergenceError, SingularFitError, \
     UnboundDotError
 from .vertical import DoubleWellSpec, build_potential, grid_for_wells, \
@@ -103,16 +103,13 @@ def fit_powerlaw(points) -> tuple[PowerLawParams, np.ndarray]:
 
 @dataclass(frozen=True)
 class CalibrationTarget:
-    """Measured line positions of the two uncoupled dots plus the model
-    context needed to invert them into well depths."""
+    """Measured line positions of the two uncoupled dots plus what the
+    inversion itself assumes; the rest of the model is the device's."""
 
     emission_low: float  # meV, deep dot line
     emission_high: float  # meV, shallow dot line
-    well_width_h: float = 4.5  # nm
     uncoupled_l: float = 50.0  # nm, geometry where coupling is negligible
     depth_ratio: float = 0.5  # hole depth / electron depth
-    binding_energy: float = 25.0  # meV
-    reference_offset: float = 0.0  # meV
 
     def __post_init__(self):
         require_finite(self)
@@ -120,8 +117,8 @@ class CalibrationTarget:
             raise ValueError("emission_high must not lie below emission_low")
         if not 0.0 < self.depth_ratio < 1.0:
             raise ValueError("depth_ratio must be in (0, 1)")
-        if self.well_width_h <= 0 or self.uncoupled_l <= 0:
-            raise ValueError("geometry lengths must be > 0")
+        if self.uncoupled_l <= 0:
+            raise ValueError("uncoupled_l must be > 0")
 
 
 @dataclass(frozen=True)
@@ -151,33 +148,35 @@ def single_well_ground(depth: float, width: float, uncoupled_l: float,
 
 
 def calibrate_depths(target: CalibrationTarget,
+                     device: DeviceSpec = default_device(),
                      electron: ParticleSpecies = ELECTRON,
                      hole: ParticleSpecies = HOLE,
                      options: SolverOptions = SolverOptions(),
                      ) -> CalibrationResult:
     """Electron and hole well depths reproducing the target lines.
 
-    Each dot decouples in the large-L limit, so the two-line system splits
-    into two independent one-dimensional root problems in the electron
-    depth (the hole depth rides along via the fixed ratio), each dot solved
-    at barrier target.uncoupled_l on the grid that `options` sets. Solved by
-    bracketed root finding to better than 0.01 meV per line. Each depth
-    is solved once per call: the bracket ends are shared by both dots, and
-    the root finder revisits the bracket ends and its root.
+    The device sets the well width and the line model, not the depths or
+    barrier. Each dot decouples at large L, so the two-line system splits
+    into two one-dimensional root problems in the electron depth (the hole
+    depth follows by the fixed ratio), each dot solved at barrier
+    target.uncoupled_l on the grid that `options` sets, by bracketed root
+    finding to better than 0.01 meV per line. Each depth is solved once per
+    call: the bracket ends are shared by both dots, and the root finder
+    revisits the bracket ends and its root.
     """
     lines = {}
 
     def line_energy(depth_e):
         if depth_e not in lines:
-            e_level = single_well_ground(depth_e, target.well_width_h,
+            e_level = single_well_ground(depth_e, device.well_width_h,
                                          target.uncoupled_l, electron, options)
             h_level = single_well_ground(depth_e * target.depth_ratio,
-                                         target.well_width_h,
+                                         device.well_width_h,
                                          target.uncoupled_l, hole, options)
-            # lateral zero-point energies (one quantum per carrier at B = 0)
-            zero_point = electron.lateral_quantum + hole.lateral_quantum
-            lines[depth_e] = (target.reference_offset + e_level + h_level
-                              + zero_point - target.binding_energy)
+            # each carrier's s level adds its lateral quantum at B = 0
+            lines[depth_e] = device.line_energy(
+                e_level + electron.lateral_quantum,
+                h_level + hole.lateral_quantum)
         return lines[depth_e]
 
     def solve_dot(emission):

@@ -2,10 +2,10 @@
 
 The two optically active lines pair electron and hole levels of the same
 molecular identity: the bonding exciton from the two "B:s" levels and the
-antibonding exciton from the two "A:s" levels. A line's energy is the sum
-of the two single-particle energies (measured from the respective barrier
-band edges) plus the device reference offset minus the constant exciton
-binding energy; the offset and binding energy cancel in every gap.
+antibonding exciton from the two "A:s" levels. A line's energy is
+DeviceSpec.line_energy of the two single-particle energies (each measured
+from its barrier band edge): their sum plus the reference offset minus the
+exciton binding energy, which cancel in every gap.
 
 Every labeled spectrum comes from molecular.adiabatic_sweep, through
 sweep_b; a single point is the one-field sweep. Every numerical setting
@@ -37,15 +37,12 @@ L_MIN, L_MAX = 2.0, 50.0
 class EmissionLine:
     label: str
     energy: float  # meV
-    b: float  # T
 
 
 @dataclass(frozen=True)
 class GapCurve:
-    """Ordered (x, gap) samples of the s-shell emission splitting, either
-    against interdot distance (axis "L_nm") or field (axis "B_T")."""
+    """Ordered (L in nm or B in T, gap) samples of the s-shell splitting."""
 
-    axis: str
     samples: tuple[tuple[float, float], ...]
 
     def xs(self) -> np.ndarray:
@@ -80,10 +77,7 @@ def emission_lines(e_spec: MolecularSpectrum, h_spec: MolecularSpectrum,
             raise MissingLabelError(
                 f"no level labeled {label!r} in the "
                 f"{'electron' if e_level is None else 'hole'} spectrum")
-        lines.append(EmissionLine(
-            label=name, b=e_spec.b,
-            energy=device.reference_offset + e_level + h_level
-            - device.binding_energy))
+        lines.append(EmissionLine(name, device.line_energy(e_level, h_level)))
     return lines[0], lines[1]
 
 
@@ -110,6 +104,16 @@ def solve_point(device: DeviceSpec, field: FieldPoint = FieldPoint(0.0),
     return sweep_b(device, [field.b], options, electron, hole)[1][0]
 
 
+def _ascending(values, axis: str, unit: str) -> list[float]:
+    """The values as floats (-0.0 as 0.0), if they are strictly ascending."""
+    floats = [float(v) + 0.0 for v in values]
+    bad = next((v for a, v in zip(floats, floats[1:]) if v <= a), None)
+    if bad is not None:
+        raise ValueError(f"{axis.lower()}_values must be strictly ascending "
+                         f"at {axis}={bad} {unit}")
+    return floats
+
+
 def sweep_l(device_template: DeviceSpec, l_values,
             options: SolverOptions = SolverOptions(),
             electron: ParticleSpecies = ELECTRON,
@@ -120,10 +124,7 @@ def sweep_l(device_template: DeviceSpec, l_values,
     Points are solved in turn: threads > 1, a pool the interpreter lock
     makes slower, stays only for bench/. with_barrier rejects L <= 0.
     """
-    l_list = [float(l) for l in l_values]
-    bad = next((l for a, l in zip(l_list, l_list[1:]) if l <= a), None)
-    if bad is not None:
-        raise ValueError(f"l_values must be strictly ascending at L={bad} nm")
+    l_list = _ascending(l_values, "L", "nm")
 
     def run(l):
         try:
@@ -137,8 +138,7 @@ def sweep_l(device_template: DeviceSpec, l_values,
             points = list(pool.map(run, l_list))
     else:
         points = [run(l) for l in l_list]
-    curve = GapCurve(axis="L_nm",
-                     samples=tuple((p.barrier_l, p.gap) for p in points))
+    curve = GapCurve(tuple((p.barrier_l, p.gap) for p in points))
     return curve, points
 
 
@@ -152,9 +152,7 @@ def sweep_b(device: DeviceSpec, b_values,
     symmetry sectors, so a point does not depend on which other fields
     are requested.
     """
-    b_list = [float(b) + 0.0 for b in b_values]  # maps -0.0 to 0.0
-    if sorted(b_list) != b_list:
-        raise ValueError("b_values must be ascending")
+    b_list = _ascending(b_values, "B", "T")
     e_specs = adiabatic_sweep(vertical_spectrum(device, electron, options),
                               electron, b_list, options)
     h_specs = adiabatic_sweep(vertical_spectrum(device, hole, options),
@@ -162,8 +160,7 @@ def sweep_b(device: DeviceSpec, b_values,
     points = [SolvePoint(barrier_l=device.barrier_l, b=b, electron=e, hole=h,
                          lines=emission_lines(e, h, device))
               for b, e, h in zip(b_list, e_specs, h_specs)]
-    curve = GapCurve(axis="B_T",
-                     samples=tuple((p.b, p.gap) for p in points))
+    curve = GapCurve(tuple((p.b, p.gap) for p in points))
     return curve, points
 
 

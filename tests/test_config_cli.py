@@ -335,6 +335,15 @@ class TestCliSweeps:
             "L=7.0 nm\n")
         assert not out.exists()
 
+    def test_repeated_field_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "cfg.ini", "[sweep]\nb_values = 0, 8, 8\n")
+        out = tmp_path / "run"
+        assert main(["sweep-b", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error (config): b_values must be strictly ascending at "
+            "B=8.0 T\n")
+        assert not out.exists()
+
 
 class TestCliCalibrate:
     def test_calibrate_round_trip(self, tmp_path, capsys):
@@ -350,6 +359,29 @@ class TestCliCalibrate:
         assert float(rows["depth_e_dot1"]) == pytest.approx(239.0, abs=0.1)
         assert float(rows["depth_e_dot2"]) == pytest.approx(203.0, abs=0.1)
         assert float(rows["depth_h_dot1"]) == pytest.approx(119.5, abs=0.05)
+
+    def test_device_section_sets_the_line_model(self, tmp_path, capsys):
+        cfg = write(tmp_path, "run.ini", "[device]\nbinding_energy = 24\n")
+        targets = str(Path(__file__).parent / "golden"
+                      / "calibrate_targets.csv")
+        assert main(["calibrate", targets, "--config", cfg,
+                     "--out", str(tmp_path)]) == 0
+        # one meV less binding asks for about one meV deeper dots
+        assert capsys.readouterr().out.startswith(
+            "depths: e=(240.006, 204.068) h=(120.003, 102.034) meV")
+
+    @pytest.mark.parametrize("key", ["well_width_h", "binding_energy",
+                                     "reference_offset"])
+    def test_device_quantity_exits_2(self, tmp_path, capsys, key):
+        # the device's own values come from --config [device]
+        targets = write(tmp_path, "targets.csv",
+                        f"emission_low,-138.8\nemission_high,-104.1\n"
+                        f"{key},5\n")
+        out = tmp_path / "cal"
+        assert main(["calibrate", targets, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error (config): unknown target quantity {key!r}\n")
+        assert not out.exists()
 
     def test_solver_padding_reaches_single_well_solves(self, tmp_path,
                                                        capsys, monkeypatch):

@@ -54,7 +54,6 @@ class TestEmissionLines:
         assert low.label == "bonding-exciton"
         assert high.label == "antibonding-exciton"
         assert high.energy >= low.energy
-        assert low.b == 0.0
 
     def test_offset_and_binding_cancel_in_gap(self, device):
         shifted = replace(device, reference_offset=1234.567,
@@ -296,6 +295,10 @@ class TestSweepB:
     def test_unsorted_fields_rejected(self, device):
         with pytest.raises(ValueError):
             sweep_b(device, [1.0, 0.0])
+        # a repeated field is rejected as a repeated distance is
+        with pytest.raises(ValueError, match=r"^b_values must be strictly "
+                                             r"ascending at B=8\.0 T$"):
+            sweep_b(device, [0.0, 8.0, 8.0])
 
 
 class TestEffectiveDistance:
