@@ -48,9 +48,10 @@ from .vertical import VerticalSpectrum, dz_matrix
 # 6 kB at the peak of the solve, and each read of .vectors adds 50 kB
 FIELD_CHUNK = 128
 # d/dz entries below this fraction of max|d/dz| are set to 0 in the sector
-# couplings: in symmetric wells the parity-forbidden entries come out of
-# the FD eigenvectors at up to 2e-9 of the largest, not at 0, while the
-# allowed ones of the wells tried stay above 5e-3
+# couplings: in symmetric wells the FD eigenvectors have exact parity, but
+# the parity-forbidden entries still sum to rounding, up to 2e-14 of the
+# largest at 0.01-0.0025 nm steps, not to 0, while the allowed ones of the
+# wells tried stay above 5e-3
 DZ_FLOOR = 1e-6
 # (-i)^k; entry sign*n_y mod 4 is the exact gauge phase (-sign*i)^n_y
 QUARTER_TURNS = np.array([1, -1j, -1, 1j])

@@ -12,6 +12,10 @@ The FD matrix is piecewise Toeplitz (5 runs for the double well): its
 recurrence crosses a run in one 2x2 Chebyshev transfer matrix (Tsu & Esaki,
 APL 22, 562, 1973), its signs give the Sturm count (Barth, Martin &
 Wilkinson, Numer. Math. 9, 386, 1967), so an eigenvalue costs O(runs).
+An eigenvector comes from the same closed forms, each run's nodes in one
+numpy expression: a march in from each wall, the two joined where both
+hold, as in a twisted factorization (Fernando, SIAM J. Matrix Anal. Appl.
+18, 1013, 1997).
 """
 
 from __future__ import annotations
@@ -19,10 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .core import MIN_PADDING, ParticleSpecies, SolverOptions, \
     kinetic_coefficient
@@ -133,9 +136,9 @@ class VerticalSpectrum:
     spectrum keeps no record of the wells or of the potential's runs it
     was solved for. wavefunctions holds the grid-sampled, L2-normalized real
     eigenfunctions as columns, largest-amplitude lobe positive. It is
-    computed on first read, from the raw eigenvector columns that
-    eigenvectors() returns, so callers that read only energies never pay
-    for eigenvectors.
+    computed on first read, from the orthogonal eigenvector columns, of
+    any norm, that eigenvectors() builds from the runs, so callers that
+    read only energies never pay for eigenvectors.
     """
 
     grid: Grid1D
@@ -145,13 +148,13 @@ class VerticalSpectrum:
 
     @cached_property
     def wavefunctions(self) -> np.ndarray:
-        vectors = self.eigenvectors() / np.sqrt(self.grid.step)
-        # fix the arbitrary overall sign: largest-amplitude lobe positive
-        for j in range(vectors.shape[1]):
-            i = int(np.argmax(np.abs(vectors[:, j])))
-            if vectors[i, j] < 0:
-                vectors[:, j] = -vectors[:, j]
-        return vectors
+        vectors = self.eigenvectors()
+        # unit norm on the grid, and the arbitrary overall sign fixed:
+        # largest-amplitude lobe positive
+        lobes = vectors[np.argmax(np.abs(vectors), axis=0),
+                        np.arange(vectors.shape[1])]
+        return vectors * (np.sign(lobes) / np.sqrt(
+            np.einsum("ij,ij->j", vectors, vectors) * self.grid.step))
 
 
 def state_labels(count: int) -> tuple[str, ...]:
@@ -248,6 +251,124 @@ def _lowest_eigenvalues(runs: list[tuple[float, int]], c_h2: float, k: int,
     return np.array(roots)
 
 
+class _Form(NamedTuple):
+    """One run of a march, psi_{s+k} = e^log_scale _nodes(form, k); in a
+    well also the node k = peak where |psi| is largest, to within a factor
+    cos(theta/2), and the log of that |psi|."""
+
+    kind: str
+    p: float
+    q: float
+    theta: float
+    log_scale: float
+    peak: int = -1
+    log_peak: float = -math.inf
+
+
+def _march(deltas: list[float], lengths: tuple[int, ...]) -> list[_Form]:
+    """The FD recurrence psi_{j+1} = 2(1 + delta_j) psi_j - psi_{j-1} from
+    psi_0 = 0, psi_1 = 1, in closed form run by run as in _shoot. With
+    cos theta = 1 + delta (cosh where delta > 0), x = psi_s and d = psi_s -
+    psi_{s-1}, a run of m nodes is
+      "sin"   x cos k theta + q sin k theta in a well,
+      "exp"   p e^{(k - m) theta} + q e^{-k theta}, its grow/decay modes, in
+              a barrier they cross by over e (e^{m theta} in log_scale),
+      "sinh"  x cosh k theta + q sinh k theta in a thinner barrier,
+      "line"  x + k d where theta = 0.
+    A form holds one node past either end of its run, k = -1..m, so the
+    next run starts from its k = m."""
+    x, d, log_scale, forms = 1.0, 1.0, 0.0, []
+    for delta, m in zip(deltas, lengths):
+        arc = math.asin if delta < 0.0 else math.asinh
+        theta = 2.0 * arc(math.sqrt(abs(delta) / 2.0))
+        if theta == 0.0:  # delta = 0, or too small to move 1 + delta
+            form = _Form("line", x, d, theta, log_scale)
+            x += m * d
+        elif delta > 0.0 and m * theta > 1.0:
+            two_sinh, fall = 2.0 * math.sinh(theta), math.exp(-m * theta)
+            p = (d + x * math.expm1(theta)) / two_sinh
+            q = (-d - x * math.expm1(-theta)) / two_sinh * fall
+            form = _Form("exp", p, q, theta, log_scale + m * theta)
+            x, d = (p + q * fall,
+                    -p * math.expm1(-theta) - q * fall * math.expm1(theta))
+        elif delta > 0.0:
+            q = d / math.sinh(theta) + x * math.tanh(theta / 2.0)
+            form = _Form("sinh", x, q, theta, log_scale)
+            mid = (m - 0.5) * theta
+            x, d = (x * math.cosh(m * theta) + q * math.sinh(m * theta),
+                    2.0 * math.sinh(theta / 2.0)
+                    * (q * math.cosh(mid) + x * math.sinh(mid)))
+        else:
+            q = d / math.sin(theta) - x * math.tan(theta / 2.0)
+            # psi = amp sin(k theta + phase) peaks at the run's ends or at
+            # the nodes either side of its first crest
+            amp, phase = math.hypot(x, q), math.atan2(x, q)
+            crest = int((math.pi / 2.0 - phase) % math.pi / theta)
+            top, peak = max((abs(math.sin(k * theta + phase)), k)
+                            for k in {0, crest, crest + 1, m - 1} if k < m)
+            form = _Form("sin", x, q, theta, log_scale, peak,
+                         log_scale + math.log(amp * top))
+            mid = (m - 0.5) * theta
+            x, d = (x * math.cos(m * theta) + q * math.sin(m * theta),
+                    2.0 * math.sin(theta / 2.0)
+                    * (q * math.cos(mid) - x * math.sin(mid)))
+        forms.append(form)
+        scale = abs(x) + abs(d)
+        x, d = x / scale, d / scale
+        log_scale = form.log_scale + math.log(scale)
+    return forms
+
+
+def _nodes(form: _Form, k: np.ndarray, factor: float) -> np.ndarray:
+    """factor times a run's form at the offsets k, which for "exp" must be
+    0..m."""
+    kind, p, q, theta = form[:4]
+    if kind == "exp":
+        fall = np.exp(-theta * k)
+        return (factor * p) * fall[::-1] + (factor * q) * fall
+    if kind == "line":
+        return factor * p + (factor * q) * k
+    cos, sin = (np.cos, np.sin) if kind == "sin" else (np.cosh, np.sinh)
+    return (factor * p) * cos(theta * k) + (factor * q) * sin(theta * k)
+
+
+def _eigenvector(deltas: list[float], lengths: tuple[int, ...],
+                 k: np.ndarray, out: np.ndarray) -> None:
+    """An eigenvector of the FD matrix, into out, from its runs' delta =
+    (V - E) h^2/2c at the eigenvalue E; k is -1, 0, 1, ... up to the
+    longest run. Each march from a wall is stable while it grows toward the
+    wells, and the product of the two is proportional to psi^2 where both
+    hold and near rounding where either does not. So in the well run where
+    the product of their peaks is largest, a least-squares factor over the
+    peak node j and j + 1 joins the left march up to j to the right march
+    after it."""
+    left = _march(deltas, lengths)
+    right = _march(deltas[::-1], lengths[::-1])[::-1]
+    r = max(range(len(left)),
+            key=lambda i: left[i].log_peak + right[i].log_peak)
+    # the runs each march gives, each march scaled to at most e^0
+    left, right = left[:r + 1], right[r:]
+    left_top = max(form.log_scale for form in left)
+    right_top = max(form.log_scale for form in right)
+    # the left march over the join run's nodes s .. j + 1, the right one
+    # over j .. s + m, for the largest |psi| of the run at j
+    m, j = lengths[r], left[-1].peak
+    join_left = _nodes(left[-1], k[1:j + 3],
+                       math.exp(left[-1].log_scale - left_top))
+    join_right = _nodes(right[0], k[:m - j + 1],
+                        math.exp(right[0].log_scale - right_top))[::-1]
+    ends, pair = join_left[-2:], join_right[:2]
+    factor = ends @ pair / (pair @ pair)
+    np.concatenate((
+        *(_nodes(form, k[1:size + 2],
+                 math.exp(form.log_scale - left_top))[:-1]
+          for form, size in zip(left[:-1], lengths)),
+        join_left[:-1], factor * join_right[1:-1],
+        *(_nodes(form, k[1:size + 2],
+                 factor * math.exp(form.log_scale - right_top))[-2::-1]
+          for form, size in zip(right[1:], lengths[r + 1:]))), out=out)
+
+
 def solve_vertical(runs: list[tuple[float, int]], grid: Grid1D,
                    species: ParticleSpecies, n_states: int,
                    ) -> VerticalSpectrum:
@@ -257,7 +378,9 @@ def solve_vertical(runs: list[tuple[float, int]], grid: Grid1D,
     The potential comes as its runs (value, nodes) left to right, as
     build_potential makes them. Dirichlet walls sit one step outside the
     first and last nodes. Raises NoBoundStateError, quoting the ground
-    energy, when even the ground state is unbound. Vectors: LAPACK stein.
+    energy, when even the ground state is unbound. Vectors: _eigenvector
+    from the runs, of exact parity when the runs are a mirror image, then
+    Gram-Schmidt.
     """
     if n_states < 1:
         raise ValueError("n_states must be >= 1")
@@ -275,15 +398,21 @@ def solve_vertical(runs: list[tuple[float, int]], grid: Grid1D,
 
     def eigenvectors() -> np.ndarray:
         values, lengths = zip(*runs)
-        diag = 2.0 * c_h2 + np.repeat(values, lengths)
-        off = np.full(n - 1, -c_h2)
-        stein, = get_lapack_funcs(("stein",), (diag, off))
-        # one unsplit block: iblock all 1, isplit = [n]
-        vectors, info = stein(diag, off, energies, np.ones(n, np.int32),
-                              np.r_[n, np.zeros(n - 1, np.int32)])
-        if info != 0:
-            raise LinAlgError(f"stein failed with info {info}")
-        return vectors
+        k = np.arange(-1.0, max(lengths) + 1.0)
+        rows = np.empty((len(energies), n))
+        for row, energy in zip(rows, energies):
+            _eigenvector([(v - energy) / (2.0 * c_h2) for v in values],
+                         lengths, k, row)
+        if runs == runs[::-1]:
+            # a mirror image: state i has parity (-1)^i, and the join's
+            # rounding of the other parity drops out
+            rows += rows[:, ::-1] * (-1.0) ** np.arange(len(rows))[:, None]
+        # Gram-Schmidt, as LAPACK's stein does within a cluster: nearly
+        # degenerate levels share their vectors' rounding
+        for i, row in enumerate(rows):
+            for prev in rows[:i]:
+                row -= (row @ prev) / (prev @ prev) * prev
+        return rows.T
 
     return VerticalSpectrum(grid=grid, energies=energies,
                             labels=state_labels(len(energies)),

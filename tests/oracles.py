@@ -6,7 +6,8 @@ box levels (continuum and FD, with the floor under a box that binds its
 lowest k FD levels), oscillator integrals by Gauss-Hermite quadrature, a plain
 Sturm count, and the run encoding of a potential by np.diff (diff_runs),
 which turns an array into the runs vertical.solve_vertical takes.
-The module also holds the d/dz matrix by numpy's gradient
+The module also holds LAPACK's inverse iteration for the vertical
+eigenvectors (stein_vectors), the d/dz matrix by numpy's gradient
 and trapezoid rules (dz_reference), the grid nodes, the wells sampled
 at them and the well weights of the vertical states (nodes, well_masks,
 sampled_wells, localization), the dense Hamiltonian over
@@ -23,10 +24,12 @@ against.
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dstein
 from scipy.optimize import brentq, linear_sum_assignment
 
 from dqdsim.core import FieldPoint, ParticleSpecies, SolverOptions, \
-    cyclotron_energy
+    cyclotron_energy, kinetic_coefficient
 from dqdsim.lateral import renormalized_y_quantum, y_ladder, y_zero_point
 from dqdsim.molecular import BlockHamiltonian, ProductBasis, diagonalize, \
     shell_name
@@ -143,6 +146,27 @@ def diff_runs(potential):
         starts = np.flatnonzero(np.diff(potential)) + 1
     lengths = np.diff(np.concatenate(([0], starts, [len(potential)])))
     return list(zip(potential[np.r_[0, starts]].tolist(), lengths.tolist()))
+
+
+def stein_vectors(runs, grid: Grid1D, species: ParticleSpecies,
+                  energies) -> np.ndarray:
+    """LAPACK stein's inverse iteration at the given energies on the FD
+    matrix, 2c/h^2 plus the runs' potential on the diagonal and -c/h^2 off
+    it, as one unsplit block: columns of unit L2 norm on the grid, largest-
+    amplitude lobe positive, like VerticalSpectrum.wavefunctions. Forming
+    2c/h^2 + V rounds each diagonal entry by up to eps max|diag|/2."""
+    values, lengths = zip(*runs)
+    c_h2 = kinetic_coefficient(species) / grid.step ** 2
+    n = grid.n_points
+    diag = 2.0 * c_h2 + np.repeat(values, lengths)
+    vectors, info = dstein(diag, np.full(n - 1, -c_h2), energies,
+                           np.ones(n, np.int32),
+                           np.r_[n, np.zeros(n - 1, np.int32)])
+    if info != 0:
+        raise LinAlgError(f"stein failed with info {info}")
+    lobes = vectors[np.argmax(np.abs(vectors), axis=0),
+                    np.arange(vectors.shape[1])]
+    return vectors * (np.sign(lobes) / np.sqrt(grid.step))
 
 
 def dz_reference(spectrum: VerticalSpectrum) -> np.ndarray:

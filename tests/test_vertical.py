@@ -1,10 +1,12 @@
 import collections
+import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dstein
 
 import oracles
 from dqdsim import (ELECTRON, HOLE, ParticleSpecies, SolverOptions,
@@ -436,8 +438,9 @@ class TestEigenvectorsOnDemand:
     @pytest.mark.parametrize("spec,species", list(lattice_wells()))
     def test_matches_eigh_tridiagonal_bitwise(self, spec, species):
         """Energies are certified against eigh_tridiagonal by Sturm counts
-        and within eps; the vectors are bitwise what eigh_tridiagonal's own
-        vector stage (stein on one unsplit block) makes of those energies."""
+        and within eps; the vectors built from the runs agree with LAPACK
+        stein's inverse iteration at those energies, and with
+        eigh_tridiagonal's own vectors."""
         diag, off, grid = tridiagonal(spec, species)
         eps = certificate_tolerance(diag, off)
         spectrum = solve_double_well(spec, species)
@@ -452,41 +455,167 @@ class TestEigenvectorsOnDemand:
         reference, vectors = eigh_tridiagonal(
             diag, off, select="i", select_range=(0, len(energies) - 1))
         assert np.max(np.abs(energies - reference)) <= eps
-        n = len(diag)
-        stein_vectors, info = dstein(diag, off, energies, np.ones(n, np.int32),
-                                     np.r_[n, np.zeros(n - 1, np.int32)])
-        assert info == 0
-        assert spectrum.eigenvectors().tobytes() == stein_vectors.tobytes()
-        assert spectrum.wavefunctions.tobytes() == signed_unit_columns(
-            stein_vectors, grid.step).tobytes()
+        stein = oracles.stein_vectors(
+            build_potential(spec, grid), grid, species, energies)
+        assert np.all(unit_overlaps(spectrum.wavefunctions, stein, grid)
+                      >= 1 - 1e-12)
+        dz, stein_dz = dz_matrix(spectrum), dz_of(spectrum, stein)
+        assert np.abs(dz - stein_dz).max() <= 1e-10 * np.abs(dz).max()
         # same normalization and sign convention; overlaps of unit vectors
-        overlaps = np.sum(spectrum.wavefunctions
-                          * signed_unit_columns(vectors, grid.step),
-                          axis=0) * grid.step
-        assert np.all(overlaps >= 1 - 1e-12)
+        assert np.all(unit_overlaps(spectrum.wavefunctions,
+                                    signed_unit_columns(vectors, grid.step),
+                                    grid) >= 1 - 1e-12)
 
     def test_vectors_computed_once_without_second_bisection(self,
                                                              monkeypatch):
         calls = collections.Counter()
-        lapack = vertical.get_lapack_funcs
 
-        def counting(names, arrays):
-            def counted(name, func):
-                def call(*args):
-                    calls[name] += 1
-                    return func(*args)
-                return call
-            return [counted(name, func)
-                    for name, func in zip(names, lapack(names, arrays))]
+        def counted(name):
+            func = getattr(vertical, name)
 
-        monkeypatch.setattr(vertical, "get_lapack_funcs", counting)
+            def call(*args):
+                calls[name] += 1
+                return func(*args)
+            return call
+
+        for name in ("_lowest_eigenvalues", "_shoot", "_eigenvector"):
+            monkeypatch.setattr(vertical, name, counted(name))
         spectrum = solve_double_well(DEFAULT_WELL, ELECTRON)
-        # eigenvalues without any LAPACK call, stebz included
-        assert calls == {}
+        solved = dict(calls)
+        # one energy solve and no vector
+        assert solved["_lowest_eigenvalues"] == 1
+        assert "_eigenvector" not in solved
         oracles.localization(spectrum, DEFAULT_WELL)
         spectrum.wavefunctions
         dz_matrix(spectrum)
-        assert calls == {"stein": 1}
+        # every read after the first reuses one vector per state, and no
+        # read solves for energies again
+        assert calls == {**solved, "_eigenvector": len(spectrum.energies)}
+
+
+def unit_overlaps(psi, reference, grid):
+    """Per column the overlap of two sets of grid-normalized states."""
+    return np.sum(psi * reference, axis=0) * grid.step
+
+
+def dz_of(spectrum, wavefunctions):
+    """dz_matrix of the spectrum's states with these wavefunctions."""
+    return dz_matrix(replace(spectrum, eigenvectors=lambda: wavefunctions))
+
+
+DEPTHS = st.one_of(st.just(0.0), st.just(400.0), st.floats(0.0, 400.0))
+
+
+class TestRunWiseVectors:
+    """The eigenvectors built from the runs, over drawn wells: against
+    the FD matrix itself and against LAPACK stein (oracles.stein_vectors)."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(width=st.one_of(st.sampled_from([2.0, 4.5, 9.0]),
+                           st.floats(2.0, 9.0)),
+           barrier=st.one_of(st.sampled_from([1.0, 7.0, 30.0]),
+                             st.floats(1.0, 30.0)),
+           depth1=DEPTHS, depth2=st.one_of(st.none(), DEPTHS),
+           step=st.one_of(st.sampled_from([0.0025, 0.01, 0.02]),
+                          st.floats(0.0025, 0.02)),
+           species=st.sampled_from([ELECTRON, HOLE]),
+           n_states=st.integers(1, 4))
+    # wells 1e-9 meV apart at 30 nm: levels 6e-8 meV apart, which share
+    # their vectors' rounding
+    @example(width=6.0, barrier=30.0, depth1=400.0, depth2=400.0 - 1e-9,
+             step=0.01, species=HOLE, n_states=2)
+    # deep wells 25 nm apart: joined in the other well, the ground state
+    # would leave a residual of 5e-11 max|T|
+    @example(width=9.0, barrier=25.0, depth1=400.0, depth2=380.0,
+             step=0.005, species=HOLE, n_states=4)
+    def test_solve_the_fd_matrix_as_stein_does(self, width, barrier, depth1,
+                                               depth2, step, species,
+                                               n_states):
+        # depth2 None draws equal wells
+        spec = DoubleWellSpec(width, barrier, depth1,
+                              depth1 if depth2 is None else depth2)
+        grid = grid_for_wells(spec, SolverOptions(grid_step=step))
+        runs = build_potential(spec, grid)
+        diag, off = fd_matrix(sampled(runs), species, grid.step)
+        # a bound ground state, not one on the E = 0 edge
+        assume(lowest_eigh(diag, off, 1)[0] < -certificate_tolerance(diag,
+                                                                      off))
+        spectrum = solve_vertical(runs, grid, species, n_states)
+        k = len(spectrum.energies)
+        psi = spectrum.wavefunctions * np.sqrt(grid.step)
+        # orthonormal eigenpairs of T = diag + off: a vector joined at j
+        # leaves a residual of the energy's error, within the solver's
+        # 2 eps c/h^2 bracket, over its |psi_j| >= n^-1/2
+        t_psi = diag[:, None] * psi
+        t_psi[:-1] += off[:, None] * psi[1:]
+        t_psi[1:] += off[:, None] * psi[:-1]
+        assert np.abs(t_psi - psi * spectrum.energies).max() <= (
+            1e-13 * np.abs(diag).max())
+        assert np.abs(psi.T @ psi - np.eye(k)).max() <= 1e-12
+        # stein works on the rounded diagonal: each of its vectors is
+        # trusted to that rounding over the gap to the nearest level, and
+        # to nothing where that reaches 1 (a gap that rounds to 0 included)
+        levels = lowest_eigh(diag, off, k + 1)
+        gaps = np.diff(levels)
+        gaps = np.minimum(gaps[:k], np.r_[np.inf, gaps[:k - 1]])
+        with np.errstate(divide="ignore"):
+            slack = 4 * np.finfo(float).eps * np.abs(diag).max() / gaps
+        kept = slack < 1.0
+        stein = oracles.stein_vectors(runs, grid, species, spectrum.energies)
+        overlaps = unit_overlaps(spectrum.wavefunctions, stein, grid)
+        assert np.all(np.abs(overlaps[kept]) >= 1 - 1e-12 - slack[kept] ** 2)
+        # equal wells leave the overall sign of a state to rounding
+        signs = np.sign(overlaps)
+        dz = dz_matrix(spectrum)
+        stein_dz = dz_of(spectrum, stein) * np.outer(signs, signs)
+        assert np.all(np.abs(dz - stein_dz)[np.ix_(kept, kept)] <= (
+            (1e-10 + slack[kept].max(initial=0.0)) * np.abs(dz).max()))
+
+    @settings(deadline=None, max_examples=200)
+    @given(runs=st.lists(st.tuples(
+        st.one_of(st.sampled_from([0.0, -1e-12, 1e-12]),
+                  st.floats(-1.0, 1.0)),
+        st.integers(1, 12)), min_size=1, max_size=6))
+    def test_run_forms_follow_the_recurrence(self, runs):
+        # every form, "line" at delta = 0 included, against the recurrence
+        # psi_{j+1} = 2(1 + delta_j) psi_j - psi_{j-1} in exact arithmetic
+        psi = [Fraction(0), Fraction(1)]
+        for delta, m in runs:
+            for _ in range(m):
+                psi.append(2 * (1 + Fraction(delta)) * psi[-1] - psi[-2])
+        exact = np.array([float(value) for value in psi[1:-1]])
+        deltas, lengths = zip(*runs)
+        forms = vertical._march(deltas, lengths)
+        top = max(form.log_scale for form in forms)
+        closed = np.concatenate([
+            vertical._nodes(form, np.arange(m + 1.0),
+                            math.exp(form.log_scale - top))[:-1]
+            for form, m in zip(forms, lengths)])
+        assert np.abs(closed / np.abs(closed).max()
+                      - exact / np.abs(exact).max()).max() <= 1e-12
+
+    @settings(deadline=None, max_examples=40)
+    @given(width=st.floats(6.0, 9.0), barrier=st.floats(1.0, 30.0),
+           depth=st.floats(250.0, 400.0),
+           step=st.one_of(st.sampled_from([0.0025, 0.005, 0.01]),
+                          st.floats(0.0025, 0.02)),
+           species=st.sampled_from([ELECTRON, HOLE]))
+    @example(width=9.0, barrier=7.0, depth=400.0, step=0.0025,
+             species=ELECTRON)
+    def test_equal_wells_forbid_same_parity_dz(self, width, barrier, depth,
+                                               step, species):
+        # mirror-symmetric runs give states of alternating parity, and
+        # d/dz, odd under the mirror, joins only opposite ones
+        spec = DoubleWellSpec(width, barrier, depth, depth)
+        grid = grid_for_wells(spec, SolverOptions(grid_step=step))
+        runs = build_potential(spec, grid)
+        assume(runs == runs[::-1])
+        spectrum = solve_vertical(runs, grid, species, 4)
+        k = len(spectrum.energies)
+        assume(k >= 3)
+        dz = np.abs(dz_matrix(spectrum))
+        same = (np.arange(k) % 2)[:, None] == np.arange(k) % 2
+        assert dz[same].max() <= 1e-12 * dz.max()
 
 
 SPECIES = st.sampled_from([ELECTRON, HOLE])
