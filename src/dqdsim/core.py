@@ -146,9 +146,12 @@ class SolverOptions:
     """Numerical knobs shared by the solvers, and the one home of each:
     the solver functions read them from here and repeat no default.
 
-    Defaults are convergence-tested: halving grid_step moves vertical
-    eigenvalues by < 0.01 meV and raising the basis caps moves the two
-    lowest molecular levels at 8 T by < 0.05 meV.
+    grid_step and the basis caps are convergence-tested: halving
+    grid_step moves vertical eigenvalues by < 0.01 meV and raising the
+    basis caps moves the two lowest molecular levels at 8 T by < 0.05 meV.
+    padding is not: the walls it places bias the exciton gap at B = 0 by
+    +0.041, +0.0044 and +0.0024 meV at L = 2.5, 7 and 15 nm, 20 nm of
+    padding against 60 nm (see the ROADMAP item "exact open boundaries").
     """
 
     grid_step: float = 0.01  # nm

@@ -49,7 +49,7 @@ from .vertical import VerticalSpectrum, dz_matrix
 FIELD_CHUNK = 128
 # d/dz entries below this fraction of max|d/dz| are set to 0 in the sector
 # couplings: in symmetric wells the FD eigenvectors have exact parity, but
-# the parity-forbidden entries still sum to rounding, up to 2e-14 of the
+# the parity-forbidden entries still sum to rounding, 5e-16 to 1e-13 of the
 # largest at 0.01-0.0025 nm steps, not to 0, while the allowed ones of the
 # wells tried stay above 5e-3
 DZ_FLOOR = 1e-6

@@ -12,10 +12,11 @@ The FD matrix is piecewise Toeplitz (5 runs for the double well): its
 recurrence crosses a run in one 2x2 Chebyshev transfer matrix (Tsu & Esaki,
 APL 22, 562, 1973), its signs give the Sturm count (Barth, Martin &
 Wilkinson, Numer. Math. 9, 386, 1967), so an eigenvalue costs O(runs).
-An eigenvector comes from the same closed forms, each run's nodes in one
-numpy expression: a march in from each wall, the two joined where both
-hold, as in a twisted factorization (Fernando, SIAM J. Matrix Anal. Appl.
-18, 1013, 1997).
+That transfer is written once, in _shoot, which serves the eigenvectors
+too: at an eigenvalue it also records each run's closed form, whose nodes
+are one numpy expression. Two such marches, in from each wall, are joined
+where both hold, as in a twisted factorization (Fernando, SIAM J. Matrix
+Anal. Appl. 18, 1013, 1997).
 """
 
 from __future__ import annotations
@@ -172,14 +173,36 @@ def state_labels(count: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
+class _Form(NamedTuple):
+    """One run as _shoot crosses it, psi_{s+k} = e^log_scale _nodes(form,
+    k) from x = psi_s and d = psi_s - psi_{s-1}, with cos theta = 1 + delta
+    (cosh where delta > 0):
+      "sin"   x cos k theta + q sin k theta in a well,
+      "exp"   p e^{(k - m) theta} + q e^{-k theta}, its grow/decay modes, in
+              a barrier it crosses by over e,
+      "sinh"  x cosh k theta + q sinh k theta in a thinner barrier,
+      "line"  x + k d where theta = 0.
+    A form holds one node past either end of its run, k = -1..m ("exp" only
+    k = 0..m). In a well it also holds the node k = peak where |psi| is
+    largest, to within a factor cos(theta/2), and the log of that |psi|."""
+
+    kind: str
+    p: float
+    q: float
+    theta: float
+    log_scale: float
+    peak: int = -1
+    log_peak: float = -math.inf
+
+
 def _shoot(energy: float, runs: list[tuple[float, int]], c_h2: float,
-           ) -> tuple[int, float, float]:
+           forms: list[_Form] | None = None) -> tuple[int, float, float]:
     """Sturm count and psi_{n+1} = mantissa * e^log_scale at E of the FD
     recurrence psi_{j+1} = 2(1 + delta_j) psi_j - psi_{j-1} from psi_0 = 0,
     psi_1 = 1, delta_j = (V_j - E) h^2/2c. A run of m equal nodes is one T^m
     (cos theta = 1 + delta; cosh where delta > 0) acting on (psi_s, psi_s -
     psi_{s-1}), or on the modes of a run decaying by over e, so rounding
-    stays at the run ends."""
+    stays at the run ends. Into a list `forms` goes each run's _Form."""
     x, y, log_scale, count = 1.0, 0.0, 0.0, 0
     for value, m in runs:
         start, d, delta = x, x - y, (value - energy) / (2.0 * c_h2)
@@ -192,10 +215,29 @@ def _shoot(energy: float, runs: list[tuple[float, int]], c_h2: float,
             x, y = (grow + decay * e ** (2 * m),
                     (grow + decay * e ** (2 * m - 2)) * e)
             log_scale += m * theta - math.log(2.0 * math.sinh(theta))
-        elif delta == 0.0:  # U_k = k + 1
-            x, y = x + m * d, x + (m - 1) * d
+            if forms is not None:
+                forms.append(_Form("exp", grow, decay * math.exp(-m * theta),
+                                   theta, log_scale))
+        elif theta == 0.0:  # delta = 0, or too small to move 1 + delta
+            if forms is not None:
+                forms.append(_Form("line", x, d, theta, log_scale))
+            x, y = x + m * d, x + (m - 1) * d  # U_k = k + 1
         else:  # psi_{s+k} = x (U_k - U_{k-1}) + d U_{k-1}
             cos_h, sin_t = cos(theta / 2.0), sin(theta)
+            if forms is not None:
+                q = (d + delta * x) / sin_t  # d/sin theta -+ x tan(theta/2)
+                form = _Form("sinh", x, q, theta, log_scale)
+                if delta < 0.0:
+                    # psi = amp sin(k theta + phase) peaks at the run's ends
+                    # or at the nodes either side of its first crest
+                    amp, phase = math.hypot(x, q), math.atan2(x, q)
+                    crest = int((math.pi / 2.0 - phase) % math.pi / theta)
+                    top, peak = max((abs(math.sin(k * theta + phase)), k)
+                                    for k in {0, crest, crest + 1, m - 1}
+                                    if k < m)
+                    form = _Form("sin", x, q, theta, log_scale, peak,
+                                 log_scale + math.log(amp * top))
+                forms.append(form)
             x, y = (x * cos((m + 0.5) * theta) / cos_h
                     + d * sin(m * theta) / sin_t,
                     x * cos((m - 0.5) * theta) / cos_h
@@ -251,74 +293,6 @@ def _lowest_eigenvalues(runs: list[tuple[float, int]], c_h2: float, k: int,
     return np.array(roots)
 
 
-class _Form(NamedTuple):
-    """One run of a march, psi_{s+k} = e^log_scale _nodes(form, k); in a
-    well also the node k = peak where |psi| is largest, to within a factor
-    cos(theta/2), and the log of that |psi|."""
-
-    kind: str
-    p: float
-    q: float
-    theta: float
-    log_scale: float
-    peak: int = -1
-    log_peak: float = -math.inf
-
-
-def _march(deltas: list[float], lengths: tuple[int, ...]) -> list[_Form]:
-    """The FD recurrence psi_{j+1} = 2(1 + delta_j) psi_j - psi_{j-1} from
-    psi_0 = 0, psi_1 = 1, in closed form run by run as in _shoot. With
-    cos theta = 1 + delta (cosh where delta > 0), x = psi_s and d = psi_s -
-    psi_{s-1}, a run of m nodes is
-      "sin"   x cos k theta + q sin k theta in a well,
-      "exp"   p e^{(k - m) theta} + q e^{-k theta}, its grow/decay modes, in
-              a barrier they cross by over e (e^{m theta} in log_scale),
-      "sinh"  x cosh k theta + q sinh k theta in a thinner barrier,
-      "line"  x + k d where theta = 0.
-    A form holds one node past either end of its run, k = -1..m, so the
-    next run starts from its k = m."""
-    x, d, log_scale, forms = 1.0, 1.0, 0.0, []
-    for delta, m in zip(deltas, lengths):
-        arc = math.asin if delta < 0.0 else math.asinh
-        theta = 2.0 * arc(math.sqrt(abs(delta) / 2.0))
-        if theta == 0.0:  # delta = 0, or too small to move 1 + delta
-            form = _Form("line", x, d, theta, log_scale)
-            x += m * d
-        elif delta > 0.0 and m * theta > 1.0:
-            two_sinh, fall = 2.0 * math.sinh(theta), math.exp(-m * theta)
-            p = (d + x * math.expm1(theta)) / two_sinh
-            q = (-d - x * math.expm1(-theta)) / two_sinh * fall
-            form = _Form("exp", p, q, theta, log_scale + m * theta)
-            x, d = (p + q * fall,
-                    -p * math.expm1(-theta) - q * fall * math.expm1(theta))
-        elif delta > 0.0:
-            q = d / math.sinh(theta) + x * math.tanh(theta / 2.0)
-            form = _Form("sinh", x, q, theta, log_scale)
-            mid = (m - 0.5) * theta
-            x, d = (x * math.cosh(m * theta) + q * math.sinh(m * theta),
-                    2.0 * math.sinh(theta / 2.0)
-                    * (q * math.cosh(mid) + x * math.sinh(mid)))
-        else:
-            q = d / math.sin(theta) - x * math.tan(theta / 2.0)
-            # psi = amp sin(k theta + phase) peaks at the run's ends or at
-            # the nodes either side of its first crest
-            amp, phase = math.hypot(x, q), math.atan2(x, q)
-            crest = int((math.pi / 2.0 - phase) % math.pi / theta)
-            top, peak = max((abs(math.sin(k * theta + phase)), k)
-                            for k in {0, crest, crest + 1, m - 1} if k < m)
-            form = _Form("sin", x, q, theta, log_scale, peak,
-                         log_scale + math.log(amp * top))
-            mid = (m - 0.5) * theta
-            x, d = (x * math.cos(m * theta) + q * math.sin(m * theta),
-                    2.0 * math.sin(theta / 2.0)
-                    * (q * math.cos(mid) - x * math.sin(mid)))
-        forms.append(form)
-        scale = abs(x) + abs(d)
-        x, d = x / scale, d / scale
-        log_scale = form.log_scale + math.log(scale)
-    return forms
-
-
 def _nodes(form: _Form, k: np.ndarray, factor: float) -> np.ndarray:
     """factor times a run's form at the offsets k, which for "exp" must be
     0..m."""
@@ -332,18 +306,20 @@ def _nodes(form: _Form, k: np.ndarray, factor: float) -> np.ndarray:
     return (factor * p) * cos(theta * k) + (factor * q) * sin(theta * k)
 
 
-def _eigenvector(deltas: list[float], lengths: tuple[int, ...],
+def _eigenvector(runs: list[tuple[float, int]], energy: float, c_h2: float,
                  k: np.ndarray, out: np.ndarray) -> None:
-    """An eigenvector of the FD matrix, into out, from its runs' delta =
-    (V - E) h^2/2c at the eigenvalue E; k is -1, 0, 1, ... up to the
-    longest run. Each march from a wall is stable while it grows toward the
-    wells, and the product of the two is proportional to psi^2 where both
-    hold and near rounding where either does not. So in the well run where
-    the product of their peaks is largest, a least-squares factor over the
-    peak node j and j + 1 joins the left march up to j to the right march
-    after it."""
-    left = _march(deltas, lengths)
-    right = _march(deltas[::-1], lengths[::-1])[::-1]
+    """An eigenvector of the FD matrix of the runs at its eigenvalue
+    `energy`, into out; k is -1, 0, 1, ... up to the longest run. Each
+    march from a wall, the forms of _shoot over the runs and over their
+    mirror image, is stable while it grows toward the wells, and the
+    product of the two is proportional to psi^2 where both hold and near
+    rounding where either does not. So in the well run where the product
+    of their peaks is largest, a least-squares factor over the peak node j
+    and j + 1 joins the left march up to j to the right march after it."""
+    left, right, lengths = [], [], [m for _, m in runs]
+    _shoot(energy, runs, c_h2, left)
+    _shoot(energy, runs[::-1], c_h2, right)
+    right.reverse()
     r = max(range(len(left)),
             key=lambda i: left[i].log_peak + right[i].log_peak)
     # the runs each march gives, each march scaled to at most e^0
@@ -397,12 +373,10 @@ def solve_vertical(runs: list[tuple[float, int]], grid: Grid1D,
                                 "not bound")
 
     def eigenvectors() -> np.ndarray:
-        values, lengths = zip(*runs)
-        k = np.arange(-1.0, max(lengths) + 1.0)
+        k = np.arange(-1.0, max(m for _, m in runs) + 1.0)
         rows = np.empty((len(energies), n))
         for row, energy in zip(rows, energies):
-            _eigenvector([(v - energy) / (2.0 * c_h2) for v in values],
-                         lengths, k, row)
+            _eigenvector(runs, energy, c_h2, k, row)
         if runs == runs[::-1]:
             # a mirror image: state i has parity (-1)^i, and the join's
             # rounding of the other parity drops out
