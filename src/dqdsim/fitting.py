@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .core import ELECTRON, HOLE, DeviceSpec, ParticleSpecies, \
     SolverOptions, default_device, require_finite
@@ -62,6 +61,8 @@ def fit_powerlaw(points) -> tuple[PowerLawParams, np.ndarray]:
     (A ~ 0) and data rising with L (A < 0) are rejected.
     Returns the parameters and the residuals fit - gap.
     """
+    from scipy.optimize import minimize_scalar  # 0.2 s to import: on use
+
     ls = np.array([float(l) for l, _ in points])
     gaps = np.array([float(g) for _, g in points])
     for l, gap in zip(ls, gaps):
@@ -180,6 +181,8 @@ def calibrate_depths(target: CalibrationTarget,
         return lines[depth_e]
 
     def solve_dot(emission):
+        from scipy.optimize import brentq  # 0.2 s to import: on use
+
         # shallower than ~50 meV the state leaks past the default padding
         lo, hi = 50.0, 800.0
         try:

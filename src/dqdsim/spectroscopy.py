@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import DeviceSpec, FieldPoint, ParticleSpecies, SolverOptions, \
     ELECTRON, HOLE
@@ -177,6 +176,8 @@ def effective_interdot_distance(gap: float, device_template: DeviceSpec,
     a crossing. Raises OutOfRangeError when the gap lies outside the
     curve's range over [L_MIN, L_MAX].
     """
+    from scipy.optimize import brentq  # 0.2 s to import: on use
+
     if not tol > 0:  # also rejects NaN
         raise ValueError(f"tol must be > 0, got {tol}")
 

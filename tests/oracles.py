@@ -13,7 +13,9 @@ at them and the well weights of the vertical states (nodes, well_masks,
 sampled_wells, localization), the dense Hamiltonian over
 the whole product basis (build_basis, y_matrix, product_basis, assemble,
 label_of), which the symmetry sectors are checked against, the sectors
-one at a time (sector_list) and the dense eigenvectors that one
+one at a time (sector_list), the sectors found by scipy's graph search
+(component_sectors), which the library's closure search is checked
+against, and the dense eigenvectors that one
 eigensolve per sector scatters over the product basis (scattered_vectors),
 which MolecularSpectrum.vectors is checked against, and the adiabatic
 march over whole n_x blocks of that dense Hamiltonian (block_spectra,
@@ -27,12 +29,13 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dstein
 from scipy.optimize import brentq, linear_sum_assignment
+from scipy.sparse.csgraph import connected_components
 
 from dqdsim.core import FieldPoint, ParticleSpecies, SolverOptions, \
     cyclotron_energy, kinetic_coefficient
 from dqdsim.lateral import renormalized_y_quantum, y_ladder, y_zero_point
-from dqdsim.molecular import BlockHamiltonian, ProductBasis, diagonalize, \
-    shell_name
+from dqdsim.molecular import DZ_FLOOR, BlockHamiltonian, ProductBasis, \
+    diagonalize, shell_name
 from dqdsim.vertical import DoubleWellSpec, Grid1D, VerticalSpectrum, \
     dz_matrix
 
@@ -322,6 +325,21 @@ def sector_list(ham: BlockHamiltonian) -> list[tuple]:
     return [(members[i], coupling[i], phases[i])
             for members, coupling, phases in ham.sectors
             for i in range(len(members))]
+
+
+def component_sectors(ham: BlockHamiltonian) -> list[np.ndarray]:
+    """The members of each sector, as connected components of K's nonzero
+    pattern by scipy.sparse.csgraph, in the layout of ham.sectors: by size,
+    largest first, then by component number; each sector's members in
+    stable ascending order of zero-field energy."""
+    dz = dz_matrix(ham.vertical)
+    dz = np.where(np.abs(dz) > DZ_FLOOR * np.abs(dz).max(), dz, 0.0)
+    ny = np.array([n_y for _, _, n_y in ham.basis.entries])
+    coupling = np.kron(dz, y_ladder(ham.states)) * np.sign(ny - ny[:, None])
+    n, component = connected_components(coupling, directed=False)
+    order = np.argsort(ham.diagonal, kind="stable")
+    sectors = [order[component[order] == c] for c in range(n)]
+    return sorted(sectors, key=len, reverse=True)  # stable: c within a size
 
 
 def scattered_vectors(ham: BlockHamiltonian, b_values) -> np.ndarray:

@@ -135,6 +135,17 @@ class TestCliSolve:
             header = (out / name).read_text().splitlines()[0]
             assert header == "B_T,level_index,label,energy_meV"
 
+    def test_shared_parser_carries_no_flag_over(self, tmp_path, capsys):
+        # every main call parses with the one cached parser: a flag given
+        # to one call must not reach the next
+        for argv in (["solve", "--b", "8"], ["sweep-b", "--svg"]):
+            assert main([*argv, "--out", str(tmp_path / "flag")]) == 0
+            assert main([argv[0], "--out", str(tmp_path / argv[0])]) == 0
+        assert (tmp_path / "solve" / "lines.csv").read_text().splitlines()[
+            1].startswith("0.000000,")
+        assert (tmp_path / "flag" / "lines_vs_B.svg").exists()
+        assert not (tmp_path / "sweep-b" / "lines_vs_B.svg").exists()
+
     def test_negative_field_flag_exits_2(self, tmp_path, capsys):
         assert main(["solve", "--out", str(tmp_path), "--b", "-1"]) == 2
         assert "--b" in capsys.readouterr().err
@@ -458,6 +469,20 @@ class TestCliCalibrate:
                         "emission_low,-60.0\nemission_high,100.0\n")
         assert main(["calibrate", targets, "--out", str(tmp_path)]) == 4
 
+    @pytest.mark.parametrize("row", ["value,3", "quantity,3",
+                                     "quantity,value"])
+    def test_header_named_row_exits_2(self, tmp_path, capsys, row):
+        # only a first row that is exactly the header is skipped
+        targets = write(tmp_path, "targets.csv",
+                        "quantity,value\nemission_low,-138.8\n"
+                        f"emission_high,-104.1\n{row}\n")
+        out = tmp_path / "cal"
+        assert main(["calibrate", targets, "--out", str(out)]) == 2
+        key = row.split(",")[0]
+        assert capsys.readouterr().err == (
+            f"error (config): unknown target quantity {key!r}\n")
+        assert not out.exists()
+
     def test_malformed_targets_exit_2(self, tmp_path, capsys):
         targets = write(tmp_path, "targets.csv", "emission_low\n")
         assert main(["calibrate", targets, "--out", str(tmp_path)]) == 2
@@ -480,6 +505,18 @@ class TestCliFitPowerlaw:
         assert float(report["offset_delta_nm"]) == pytest.approx(
             4.88, rel=1e-3)
         assert "residual_rms_meV" in report
+
+    @pytest.mark.parametrize("row", ["L_nm,40", "L_nm,gap_meV"])
+    def test_header_named_row_exits_2(self, tmp_path, capsys, row):
+        # only a first row that is exactly the header is skipped
+        points = write(tmp_path, "points.csv",
+                       f"L_nm,gap_meV\n3,50\n5,40\n{row}\n7,30\n9,28\n")
+        out = tmp_path / "fit"
+        assert main(["fit-powerlaw", points, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error (config): points file row ({row.replace(',', ', ')}) "
+            "is not numeric\n")
+        assert not out.exists()
 
     def test_duplicate_distances_exit_4(self, tmp_path, capsys):
         points = write(tmp_path, "points.csv", "3,50\n3,60\n7,40\n")

@@ -67,6 +67,32 @@ class TestDiagonalize:
         with pytest.raises(NotHermitianError):
             diagonalize(stack)
 
+    @pytest.mark.parametrize("entry, where", [
+        (np.nan, (0, 0)), (np.inf, (0, 0)), (np.nan, (0, 1)),
+        (np.inf, (0, 1))], ids=["nan_diag", "inf_diag", "nan_off", "inf_off"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_rejects_non_finite_entries(self, entry, where, stacked):
+        # a comparison with NaN is False, so the guards must be negated
+        # ones: a NaN or inf entry, placed Hermitian, fails them
+        h = np.array([[0.0, 0.5], [0.5, 1.0]], dtype=complex)
+        h[where] = h[where[::-1]] = entry
+        if stacked:
+            h = np.stack([np.eye(2, dtype=complex), h, np.eye(2)])
+        with pytest.raises(NotHermitianError, match="finite"):
+            diagonalize(h)
+
+    def test_non_finite_residual_raises(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def nan_eigh(h):
+            energies, vectors = eigh(h)
+            return energies, vectors * np.nan
+
+        monkeypatch.setattr(molecular.np.linalg, "eigh", nan_eigh)
+        for h in (np.eye(2), np.stack([np.eye(2), np.diag([1.0, 2.0])])):
+            with pytest.raises(EigenResidualError, match="finite"):
+                diagonalize(h.astype(complex))
+
     def test_residual_failure_raises_dqd_error(self, monkeypatch):
         eigh = np.linalg.eigh
 
@@ -419,6 +445,28 @@ class TestFieldLocality:
 
 
 class TestSectors:
+    @settings(deadline=None, max_examples=60)
+    @given(width=st.floats(3.0, 9.0), l=st.floats(0.5, 15.0),
+           depth1=st.floats(100.0, 450.0),
+           depth2=st.none() | st.floats(100.0, 450.0),
+           species=st.sampled_from([ELECTRON, HOLE]),
+           cap=st.integers(2, 4), quanta=st.integers(0, 6))
+    @example(width=9.0, l=7.0, depth1=400.0, depth2=None, species=ELECTRON,
+             cap=4, quanta=6)
+    def test_closure_matches_graph_search(self, width, l, depth1, depth2,
+                                          species, cap, quanta):
+        # equal wells (depth2 None) zero the parity-forbidden d/dz entries
+        # and split the sectors; the closure search must give the members
+        # of scipy's connected components, in the same order
+        well = DoubleWellSpec(width, l, depth1,
+                              depth1 if depth2 is None else depth2)
+        options = SolverOptions(vertical_cap=cap, lateral_quanta=quanta)
+        ham = BlockHamiltonian(solve_double_well(well, species, options),
+                               species, options)
+        found = [members for members, _, _ in sector_list(ham)]
+        expected = oracles.component_sectors(ham)
+        assert [m.tolist() for m in found] == [m.tolist() for m in expected]
+
     @pytest.mark.parametrize("species", [ELECTRON, HOLE], ids=["e", "h"])
     def test_two_jacobi_sectors_per_block(self, species):
         # at L = 7 nm and 8 T every n_x block splits into two sectors that
