@@ -176,3 +176,12 @@ def kinetic_coefficient(species: ParticleSpecies) -> float:
 def cyclotron_energy(species: ParticleSpecies, field: FieldPoint) -> float:
     """hbar * Omega_c = hbar e B / m, in meV. Zero iff B is zero."""
     return CYCLOTRON_COEFF * field.b / species.mass_ratio
+
+
+def mass_scale(electron: ParticleSpecies, hole: ParticleSpecies):
+    """r = m_e/m_h if it is a power of two and m_h r == m_e exactly (0.5 for
+    ELECTRON and HOLE), else None: then every division by m_h rounds to r
+    times that by m_e, so kinetic_coefficient and cyclotron_energy do."""
+    r = electron.mass_ratio / hole.mass_ratio
+    exact = hole.mass_ratio * r == electron.mass_ratio
+    return r if exact and math.frexp(r)[0] == 0.5 else None

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ELECTRON, HOLE, DeviceSpec, ParticleSpecies, \
-    SolverOptions, default_device, require_finite
+    SolverOptions, default_device, mass_scale, require_finite
 from .errors import NoBoundStateError, NoConvergenceError, SingularFitError, \
     UnboundDotError
 from .vertical import DoubleWellSpec, build_potential, grid_for_wells, \
@@ -163,17 +163,21 @@ def calibrate_depths(target: CalibrationTarget,
     target.uncoupled_l on the grid that `options` sets, by bracketed root
     finding to better than 0.01 meV per line. Each depth is solved once per
     call: the bracket ends are shared by both dots, and the root finder
-    revisits the bracket ends and its root.
+    revisits the bracket ends and its root. A depth_ratio equal to
+    core.mass_scale's r makes the hole's level the electron's times r, bit
+    for bit, so only the electron is solved.
     """
     lines = {}
+    scaled = target.depth_ratio == mass_scale(electron, hole)
 
     def line_energy(depth_e):
         if depth_e not in lines:
             e_level = single_well_ground(depth_e, device.well_width_h,
                                          target.uncoupled_l, electron, options)
-            h_level = single_well_ground(depth_e * target.depth_ratio,
-                                         device.well_width_h,
-                                         target.uncoupled_l, hole, options)
+            h_level = (e_level * target.depth_ratio if scaled else
+                       single_well_ground(depth_e * target.depth_ratio,
+                                          device.well_width_h,
+                                          target.uncoupled_l, hole, options))
             # each carrier's s level adds its lateral quantum at B = 0
             lines[depth_e] = device.line_energy(
                 e_level + electron.lateral_quantum,

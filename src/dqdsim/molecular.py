@@ -4,10 +4,10 @@ The kinetic cross term of the Voigt-field gauge couples the vertical and
 lateral motions through (sign) * i * hbar*Omega_c * y * d/dz, a kron of
 the d/dz matrix with the y ladder over the product basis {vertical bound
 states} x {lateral oscillator states}, ordered (v, n_x, n_y). H splits
-into symmetry sectors, the connected components of its coupling graph
-over the whole basis, read off the graph's transitive closure (repeated
-boolean squaring of its adjacency matrix); the y ladder conserves n_x,
-so each sector lies in one n_x block. In the gauge
+into symmetry sectors, the connected components of its coupling graph;
+the y ladder conserves n_x, so each sector lies in one n_x block, and
+each block's components are read off that block's transitive closure
+(repeated boolean squaring of its adjacency matrix). In the gauge
 |v, n_y> -> (-sign*i)^n_y |v, n_y> a sector is real symmetric,
 diag(e0(B)) + hbar*Omega_c(B) <0|y|1>(B) K, with
 K = kron(d/dz, ladder) * sign(n_y' - n_y) field-free and the same for
@@ -28,12 +28,12 @@ is solved on its own. Levels of different sectors do not couple and
 cross exactly. At every field exactly degenerate levels are listed in
 basis order of the states that name them. A spectrum stores its sorted
 energies and labels and the real sector eigenvectors it was solved with;
-its eigenvectors over the product basis are built on first read only.
+its product-basis eigenvectors are phased and built on first read only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -129,10 +129,11 @@ class MolecularSpectrum:
     energies ascend; labels hold the (vertical, shell) identity of each
     level, eg "B:s" or "A:p_y": the basis label of the level's rank at
     B = 0 within its symmetry sector. A chunk of fields shares
-    sector_vectors, per sector size the members (k, m), phases (k, m) and
-    real eigenvectors (fields, k, m, m); this field is row, and level j sat
-    at basis position order[j]. vectors, level j over the product basis in
-    column j, is phased and scattered from them on first read."""
+    sector_vectors, per sector size the members (k, m) and real
+    eigenvectors (fields, k, m, m); this field is row, and level j sat at
+    basis position order[j]. vectors, level j over the product basis in
+    column j, is scattered from them on first read, times the gauge phases
+    (-hyz_sign*i)^n_y; hyz_sign is 0 at B = 0, where H is diagonal."""
 
     basis: ProductBasis
     b: float
@@ -141,18 +142,26 @@ class MolecularSpectrum:
     sector_vectors: list = field(repr=False)
     row: int = field(repr=False)
     order: np.ndarray = field(repr=False)
+    hyz_sign: int = field(repr=False)
 
     def energy_of_label(self, label: str) -> float | None:
         if label not in self.labels:
             return None
         return float(self.energies[self.labels.index(label)])
 
+    def scaled(self, ratio: float, hyz_sign: int) -> MolecularSpectrum:
+        """This spectrum for H times ratio, a power of two, and hyz_sign."""
+        return replace(self, energies=self.energies * ratio,
+                       hyz_sign=hyz_sign if self.hyz_sign else 0)
+
     @cached_property
     def vectors(self) -> np.ndarray:
+        ny = np.array(self.basis.entries)[:, 2]
+        phases = QUARTER_TURNS[self.hyz_sign * ny % 4]
         vectors = np.zeros((len(self.basis),) * 2, dtype=complex)
-        for members, phases, sector_vectors in self.sector_vectors:
+        for members, sector_vectors in self.sector_vectors:
             vectors[members[..., None], members[:, None]] = (
-                phases[..., None] * sector_vectors[self.row])
+                phases[members][..., None] * sector_vectors[self.row])
         return vectors[:, self.order]
 
 
@@ -164,8 +173,8 @@ class BlockHamiltonian:
     ladder, and through hbar*Omega_c(B) of the cross term. The rest is
     built once: the basis parts once per basis (basis_parts), the vertical
     energy and zero-field diagonal of each state here, and the d/dz
-    matrix, the sectors, their couplings K and gauge phases on the first
-    solve at a nonzero field only. The lateral states are those with
+    matrix, the sectors and their couplings K on the first solve at a
+    nonzero field only. The lateral states are those with
     n_x + n_y <= options.lateral_quanta.
 
     Every spectrum is indexed by basis position before it is sorted: a
@@ -205,7 +214,7 @@ class BlockHamiltonian:
         scale = np.array(hoc) * [y_zero_point(species, q) for q in q_y]
         q_y = np.array(q_y)
         stacks = []
-        for members, coupling, _ in self.sectors:
+        for members, coupling in self.sectors:
             m = members.shape[1]
             e0 = self.vertical_energy[members] + (
                 self.half_nx[members] * species.lateral_quantum
@@ -219,41 +228,43 @@ class BlockHamiltonian:
     def sectors(self) -> list[tuple]:
         """The symmetry sectors stacked by size, one entry per size m, largest
         first: the members of its k sectors (k, m), each row in stable
-        ascending order of zero-field energy, their real symmetric couplings
-        K (k, m, m) and their gauge phases (-sign*i)^n_y (k, m).
+        ascending order of zero-field energy, and their real symmetric
+        couplings K (k, m, m).
 
         K = kron(d/dz, ladder) * sign(n_y' - n_y) over the whole product
         basis, with d/dz entries below DZ_FLOOR of the largest set to
         exactly 0, so its nonzero entries are the edges of the coupling
-        graph and a sector is a connected component of that graph. The
-        reach R = (K != 0) | I is squared, R <- (R @ R) > 0, until it stops
-        changing (about log2 n BLAS products; n <= 112 states under the
-        default options). Then R[i, j] holds exactly when j is in i's
-        component, and the first True of row i, the component's smallest
-        index, names it. Sectors come in ascending order of that index,
-        the order a graph search that scans the states numbers them in.
-        The y ladder is zero across n_x, so every sector lies in one n_x
-        block.
+        graph and a sector is a connected component of that graph. The y
+        ladder is zero across n_x, so every sector lies in one n_x block,
+        and each block is closed on its own: its reach R = (K != 0) | I is
+        squared, R <- (R @ R) > 0, until it stops changing (about log2 n
+        BLAS products on n <= vertical_cap * (lateral_quanta + 1) states).
+        Then R[i, j] holds exactly when j is in i's component, and the
+        first True of row i, the component's smallest index, names it.
+        Sectors come in ascending order of that index, the order a graph
+        search that scans the states numbers them in.
         """
         dz = dz_matrix(self.vertical)
         dz = np.where(np.abs(dz) > DZ_FLOOR * np.abs(dz).max(), dz, 0.0)
         coupling = np.kron(dz, y_ladder(self.states)) * np.sign(
             self.ny - self.ny[:, None])
-        reach = (coupling != 0) | np.eye(len(coupling), dtype=bool)
-        while True:
-            closed = (reach.astype(float) @ reach) > 0
-            if (closed == reach).all():
-                break
-            reach = closed
-        component = reach.argmax(axis=1)
+        component = np.empty(len(coupling), dtype=int)
+        for half_nx in np.unique(self.half_nx):
+            block = np.flatnonzero(self.half_nx == half_nx)
+            reach = (coupling[block[:, None], block] != 0) | np.eye(
+                len(block), dtype=bool)
+            while True:
+                closed = (reach.astype(float) @ reach) > 0
+                if (closed == reach).all():
+                    break
+                reach = closed
+            component[block] = block[reach.argmax(axis=1)]
         order = np.argsort(self.diagonal, kind="stable")
         sectors = [order[component[order] == c] for c in np.unique(component)]
         out = []
         for m in sorted({len(s) for s in sectors}, reverse=True):
             rows = np.array([s for s in sectors if len(s) == m])
-            out.append((rows, coupling[rows[..., None], rows[:, None]],
-                        QUARTER_TURNS[self.species.hyz_sign * self.ny[rows]
-                                      % 4]))
+            out.append((rows, coupling[rows[..., None], rows[:, None]]))
         return out
 
     def zero_field(self) -> MolecularSpectrum:
@@ -261,7 +272,7 @@ class BlockHamiltonian:
         each state is a sector of one, its level its diagonal entry."""
         one = np.ones((len(self), 1))
         return self._spectra((0.0,), self.diagonal[None], [(
-            np.arange(len(self))[:, None], one, one[None, ..., None])])[0]
+            np.arange(len(self))[:, None], one[None, ..., None])])[0]
 
     def spectra(self, b_values) -> list[MolecularSpectrum]:
         """Labeled spectra at fields > 0, one diagonalize call per size.
@@ -269,15 +280,15 @@ class BlockHamiltonian:
         A sector's k-th level at every field takes the label of the
         sector's k-th member, whose zero-field energy ranks k-th. Its real
         eigenvectors times the gauge phases are the eigenvectors over the
-        product basis; the spectra keep them unscattered.
+        product basis; the spectra keep them unscattered and unphased.
         """
         b_values = tuple(b_values)
         energies = np.empty((len(b_values), len(self)))
         sector_vectors = []
-        for (members, _, phases), stack in zip(
-                self.sectors, self.hamiltonians(b_values)):
+        for (members, _), stack in zip(self.sectors,
+                                       self.hamiltonians(b_values)):
             energies[:, members], vectors = diagonalize(stack)
-            sector_vectors.append((members, phases, vectors))
+            sector_vectors.append((members, vectors))
         return self._spectra(b_values, energies, sector_vectors)
 
     def _spectra(self, b_values, energies, sector_vectors,
@@ -288,7 +299,8 @@ class BlockHamiltonian:
         energies = np.take_along_axis(energies, order, axis=1)
         labels = self.names[order].tolist()
         return [MolecularSpectrum(self.basis, b, energies[i], tuple(labels[i]),
-                                  sector_vectors, i, order[i])
+                                  sector_vectors, i, order[i],
+                                  self.species.hyz_sign if b else 0)
                 for i, b in enumerate(b_values)]
 
 

@@ -7,9 +7,12 @@ DeviceSpec.line_energy of the two single-particle energies (each measured
 from its barrier band edge): their sum plus the reference offset minus the
 exciton binding energy, which cancel in every gap.
 
-Every labeled spectrum comes from molecular.adiabatic_sweep, through
-sweep_b; a single point is the one-field sweep. Every numerical setting
-comes in one SolverOptions.
+Every labeled spectrum comes through sweep_b, from adiabatic_sweep or,
+for a hole whose H is the electron's times r (hole_scale), as the
+electron's scaled by r; a single point is the one-field sweep. The hole's
+vertical spectrum is solved with the electron's as its twin, so a hole
+whose vertical problem is the electron's times r shoots nothing. Every
+numerical setting comes in one SolverOptions.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import cache
 import numpy as np
 
 from .core import DeviceSpec, FieldPoint, ParticleSpecies, SolverOptions, \
-    ELECTRON, HOLE
+    ELECTRON, HOLE, mass_scale
 from .errors import DqdError, MissingLabelError, OutOfRangeError
 from .molecular import MolecularSpectrum, adiabatic_sweep
 from .vertical import DoubleWellSpec, VerticalSpectrum, solve_double_well
@@ -53,13 +56,28 @@ class GapCurve:
 
 def vertical_spectrum(device: DeviceSpec, species: ParticleSpecies,
                       options: SolverOptions = SolverOptions(),
+                      twin: VerticalSpectrum | None = None,
                       ) -> VerticalSpectrum:
-    """Vertical spectrum of one carrier in the device."""
+    """Vertical spectrum of one carrier in the device, scaled from twin
+    where vertical.solve_vertical can."""
     d1, d2 = device.depths_for(species)
     well = DoubleWellSpec(width_h=device.well_width_h,
                           barrier_l=device.barrier_l,
                           depth1=d1, depth2=d2)
-    return solve_double_well(well, species, options)
+    return solve_double_well(well, species, options, twin)
+
+
+def hole_scale(electron: ParticleSpecies, hole: ParticleSpecies,
+               h_vertical: VerticalSpectrum) -> float | None:
+    """r if h_vertical was scaled by r from its twin, the electron's, and
+    core.mass_scale and the lateral quanta give the same r, else None:
+    then H, hbar*Omega_c, hypot, sqrt and eigh all scale by r exactly."""
+    if h_vertical.twin is None:
+        return None
+    r = h_vertical.twin[1]
+    exact = (mass_scale(electron, hole) == r
+             and hole.lateral_quantum == r * electron.lateral_quantum)
+    return r if exact else None
 
 
 def emission_lines(e_spec: MolecularSpectrum, h_spec: MolecularSpectrum,
@@ -152,10 +170,13 @@ def sweep_b(device: DeviceSpec, b_values,
     are requested.
     """
     b_list = _ascending(b_values, "B", "T")
-    e_specs = adiabatic_sweep(vertical_spectrum(device, electron, options),
-                              electron, b_list, options)
-    h_specs = adiabatic_sweep(vertical_spectrum(device, hole, options),
-                              hole, b_list, options)
+    e_vertical = vertical_spectrum(device, electron, options)
+    e_specs = adiabatic_sweep(e_vertical, electron, b_list, options)
+    h_vertical = vertical_spectrum(device, hole, options, e_vertical)
+    r = hole_scale(electron, hole, h_vertical)
+    h_specs = (adiabatic_sweep(h_vertical, hole, b_list, options)
+               if r is None else
+               [spec.scaled(r, hole.hyz_sign) for spec in e_specs])
     points = [SolvePoint(barrier_l=device.barrier_l, b=b, electron=e, hole=h,
                          lines=emission_lines(e, h, device))
               for b, e, h in zip(b_list, e_specs, h_specs)]

@@ -133,10 +133,11 @@ class VerticalSpectrum:
 
     energies are ascending, measured from the barrier band edge and all
     negative: only bound states are solved for. labels classify
-    consecutive pairs as bonding (lower) / antibonding (upper). The
-    spectrum keeps no record of the wells or of the potential's runs it
-    was solved for. wavefunctions holds the grid-sampled, L2-normalized real
-    eigenfunctions as columns, largest-amplitude lobe positive. It is
+    consecutive pairs as bonding (lower) / antibonding (upper). problem
+    holds the (runs, c/h^2, n_states) solve_vertical was given, and twin
+    the (spectrum, r) this one is r times, when it was scaled from one
+    rather than solved. wavefunctions holds the grid-sampled, L2-normalized
+    real eigenfunctions as columns, largest-amplitude lobe positive. It is
     computed on first read, from the orthogonal eigenvector columns, of
     any norm, that eigenvectors() builds from the runs, so callers that
     read only energies never pay for eigenvectors.
@@ -146,6 +147,8 @@ class VerticalSpectrum:
     energies: np.ndarray
     labels: tuple[str, ...]
     eigenvectors: Callable[[], np.ndarray] = field(repr=False)
+    problem: tuple = field(repr=False)
+    twin: tuple | None = field(default=None, repr=False)
 
     @cached_property
     def wavefunctions(self) -> np.ndarray:
@@ -347,7 +350,7 @@ def _eigenvector(runs: list[tuple[float, int]], energy: float, c_h2: float,
 
 def solve_vertical(runs: list[tuple[float, int]], grid: Grid1D,
                    species: ParticleSpecies, n_states: int,
-                   ) -> VerticalSpectrum:
+                   twin: VerticalSpectrum | None = None) -> VerticalSpectrum:
     """The bound states, E < 0, of the 1D problem on the given grid, at
     most the lowest n_states; the eigenfunctions follow when first read.
 
@@ -357,6 +360,13 @@ def solve_vertical(runs: list[tuple[float, int]], grid: Grid1D,
     energy, when even the ground state is unbound. Vectors: _eigenvector
     from the runs, of exact parity when the runs are a mirror image, then
     Gram-Schmidt.
+
+    A twin solved on this grid for the same n_states, with c/h^2 and
+    every run value those of this problem divided by a power of two r,
+    is this problem's solve divided by r bit for bit: the shooting
+    probes and tolerance scale by r and delta does not. Then its energies
+    times r and its eigenvectors are returned and nothing is shot; any
+    other twin is ignored.
     """
     if n_states < 1:
         raise ValueError("n_states must be >= 1")
@@ -366,6 +376,15 @@ def solve_vertical(runs: list[tuple[float, int]], grid: Grid1D,
         raise ValueError("potential values must be finite")
     n = grid.n_points
     c_h2 = kinetic_coefficient(species) / grid.step ** 2
+    problem = (runs, c_h2, n_states)
+    if twin is not None and twin.grid == grid:
+        twin_runs, twin_c_h2, twin_states = twin.problem
+        r = c_h2 / twin_c_h2
+        if (math.frexp(r)[0] == 0.5 and twin_c_h2 * r == c_h2
+                and twin_states == n_states
+                and runs == [(value * r, m) for value, m in twin_runs]):
+            return VerticalSpectrum(grid, twin.energies * r, twin.labels,
+                                    twin.eigenvectors, problem, (twin, r))
     energies = _lowest_eigenvalues(runs, c_h2, min(n_states, n - 1), 0.0)
     if not len(energies):
         ground = _lowest_eigenvalues(runs, c_h2, 1)[0]
@@ -390,17 +409,19 @@ def solve_vertical(runs: list[tuple[float, int]], grid: Grid1D,
 
     return VerticalSpectrum(grid=grid, energies=energies,
                             labels=state_labels(len(energies)),
-                            eigenvectors=eigenvectors)
+                            eigenvectors=eigenvectors, problem=problem)
 
 
 def solve_double_well(spec: DoubleWellSpec, species: ParticleSpecies,
                       options: SolverOptions = SolverOptions(),
+                      twin: VerticalSpectrum | None = None,
                       ) -> VerticalSpectrum:
     """Grid, potential and solve in one call: the bound states, at most
-    options.vertical_cap, on the grid of grid_for_wells(spec, options)."""
+    options.vertical_cap, on the grid of grid_for_wells(spec, options),
+    scaled from twin where solve_vertical can."""
     grid = grid_for_wells(spec, options)
     return solve_vertical(build_potential(spec, grid), grid, species,
-                          options.vertical_cap)
+                          options.vertical_cap, twin)
 
 
 def dz_matrix(spectrum: VerticalSpectrum) -> np.ndarray:

@@ -34,8 +34,8 @@ from scipy.sparse.csgraph import connected_components
 from dqdsim.core import FieldPoint, ParticleSpecies, SolverOptions, \
     cyclotron_energy, kinetic_coefficient
 from dqdsim.lateral import renormalized_y_quantum, y_ladder, y_zero_point
-from dqdsim.molecular import DZ_FLOOR, BlockHamiltonian, ProductBasis, \
-    diagonalize, shell_name
+from dqdsim.molecular import DZ_FLOOR, QUARTER_TURNS, BlockHamiltonian, \
+    ProductBasis, diagonalize, shell_name
 from dqdsim.vertical import DoubleWellSpec, Grid1D, VerticalSpectrum, \
     dz_matrix
 
@@ -321,9 +321,10 @@ def assemble(vertical: VerticalSpectrum, dz: np.ndarray,
 
 def sector_list(ham: BlockHamiltonian) -> list[tuple]:
     """Per sector, from the size stacks of ham.sectors in order: its
-    members, its coupling K and its gauge phases."""
-    return [(members[i], coupling[i], phases[i])
-            for members, coupling, phases in ham.sectors
+    members, its coupling K and its gauge phases (-sign*i)^n_y."""
+    phases = QUARTER_TURNS[ham.species.hyz_sign * ham.ny % 4]
+    return [(members[i], coupling[i], phases[members[i]])
+            for members, coupling in ham.sectors
             for i in range(len(members))]
 
 

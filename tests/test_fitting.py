@@ -1,13 +1,16 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dqdsim import (CalibrationResult, CalibrationTarget, PowerLawParams,
-                    SolverOptions, calibrate_depths, default_device,
-                    eval_powerlaw, fit_powerlaw, fitting, solve_point)
+from dqdsim import (ELECTRON, HOLE, CalibrationResult, CalibrationTarget,
+                    PowerLawParams, SolverOptions, calibrate_depths,
+                    default_device, eval_powerlaw, fit_powerlaw, fitting,
+                    solve_point)
 from dqdsim.errors import NoConvergenceError, SingularFitError
+from dqdsim.fitting import single_well_ground
 
 MEASURED_LAW = PowerLawParams(amplitude_a=33.0e3, offset_delta=4.88,
                            offset_c=27.0)
@@ -196,7 +199,13 @@ class TestCalibration:
         assert spans and all(span == pytest.approx(2 * 4.5 + 35.0 + 2 * 25.0)
                              for span in spans)
 
-    def test_each_depth_solved_once(self, monkeypatch):
+    # the lines of the default device at L = 50 nm
+    LINES = (-138.85586529514225, -104.0928318257862)
+
+    @classmethod
+    def solved_wells(cls, monkeypatch, hole=HOLE, depth_ratio=0.5):
+        """The (depth, carrier) of every single-well solve of a calibration
+        to LINES, and its result."""
         calls = []
         solve = fitting.single_well_ground
 
@@ -205,19 +214,59 @@ class TestCalibration:
             return solve(depth, width, uncoupled_l, species, options)
 
         monkeypatch.setattr(fitting, "single_well_ground", spy)
-        # the lines of the default device at L = 50 nm
         result = calibrate_depths(CalibrationTarget(
-            emission_low=-138.85586529514225,
-            emission_high=-104.0928318257862))
-        # 22 line evaluations, 8 of them repeats, without the per-call memo
-        assert len(calls) == 28
-        assert len(set(calls)) == len(calls)
+            *cls.LINES, depth_ratio=depth_ratio), hole=hole)
+        return calls, result
+
+    def test_each_depth_solved_once(self, monkeypatch):
+        calls, result = self.solved_wells(monkeypatch)
+        # 22 line evaluations, 8 of them repeats, without the per-call memo;
+        # the default hole is the electron at half scale (depth_ratio 0.5,
+        # twice the mass), so its level is the electron's halved, unsolved
+        assert len(calls) == 14
+        assert {name for _, name in calls} == {"electron"}
+        assert len({depth for depth, _ in calls}) == len(calls)
         # bit for bit the result of solving every evaluation afresh
         assert result == CalibrationResult(
             depth_e_dot1=239.00000008724592, depth_e_dot2=203.00000023159222,
             depth_h_dot1=119.50000004362296, depth_h_dot2=101.50000011579611,
             residual_low=-8.79325625646743e-08,
             residual_high=-2.2003500532719045e-07)
+
+    def test_unscaled_hole_is_solved_too(self, monkeypatch):
+        # a hole mass that is not a power of two times the electron's
+        # solves both carriers at each of the 14 depths, the hole at half
+        calls, result = self.solved_wells(
+            monkeypatch, replace(HOLE, mass_ratio=0.07))
+        assert len(calls) == 28 and len(set(calls)) == len(calls)
+        electron = [depth for depth, name in calls if name == "electron"]
+        hole = [depth for depth, name in calls if name == "hole"]
+        assert hole == [0.5 * depth for depth in electron]
+        assert len(set(electron)) == 14
+        assert result.depth_e_dot1 != 239.00000008724592
+
+    @pytest.mark.parametrize("nudge", ["mass_ratio", "depth_ratio"])
+    def test_one_ulp_off_solves_the_hole(self, monkeypatch, nudge):
+        # one ulp off the exact half scale the hole is solved at every
+        # depth, and the residuals are those of direct solves of both dots
+        hole, ratio = HOLE, 0.5
+        if nudge == "mass_ratio":
+            hole = replace(HOLE, mass_ratio=math.nextafter(0.06, 1.0))
+        else:
+            ratio = math.nextafter(0.5, 1.0)
+        calls, result = self.solved_wells(monkeypatch, hole, ratio)
+        assert len(calls) == 28
+        assert [d for d, name in calls if name == "hole"] == [
+            d * ratio for d, name in calls if name == "electron"]
+        device = default_device(50.0)
+        for depth, line, residual in (
+                (result.depth_e_dot1, self.LINES[0], result.residual_low),
+                (result.depth_e_dot2, self.LINES[1], result.residual_high)):
+            e_level = single_well_ground(depth, 4.5, 50.0, ELECTRON)
+            h_level = single_well_ground(depth * ratio, 4.5, 50.0, hole)
+            assert device.line_energy(
+                e_level + ELECTRON.lateral_quantum,
+                h_level + hole.lateral_quantum) - line == residual
 
     def test_unreachable_target_fails(self):
         # above the line of an empty well (offset + zero point - binding)

@@ -196,10 +196,11 @@ class TestBlockHamiltonian:
             stacks = ham.hamiltonians([2.0, b])
             assert len(stacks) == len(ham.sectors)
             scattered = np.zeros_like(dense)
-            for (members, _, phases), stack in zip(ham.sectors, stacks):
+            phases = molecular.QUARTER_TURNS[species.hyz_sign * ham.ny % 4]
+            for (members, _), stack in zip(ham.sectors, stacks):
                 k, m = members.shape
                 assert stack.shape == (2, k, m, m) and stack.dtype == float
-                for rows, ph, h in zip(members, phases, stack[1]):
+                for rows, ph, h in zip(members, phases[members], stack[1]):
                     scattered[np.ix_(rows, rows)] = (
                         ph[:, None] * h * ph.conj())
             assert np.diag(scattered).tobytes() == np.diag(dense).tobytes()
@@ -453,6 +454,8 @@ class TestSectors:
            cap=st.integers(2, 4), quanta=st.integers(0, 6))
     @example(width=9.0, l=7.0, depth1=400.0, depth2=None, species=ELECTRON,
              cap=4, quanta=6)
+    @example(width=9.0, l=7.0, depth1=400.0, depth2=300.0, species=ELECTRON,
+             cap=4, quanta=12)
     def test_closure_matches_graph_search(self, width, l, depth1, depth2,
                                           species, cap, quanta):
         # equal wells (depth2 None) zero the parity-forbidden d/dz entries

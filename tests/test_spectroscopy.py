@@ -3,14 +3,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
-from dqdsim import (ELECTRON, HOLE, DeviceSpec, FieldPoint, default_device,
+from dqdsim import (ELECTRON, HOLE, DeviceSpec, FieldPoint, SolverOptions,
+                    adiabatic_sweep, default_device,
                     effective_interdot_distance, emission_lines, molecular,
-                    solve_point, spectroscopy, sweep_b, sweep_l)
+                    solve_point, spectroscopy, sweep_b, sweep_l, vertical)
+from dqdsim.core import mass_scale
 from dqdsim.errors import MissingLabelError, NoBoundStateError, \
     OutOfRangeError
 from dqdsim.fitting import single_well_ground
+from dqdsim.spectroscopy import vertical_spectrum
 from dqdsim.vertical import VerticalSpectrum
 
 
@@ -117,26 +121,42 @@ def test_sweeps_build_no_product_basis_vectors(monkeypatch):
         points[2].electron.vectors
 
 
-@pytest.mark.parametrize("barrier_l", [2.5, 7.0])
-def test_one_eigensolve_per_sector_size_per_chunk(monkeypatch, barrier_l):
-    # equal-size sectors share one stack: per carrier and per chunk of
-    # fields, sweep_b makes one diagonalize call per distinct sector size
-    calls = []
+def check_sector_stacks(monkeypatch, device, hole, solved):
+    """Equal-size sectors share one stack: per carrier solved and per chunk
+    of fields, sweep_b shoots one vertical spectrum and makes one
+    diagonalize call per distinct sector size, and the stacks hold every
+    level of every coupled field once. Both carriers ask for a vertical
+    spectrum, the hole with the electron's as its twin."""
+    calls, verticals, shot = [], [], []
     diagonalize = molecular.diagonalize
+    solve_double_well = spectroscopy.solve_double_well
+    lowest_eigenvalues = vertical._lowest_eigenvalues
 
     def spy(h):
         calls.append(h.shape)
         return diagonalize(h)
 
+    def spy_vertical(well, species, options, twin=None):
+        verticals.append((species, twin))
+        return solve_double_well(well, species, options, twin)
+
+    def spy_shoot(runs, c_h2, k, upper=None):
+        shot.append(c_h2)
+        return lowest_eigenvalues(runs, c_h2, k, upper)
+
     monkeypatch.setattr(molecular, "diagonalize", spy)
-    device = default_device(barrier_l)
+    monkeypatch.setattr(spectroscopy, "solve_double_well", spy_vertical)
+    monkeypatch.setattr(vertical, "_lowest_eigenvalues", spy_shoot)
     fields = [round(0.05 * k, 9) for k in range(161)]  # 0 to 8 T
-    sweep_b(device, fields)
+    sweep_b(device, fields, hole=hole)
     coupled = len(fields) - 1
     chunks = math.ceil(coupled / molecular.FIELD_CHUNK)
     assert chunks == 2
+    assert [species for species, _ in verticals] == [ELECTRON, hole]
+    assert verticals[0][1] is None and verticals[1][1] is not None
+    assert len(shot) == len(solved)
     expected, levels = 0, 0
-    for species in (ELECTRON, HOLE):
+    for species in solved:
         ham = molecular.BlockHamiltonian(
             spectroscopy.vertical_spectrum(device, species), species)
         sectors = oracles.sector_list(ham)
@@ -145,8 +165,24 @@ def test_one_eigensolve_per_sector_size_per_chunk(monkeypatch, barrier_l):
         expected += len(sizes) * chunks
         levels += len(ham) * coupled
     assert len(calls) == expected
-    # and the stacks hold every level of every coupled field once
     assert sum(f * k * m for f, k, m, _ in calls) == levels
+
+
+@pytest.mark.parametrize("barrier_l", [2.5, 7.0])
+def test_one_eigensolve_per_sector_size_per_chunk(monkeypatch, barrier_l):
+    # the default hole is the electron at half scale: only the electron
+    # is solved, and the hole's spectra are its spectra halved
+    check_sector_stacks(monkeypatch, default_device(barrier_l), HOLE,
+                        [ELECTRON])
+
+
+@pytest.mark.parametrize("barrier_l", [2.5, 7.0])
+def test_unscaled_hole_makes_its_own_eigensolves(monkeypatch, barrier_l):
+    # a hole mass that is no power of two times the electron's: both
+    # carriers are solved
+    hole = replace(HOLE, mass_ratio=0.07)
+    check_sector_stacks(monkeypatch, default_device(barrier_l), hole,
+                        [ELECTRON, hole])
 
 
 def test_zero_field_sweep_l_makes_no_eigensolve(monkeypatch):
@@ -189,7 +225,7 @@ def test_every_eigensolve_is_a_real_sector_stack(monkeypatch):
     def spy_hamiltonians(ham, b_values):
         out = hamiltonians(ham, b_values)
         assert len(out) == len(ham.sectors)
-        sectors.extend(members.shape for members, _, _ in ham.sectors)
+        sectors.extend(members.shape for members, _ in ham.sectors)
         return out
 
     monkeypatch.setattr(molecular, "diagonalize", spy_diagonalize)
@@ -200,6 +236,124 @@ def test_every_eigensolve_is_a_real_sector_stack(monkeypatch):
     assert len(stacks) == len(sectors) > 0
     assert [h.shape[1:] for h in stacks] == [(k, m, m) for k, m in sectors]
     assert all(np.isrealobj(h) for h in stacks)
+
+
+def scaled_hole(r):
+    """A hole whose H is the electron's times r, a power of two."""
+    return replace(HOLE, mass_ratio=ELECTRON.mass_ratio / r,
+                   lateral_quantum=r * ELECTRON.lateral_quantum)
+
+
+def assert_same_spectra(found, expected):
+    for spec, ref in zip(found, expected, strict=True):
+        assert spec.b == ref.b and spec.labels == ref.labels
+        assert spec.energies.tobytes() == ref.energies.tobytes()
+        assert spec.vectors.tobytes() == ref.vectors.tobytes()
+
+
+class TestScaledHole:
+    """A hole whose H is the electron's times a power of two r is not
+    solved: sweep_b scales the electron's spectra, bit for bit what the
+    hole's own solve gives, and anything else is solved directly. A hole
+    whose vertical problem alone is the electron's times r shares the
+    electron's vertical spectrum."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(l=st.integers(100, 3000).map(lambda k: k / 100)
+           | st.floats(1.0, 30.0),
+           width=st.floats(3.0, 6.0),
+           depths=st.tuples(st.floats(100.0, 450.0), st.floats(100.0, 450.0)),
+           r=st.sampled_from([0.25, 0.5, 1.0]),
+           cap=st.integers(2, 4), quanta=st.integers(2, 6),
+           step=st.sampled_from([0.01, 0.007, 0.0025]),
+           fields=st.lists(st.just(0.0) | st.floats(0.0, 12.0), min_size=1,
+                           max_size=4, unique=True).map(sorted))
+    @example(l=7.0, width=4.5, depths=(239.0, 203.0), r=0.5, cap=4,
+             quanta=6, step=0.01, fields=[0.0, 3.3, 8.0, 12.0])
+    def test_sweep_b_hole_is_its_own_solve(self, l, width, depths, r, cap,
+                                          quanta, step, fields):
+        hole = scaled_hole(r)
+        d1, d2 = max(depths), min(depths)
+        device = DeviceSpec(well_width_h=width, barrier_l=l,
+                            depth_e_dot1=d1, depth_e_dot2=d2,
+                            depth_h_dot1=r * d1, depth_h_dot2=r * d2)
+        options = SolverOptions(grid_step=step, vertical_cap=cap,
+                                lateral_quanta=quanta)
+        e_vertical = vertical_spectrum(device, ELECTRON, options)
+        # the lines need the antibonding level: two bound states
+        assume(len(e_vertical.energies) > 1)
+        h_vertical = vertical_spectrum(device, hole, options, e_vertical)
+        assert h_vertical.twin == (e_vertical, r)
+        assert spectroscopy.hole_scale(ELECTRON, hole, h_vertical) == r
+        h_direct = vertical_spectrum(device, hole, options)
+        assert h_direct.twin is None
+        assert h_vertical.energies.tobytes() == h_direct.energies.tobytes()
+        assert (h_vertical.wavefunctions.tobytes()
+                == h_direct.wavefunctions.tobytes())
+        _, points = sweep_b(device, fields, options, ELECTRON, hole)
+        direct = adiabatic_sweep(h_direct, hole, fields, options)
+        assert_same_spectra([p.hole for p in points], direct)
+
+    @settings(deadline=None, max_examples=40)
+    @given(depth=st.floats(50.0, 800.0), width=st.floats(3.0, 6.0),
+           uncoupled_l=st.floats(20.0, 60.0),
+           r=st.sampled_from([0.25, 0.5, 1.0]),
+           step=st.sampled_from([0.01, 0.007, 0.0025]))
+    def test_single_well_scales(self, depth, width, uncoupled_l, r, step):
+        options = SolverOptions(grid_step=step)
+        assert (single_well_ground(depth * r, width, uncoupled_l,
+                                   scaled_hole(r), options)
+                == r * single_well_ground(depth, width, uncoupled_l,
+                                          ELECTRON, options))
+
+    def test_mass_scale(self):
+        assert mass_scale(ELECTRON, HOLE) == 0.5
+        assert mass_scale(ELECTRON, scaled_hole(0.25)) == 0.25
+        assert mass_scale(ELECTRON, ELECTRON) == 1.0
+        assert mass_scale(HOLE, ELECTRON) == 2.0
+        for mass in (0.07, 0.09, math.nextafter(0.06, 1.0)):
+            assert mass_scale(ELECTRON, replace(HOLE, mass_ratio=mass)) is None
+
+    @pytest.mark.parametrize("nudge, shots", [
+        ("mass_ratio", 2), ("lateral_quantum", 1), ("depth_h_dot1", 2),
+        ("depth_h_dot2", 2)])
+    def test_one_ulp_off_takes_the_direct_path(self, monkeypatch, nudge,
+                                               shots):
+        # one ulp off the exact scale, the hole's molecular spectra are
+        # solved, and equal that solve's; its vertical spectrum is shot
+        # unless only the lateral quantum is off
+        hole, device = HOLE, default_device(7.0)
+        if nudge in ("mass_ratio", "lateral_quantum"):
+            hole = replace(hole, **{nudge: math.nextafter(
+                getattr(hole, nudge), math.inf)})
+        else:
+            device = replace(device, **{nudge: math.nextafter(
+                getattr(device, nudge), 0.0)})
+        solved, shot = [], []
+        sweep = spectroscopy.adiabatic_sweep
+        lowest_eigenvalues = vertical._lowest_eigenvalues
+
+        def spy(vert, species, b_values, options):
+            solved.append(species)
+            return sweep(vert, species, b_values, options)
+
+        def spy_shoot(runs, c_h2, k, upper=None):
+            shot.append(c_h2)
+            return lowest_eigenvalues(runs, c_h2, k, upper)
+
+        monkeypatch.setattr(spectroscopy, "adiabatic_sweep", spy)
+        monkeypatch.setattr(vertical, "_lowest_eigenvalues", spy_shoot)
+        fields = [0.0, 3.3, 8.0]
+        _, points = sweep_b(device, fields, hole=hole)
+        assert solved == [ELECTRON, hole]
+        assert len(shot) == shots
+        monkeypatch.undo()
+        e_vertical = vertical_spectrum(device, ELECTRON)
+        assert spectroscopy.hole_scale(ELECTRON, hole, vertical_spectrum(
+            device, hole, twin=e_vertical)) is None
+        direct = adiabatic_sweep(vertical_spectrum(device, hole), hole,
+                                 fields)
+        assert_same_spectra([p.hole for p in points], direct)
 
 
 class TestSweepL:
