@@ -13,8 +13,10 @@ diag(e0(B)) + hbar*Omega_c(B) <0|y|1>(B) K, with
 K = kron(d/dz, ladder) * sign(n_y' - n_y) field-free and the same for
 either sign: the sign phases the eigenvectors and no eigenvalue. K is
 built once per vertical spectrum; the sectors of equal size are stacked,
-and each size is solved in one real batched eigensolve over the fields.
-At B = 0 H is diagonal: no eigensolve is made and no d/dz matrix is read.
+and each size is solved in one real batched eigensolve over a chunk of
+fields (FieldChunk) when a level in it is first read, so the emission
+lines, B:s and A:s, cost the one size that holds them. At B = 0 H is
+diagonal: no eigensolve is made and no d/dz matrix is read.
 The lateral basis size (options.lateral_quanta) comes from the
 SolverOptions that adiabatic_sweep takes.
 
@@ -26,14 +28,16 @@ and Wigner). The adiabatic label of a sector's k-th level at any field
 is therefore the basis label of its k-th level at B = 0, and every field
 is solved on its own. Levels of different sectors do not couple and
 cross exactly. At every field exactly degenerate levels are listed in
-basis order of the states that name them. A spectrum stores its sorted
-energies and labels and the real sector eigenvectors it was solved with;
-its product-basis eigenvectors are phased and built on first read only.
+basis order of the states that name them. A spectrum reads its levels
+from its chunk: energy_of_label finds a label's basis position, hence
+its sector and rank, and solves that sector's size only; the sorted
+energies and labels, and the product-basis eigenvectors phased from the
+real sector ones, are built on first read only, after every size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -45,8 +49,9 @@ from .lateral import lateral_states, renormalized_y_quantum, y_ladder, \
 from .vertical import VerticalSpectrum, dz_matrix
 
 # fields per batched solve in adiabatic_sweep: with two bound states and
-# the default lateral basis a chunk's spectra keep about 4 kB per field,
-# 6 kB at the peak of the solve, and each read of .vectors adds 50 kB
+# the default lateral basis a chunk keeps about 1.4 kB per field once the
+# lines are read, 4.7 kB at the peak of that size's solve, and 5 kB with
+# every level read; each read of .vectors adds 50 kB
 FIELD_CHUNK = 128
 # d/dz entries below this fraction of max|d/dz| are set to 0 in the sector
 # couplings: in symmetric wells the FD eigenvectors have exact parity, but
@@ -83,8 +88,9 @@ class ProductBasis:
 
 @lru_cache(maxsize=16)
 def basis_parts(vertical_labels: tuple[str, ...], lateral_quanta: int):
-    """The lateral states, the product basis, and n_x + 1/2, n_y, n_y + 1/2
-    and the name of each basis state, built once and shared (read-only)."""
+    """The lateral states, the product basis, n_x + 1/2, n_y, n_y + 1/2
+    and the name of each basis state, and each name's position, built once
+    and shared (read-only)."""
     states = lateral_states(lateral_quanta)
     basis = ProductBasis(tuple((v, *lateral) for v in range(
         len(vertical_labels)) for lateral in states), vertical_labels)
@@ -94,7 +100,8 @@ def basis_parts(vertical_labels: tuple[str, ...], lateral_quanta: int):
     arrays = (nx + 0.5, ny, ny + 0.5, names)
     for array in arrays:
         array.flags.writeable = False
-    return (states, basis) + arrays
+    return (states, basis) + arrays + (
+        {name: p for p, name in enumerate(names)},)
 
 
 def diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,45 +131,102 @@ def diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(eq=False)
 class MolecularSpectrum:
-    """Labeled eigenlevels of the full problem at one field point.
+    """Labeled eigenlevels of the full problem at one field point: row
+    `row` of its FieldChunk's levels, times ratio (1, or the power of two
+    that scales a hole from the electron), with the gauge phases
+    (-hyz_sign*i)^n_y; hyz_sign is 0 at B = 0, where H is diagonal.
 
-    energies ascend; labels hold the (vertical, shell) identity of each
-    level, eg "B:s" or "A:p_y": the basis label of the level's rank at
-    B = 0 within its symmetry sector. A chunk of fields shares
-    sector_vectors, per sector size the members (k, m) and real
-    eigenvectors (fields, k, m, m); this field is row, and level j sat at
-    basis position order[j]. vectors, level j over the product basis in
-    column j, is scattered from them on first read, times the gauge phases
-    (-hyz_sign*i)^n_y; hyz_sign is 0 at B = 0, where H is diagonal."""
+    energy_of_label solves only the sector size that holds the label;
+    energies (ascending), labels, order and vectors solve every size of
+    the chunk on first read. A label is the (vertical, shell) identity of
+    a level, eg "B:s" or "A:p_y": the basis label of its rank at B = 0
+    within its symmetry sector. Level j sat at basis position order[j];
+    vectors holds it over the product basis in column j."""
 
-    basis: ProductBasis
     b: float
-    energies: np.ndarray
-    labels: tuple[str, ...]
-    sector_vectors: list = field(repr=False)
+    chunk: FieldChunk = field(repr=False)
     row: int = field(repr=False)
-    order: np.ndarray = field(repr=False)
     hyz_sign: int = field(repr=False)
+    ratio: float = field(default=1.0, repr=False)
+
+    @property
+    def basis(self) -> ProductBasis:
+        return self.chunk.basis
 
     def energy_of_label(self, label: str) -> float | None:
-        if label not in self.labels:
+        position = self.chunk.positions.get(label)
+        if position is None:
             return None
-        return float(self.energies[self.labels.index(label)])
+        self.chunk.solve(self.chunk.size_of[position])
+        return float(self.chunk.levels[self.row, position] * self.ratio)
 
     def scaled(self, ratio: float, hyz_sign: int) -> MolecularSpectrum:
         """This spectrum for H times ratio, a power of two, and hyz_sign."""
-        return replace(self, energies=self.energies * ratio,
-                       hyz_sign=hyz_sign if self.hyz_sign else 0)
+        return MolecularSpectrum(self.b, self.chunk, self.row,
+                                 hyz_sign if self.hyz_sign else 0,
+                                 self.ratio * ratio)
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        self.chunk.solve_all()
+        return np.argsort(self.chunk.levels[self.row], kind="stable")
+
+    @cached_property
+    def energies(self) -> np.ndarray:
+        return self.chunk.levels[self.row, self.order] * self.ratio
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(self.chunk.names[self.order].tolist())
 
     @cached_property
     def vectors(self) -> np.ndarray:
-        ny = np.array(self.basis.entries)[:, 2]
-        phases = QUARTER_TURNS[self.hyz_sign * ny % 4]
+        chunk, order = self.chunk, self.order
+        phases = QUARTER_TURNS[self.hyz_sign * chunk.ny % 4]
         vectors = np.zeros((len(self.basis),) * 2, dtype=complex)
-        for members, sector_vectors in self.sector_vectors:
+        for members, sector_vectors in zip(chunk.members, chunk.vectors):
             vectors[members[..., None], members[:, None]] = (
                 phases[members][..., None] * sector_vectors[self.row])
-        return vectors[:, self.order]
+        return vectors[:, order]
+
+
+class FieldChunk:
+    """The levels of a chunk of fields, one sector size diagonalized on
+    the first read of a level it holds, in one call over the chunk, and
+    kept. levels[f, p] is the level at field f named after basis state p,
+    the k-th level of a sector at the position of its k-th member;
+    members[s] and vectors[s] are the members (k, m) of the sectors of
+    size index s and, once solved, their real eigenvectors (fields, k, m,
+    m). At B = 0 alone H is diagonal: the levels are its diagonal, each
+    state a sector of one, and nothing is solved or kept of the
+    Hamiltonian."""
+
+    def __init__(self, ham: BlockHamiltonian, b_values: list[float]):
+        self.basis, self.names, self.positions, self.ny = (
+            ham.basis, ham.names, ham.positions, ham.ny)
+        if b_values == [0.0]:
+            self.levels = ham.diagonal[None]
+            self.members = [np.arange(len(ham))[:, None]]
+            self.vectors = [np.ones((1, len(ham), 1, 1))]
+        else:
+            self.ham, self.b_values = ham, b_values
+            self.levels = np.empty((len(b_values), len(ham)))
+            self.members = [members for members, _ in ham.sectors]
+            self.vectors = [None] * len(self.members)
+        size_of = np.empty(len(ham), dtype=int)  # each state's size index
+        for size, members in enumerate(self.members):
+            size_of[members] = size
+        self.size_of = size_of.tolist()
+
+    def solve(self, size: int) -> None:
+        if self.vectors[size] is None:
+            self.levels[:, self.members[size]], self.vectors[size] = \
+                diagonalize(self.ham.hamiltonians(self.b_values, size))
+
+    def solve_all(self) -> None:
+        for size in range(len(self.members)):
+            self.solve(size)
+        self.ham = None  # every level is known: no stack is built again
 
 
 class BlockHamiltonian:
@@ -173,38 +237,38 @@ class BlockHamiltonian:
     ladder, and through hbar*Omega_c(B) of the cross term. The rest is
     built once: the basis parts once per basis (basis_parts), the vertical
     energy and zero-field diagonal of each state here, and the d/dz
-    matrix, the sectors and their couplings K on the first solve at a
-    nonzero field only. The lateral states are those with
+    matrix, the sectors and their couplings K for the first chunk of
+    nonzero fields only. The lateral states are those with
     n_x + n_y <= options.lateral_quanta.
 
     Every spectrum is indexed by basis position before it is sorted: a
     sector's k-th level sits at the position of its k-th member, the state
     that names it, and at B = 0 each state's own level sits at its
-    position. One stable sort of every field's levels then lists exactly
+    position. One stable sort of a field's levels then lists exactly
     degenerate levels in basis order (v, n_x, n_y), whatever the field.
     """
 
     def __init__(self, vertical: VerticalSpectrum, species: ParticleSpecies,
                  options: SolverOptions = SolverOptions()):
         (self.states, self.basis, self.half_nx, self.ny, self.half_ny,
-         self.names) = basis_parts(vertical.labels, options.lateral_quanta)
+         self.names, self.positions) = basis_parts(vertical.labels,
+                                                   options.lateral_quanta)
         self.vertical = vertical
         self.species = species
         self.vertical_energy = np.repeat(vertical.energies, len(self.states))
         q = species.lateral_quantum
         # the diagonal of H at B = 0, where it is all of H; bit for bit the
-        # diagonal hamiltonians([0.0]) builds
+        # diagonal hamiltonians([0.0], size) builds
         self.diagonal = self.vertical_energy + (self.half_nx * q
                                                 + self.half_ny * q)
 
     def __len__(self) -> int:
         return len(self.basis)
 
-    def hamiltonians(self, b_values) -> list[np.ndarray]:
-        """Per sector size, in the order of sectors, the real stacked
-        Hamiltonians of its sectors at all fields in the gauge, in meV: one
-        array of shape (fields, k, m, m) per size,
-        diag(e0(B)) + hbar*Omega_c(B) <0|y|1>(B) K."""
+    def hamiltonians(self, b_values, size: int) -> np.ndarray:
+        """The real stacked Hamiltonians of the k sectors of size index
+        size (sectors[size]) at all fields in the gauge, in meV, of shape
+        (fields, k, m, m): diag(e0(B)) + hbar*Omega_c(B) <0|y|1>(B) K."""
         species = self.species
         # the field scalars come one field at a time from the scalar
         # functions, so every diagonal matches a dense one-field assembly
@@ -212,17 +276,14 @@ class BlockHamiltonian:
         hoc = [cyclotron_energy(species, FieldPoint(b)) for b in b_values]
         q_y = [renormalized_y_quantum(species.lateral_quantum, c) for c in hoc]
         scale = np.array(hoc) * [y_zero_point(species, q) for q in q_y]
-        q_y = np.array(q_y)
-        stacks = []
-        for members, coupling in self.sectors:
-            m = members.shape[1]
-            e0 = self.vertical_energy[members] + (
-                self.half_nx[members] * species.lateral_quantum
-                + self.half_ny[members] * q_y[:, None, None])
-            h = scale[:, None, None, None] * coupling
-            h[..., np.arange(m), np.arange(m)] = e0
-            stacks.append(h)
-        return stacks
+        members, coupling = self.sectors[size]
+        m = members.shape[1]
+        e0 = self.vertical_energy[members] + (
+            self.half_nx[members] * species.lateral_quantum
+            + self.half_ny[members] * np.array(q_y)[:, None, None])
+        h = scale[:, None, None, None] * coupling
+        h[..., np.arange(m), np.arange(m)] = e0
+        return h
 
     @cached_property
     def sectors(self) -> list[tuple]:
@@ -267,60 +328,27 @@ class BlockHamiltonian:
             out.append((rows, coupling[rows[..., None], rows[:, None]]))
         return out
 
-    def zero_field(self) -> MolecularSpectrum:
-        """The labeled spectrum at B = 0 in closed form: H is diagonal, so
-        each state is a sector of one, its level its diagonal entry."""
-        one = np.ones((len(self), 1))
-        return self._spectra((0.0,), self.diagonal[None], [(
-            np.arange(len(self))[:, None], one[None, ..., None])])[0]
-
-    def spectra(self, b_values) -> list[MolecularSpectrum]:
-        """Labeled spectra at fields > 0, one diagonalize call per size.
-
-        A sector's k-th level at every field takes the label of the
-        sector's k-th member, whose zero-field energy ranks k-th. Its real
-        eigenvectors times the gauge phases are the eigenvectors over the
-        product basis; the spectra keep them unscattered and unphased.
-        """
-        b_values = tuple(b_values)
-        energies = np.empty((len(b_values), len(self)))
-        sector_vectors = []
-        for (members, _), stack in zip(self.sectors,
-                                       self.hamiltonians(b_values)):
-            energies[:, members], vectors = diagonalize(stack)
-            sector_vectors.append((members, vectors))
-        return self._spectra(b_values, energies, sector_vectors)
-
-    def _spectra(self, b_values, energies, sector_vectors,
-                 ) -> list[MolecularSpectrum]:
-        """Spectra from levels indexed by basis position, level j named
-        after state j: the levels of all fields sorted stably at once."""
-        order = np.argsort(energies, axis=1, kind="stable")
-        energies = np.take_along_axis(energies, order, axis=1)
-        labels = self.names[order].tolist()
-        return [MolecularSpectrum(self.basis, b, energies[i], tuple(labels[i]),
-                                  sector_vectors, i, order[i],
-                                  self.species.hyz_sign if b else 0)
-                for i, b in enumerate(b_values)]
-
 
 def adiabatic_sweep(vertical: VerticalSpectrum, species: ParticleSpecies,
                     b_values, options: SolverOptions = SolverOptions(),
                     ) -> list[MolecularSpectrum]:
     """Labeled spectra at the requested fields, each solved on its own.
 
-    B = 0 takes the closed form; the other fields are solved FIELD_CHUNK
-    at a time, one batched eigensolve per sector size, and labeled by
-    rank within their sectors. A field's spectrum does not depend on
-    which other fields are requested.
+    B = 0 takes the closed form; the other fields share a FieldChunk per
+    FIELD_CHUNK of them, one batched eigensolve per sector size read, and
+    are labeled by rank within their sectors. A field's spectrum does not
+    depend on which other fields are requested or read.
     """
     requested = [round(float(b), 9) for b in b_values]
     if any(b < 0 for b in requested):
         raise ValueError("magnetic fields must be >= 0")
     ham = BlockHamiltonian(vertical, species, options)
-    out = {0.0: ham.zero_field()} if 0.0 in requested else {}
+    out = {0.0: MolecularSpectrum(0.0, FieldChunk(ham, [0.0]), 0, 0)
+           } if 0.0 in requested else {}
     coupled = list(dict.fromkeys(b for b in requested if b))
     for start in range(0, len(coupled), FIELD_CHUNK):
-        chunk = coupled[start:start + FIELD_CHUNK]
-        out.update(zip(chunk, ham.spectra(chunk)))
+        b_values = coupled[start:start + FIELD_CHUNK]
+        chunk = FieldChunk(ham, b_values)
+        out.update((b, MolecularSpectrum(b, chunk, row, species.hyz_sign))
+                   for row, b in enumerate(b_values))
     return [out[b] for b in requested]

@@ -319,6 +319,13 @@ def assemble(vertical: VerticalSpectrum, dz: np.ndarray,
 # this is each sector on its own, and the dense eigenvectors over the
 # product basis that one eigensolve per sector scatters for every field.
 
+def size_stacks(ham: BlockHamiltonian, b_values) -> list[np.ndarray]:
+    """ham.hamiltonians at the fields for every sector size, in the order
+    of ham.sectors."""
+    return [ham.hamiltonians(b_values, size)
+            for size in range(len(ham.sectors))]
+
+
 def sector_list(ham: BlockHamiltonian) -> list[tuple]:
     """Per sector, from the size stacks of ham.sectors in order: its
     members, its coupling K and its gauge phases (-sign*i)^n_y."""
@@ -355,7 +362,7 @@ def scattered_vectors(ham: BlockHamiltonian, b_values) -> np.ndarray:
         return np.eye(dim, dtype=complex)[None][:, :, order]
     energies = np.empty((len(b_values), dim))
     vectors = np.zeros((len(b_values), dim, dim), dtype=complex)
-    stacks = [stack[:, i] for stack in ham.hamiltonians(b_values)
+    stacks = [stack[:, i] for stack in size_stacks(ham, b_values)
               for i in range(stack.shape[1])]
     for (members, _, phases), stack in zip(sector_list(ham), stacks):
         energies[:, members], sector_vectors = diagonalize(stack)

@@ -193,8 +193,7 @@ class TestBlockHamiltonian:
             lateral = build_basis(species, field)
             dense = assemble(vert, dz_matrix(vert), lateral,
                              y_matrix(lateral, species), species, field)
-            stacks = ham.hamiltonians([2.0, b])
-            assert len(stacks) == len(ham.sectors)
+            stacks = oracles.size_stacks(ham, [2.0, b])
             scattered = np.zeros_like(dense)
             phases = molecular.QUARTER_TURNS[species.hyz_sign * ham.ny % 4]
             for (members, _), stack in zip(ham.sectors, stacks):
@@ -216,7 +215,8 @@ class TestBlockHamiltonian:
                                SolverOptions(lateral_quanta=quanta))
         lateral = build_basis(ELECTRON, FieldPoint(3.0), quanta)
         assert ham.basis.entries == product_basis(vert, lateral).entries
-        spectrum = ham.spectra([3.0])[0]
+        spectrum = adiabatic_sweep(vert, ELECTRON, [3.0],
+                                   SolverOptions(lateral_quanta=quanta))[0]
         # two bound states: every n_x block is two sectors
         assert len(sector_list(ham)) == 2 * (quanta + 1)
         assert spectrum.energies.shape == (len(ham.basis),)
@@ -260,7 +260,7 @@ class TestBlockHamiltonian:
         # difference, so no level of a sector can jump in B
         device = default_device(steps * 0.01)  # L on the 0.01 nm grid
         ham = BlockHamiltonian(vertical_spectrum(device, species), species)
-        for stack in ham.hamiltonians([b, b_next]):
+        for stack in oracles.size_stacks(ham, [b, b_next]):
             for i in range(stack.shape[1]):
                 h = stack[:, i]
                 energies, _ = diagonalize(h)
@@ -526,7 +526,7 @@ class TestSectors:
             ham = BlockHamiltonian(vert, species)
             every = np.concatenate([s[0] for s in sector_list(ham)])
             assert sorted(every) == list(range(len(ham)))
-            stacks = [stack[0, i] for stack in ham.hamiltonians([0.0])
+            stacks = [stack[0, i] for stack in oracles.size_stacks(ham, [0.0])
                       for i in range(stack.shape[1])]
             for (members, _, _), h in zip(sector_list(ham), stacks):
                 assert len({ham.basis.entries[i][1] for i in members}) == 1
@@ -609,10 +609,38 @@ def test_sweep_leaves_no_hamiltonian_alive(electron_vertical, monkeypatch):
         gc.enable()
 
 
+def test_chunk_keeps_its_hamiltonian_only_while_levels_are_unsolved(
+        electron_vertical, monkeypatch):
+    # a spectrum whose lines alone were read keeps the Hamiltonian of its
+    # chunk for the sizes still unsolved, and drops it once every level is
+    # known; no reference cycle holds it either way
+    alive = weakref.WeakSet()
+
+    class Recorded(BlockHamiltonian):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            alive.add(self)
+
+    monkeypatch.setattr(molecular, "BlockHamiltonian", Recorded)
+    gc.disable()
+    try:
+        spec = adiabatic_sweep(electron_vertical, ELECTRON, [3.0, 8.0])[1]
+        assert spec.energy_of_label("A:s") is not None
+        assert len(alive) == 1
+        del spec
+        assert len(alive) == 0
+        spec = adiabatic_sweep(electron_vertical, ELECTRON, [3.0, 8.0])[1]
+        assert spec.energy_of_label("A:s") == spec.energies[
+            spec.labels.index("A:s")]
+        assert len(alive) == 0
+    finally:
+        gc.enable()
+
+
 class TestSolveMolecular:
     def test_zero_field_labels_and_energies(self, electron_vertical):
         vert = electron_vertical
-        spec = BlockHamiltonian(vert, ELECTRON).zero_field()
+        spec = adiabatic_sweep(vert, ELECTRON, [0.0])[0]
         assert spec.labels[0] == "B:s"
         assert set(spec.labels[1:3]) == {"B:p_y", "B:p_x"}
         assert spec.labels[3] == "A:s"
@@ -628,7 +656,7 @@ class TestSolveMolecular:
         # of the eigensolved diagonal blocks, tied levels in any order
         vert = vertical_spectrum(default_device(7.0), species)
         ham = BlockHamiltonian(vert, species)
-        closed = ham.zero_field()
+        closed = adiabatic_sweep(vert, species, [0.0])[0]
         ref = block_spectra(ham, [0.0])[0]
         match = matched_levels(closed, ref)
         assert closed.energies.tobytes() == ref.energies.tobytes()

@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,11 @@ from dqdsim.errors import MissingLabelError, NoBoundStateError, \
 from dqdsim.fitting import single_well_ground
 from dqdsim.spectroscopy import vertical_spectrum
 from dqdsim.vertical import VerticalSpectrum
+
+
+# dots that bind one electron state at L = 7 nm
+ONE_STATE_DEVICE = replace(default_device(7.0), depth_e_dot1=40.0,
+                           depth_e_dot2=40.0)
 
 
 def uncoupled_gap_oracle(device, uncoupled_l=50.0):
@@ -72,11 +78,13 @@ class TestEmissionLines:
                                             abs=1e-9)
 
     def test_missing_label_raises(self, device):
+        # dots binding one electron state have no "A:s" level
         point = solve_point(device)
-        broken = replace(point.electron,
-                         labels=tuple(l if l != "A:s" else "A:s?"
-                                      for l in point.electron.labels))
-        with pytest.raises(MissingLabelError):
+        options = SolverOptions(vertical_cap=2)
+        vert = vertical_spectrum(ONE_STATE_DEVICE, ELECTRON, options)
+        broken = adiabatic_sweep(vert, ELECTRON, [0.0], options)[0]
+        assert broken.energy_of_label("A:s") is None
+        with pytest.raises(MissingLabelError, match="electron"):
             emission_lines(broken, point.hole, device)
 
     def test_mismatched_fields_rejected(self, device):
@@ -122,19 +130,26 @@ def test_sweeps_build_no_product_basis_vectors(monkeypatch):
 
 
 def check_sector_stacks(monkeypatch, device, hole, solved):
-    """Equal-size sectors share one stack: per carrier solved and per chunk
-    of fields, sweep_b shoots one vertical spectrum and makes one
-    diagonalize call per distinct sector size, and the stacks hold every
-    level of every coupled field once. Both carriers ask for a vertical
+    """Equal-size sectors share one stack, solved when a level in it is
+    first read: per carrier solved and per chunk of fields, sweep_b shoots
+    one vertical spectrum and makes one diagonalize call, on the sector
+    size that holds B:s and A:s. Reading .energies of one spectrum per
+    chunk then adds each other size once, and the stacks hold every level
+    of every coupled field once. Both carriers ask for a vertical
     spectrum, the hole with the electron's as its twin."""
-    calls, verticals, shot = [], [], []
+    calls, stacks, verticals, shot = [], [], [], []
     diagonalize = molecular.diagonalize
+    hamiltonians = molecular.BlockHamiltonian.hamiltonians
     solve_double_well = spectroscopy.solve_double_well
     lowest_eigenvalues = vertical._lowest_eigenvalues
 
     def spy(h):
         calls.append(h.shape)
         return diagonalize(h)
+
+    def spy_stack(ham, b_values, size):
+        stacks.append((ham.species, size, len(b_values)))
+        return hamiltonians(ham, b_values, size)
 
     def spy_vertical(well, species, options, twin=None):
         verticals.append((species, twin))
@@ -145,27 +160,44 @@ def check_sector_stacks(monkeypatch, device, hole, solved):
         return lowest_eigenvalues(runs, c_h2, k, upper)
 
     monkeypatch.setattr(molecular, "diagonalize", spy)
+    monkeypatch.setattr(molecular.BlockHamiltonian, "hamiltonians",
+                        spy_stack)
     monkeypatch.setattr(spectroscopy, "solve_double_well", spy_vertical)
     monkeypatch.setattr(vertical, "_lowest_eigenvalues", spy_shoot)
     fields = [round(0.05 * k, 9) for k in range(161)]  # 0 to 8 T
-    sweep_b(device, fields, hole=hole)
+    _, points = sweep_b(device, fields, hole=hole)
     coupled = len(fields) - 1
-    chunks = math.ceil(coupled / molecular.FIELD_CHUNK)
-    assert chunks == 2
+    first_rows = [1, 1 + molecular.FIELD_CHUNK]  # B = 0 is points[0]
+    widths = [molecular.FIELD_CHUNK, coupled - molecular.FIELD_CHUNK]
+    assert 0 < widths[1] <= molecular.FIELD_CHUNK  # two chunks
     assert [species for species, _ in verticals] == [ELECTRON, hole]
     assert verticals[0][1] is None and verticals[1][1] is not None
     assert len(shot) == len(solved)
-    expected, levels = 0, 0
-    for species in solved:
-        ham = molecular.BlockHamiltonian(
-            spectroscopy.vertical_spectrum(device, species), species)
-        sectors = oracles.sector_list(ham)
-        sizes = {len(members) for members, _, _ in sectors}
-        assert len(sizes) < len(sectors)  # some sectors share a size
-        expected += len(sizes) * chunks
-        levels += len(ham) * coupled
-    assert len(calls) == expected
-    assert sum(f * k * m for f, k, m, _ in calls) == levels
+    hams = [molecular.BlockHamiltonian(
+        spectroscopy.vertical_spectrum(device, species), species)
+        for species in solved]
+    line_sizes = []
+    for ham, spec in zip(hams, (points[1].electron, points[1].hole)):
+        sizes = {spec.chunk.size_of[ham.positions[label]]
+                 for label in ("B:s", "A:s")}
+        assert len(sizes) == 1 < len(ham.sectors)
+        line_sizes.append(sizes.pop())
+    # the lines read the chunks in field order, each carrier in turn
+    assert stacks == [(species, size, f) for f in widths
+                      for species, size in zip(solved, line_sizes)]
+    shapes = [ham.sectors[size][0].shape
+              for ham, size in zip(hams, line_sizes)]
+    assert calls == [(f, k, m, m) for f in widths for k, m in shapes]
+    for row in first_rows:
+        for point in (points[row], points[row + 1]):
+            assert len(point.electron.energies) == len(hams[0])
+            assert len(point.hole.energies) == len(hams[-1])
+    assert sorted(stacks, key=repr) == sorted(
+        ((species, size, f) for species, ham in zip(solved, hams)
+         for size in range(len(ham.sectors)) for f in widths), key=repr)
+    assert len(calls) == len(stacks)
+    assert sum(f * k * m for f, k, m, _ in calls) == sum(
+        len(ham) * coupled for ham in hams)
 
 
 @pytest.mark.parametrize("barrier_l", [2.5, 7.0])
@@ -212,8 +244,8 @@ def test_zero_field_sweep_l_makes_no_eigensolve(monkeypatch):
 
 def test_every_eigensolve_is_a_real_sector_stack(monkeypatch):
     # the gauged sectors are real symmetric: src hands diagonalize only
-    # real stacks, one per sector size, and hamiltonians builds one per
-    # size, holding every sector of that size
+    # real stacks, and hamiltonians builds one per sector size asked
+    # for, holding every sector of that size
     stacks, sectors = [], []
     diagonalize = molecular.diagonalize
     hamiltonians = molecular.BlockHamiltonian.hamiltonians
@@ -222,20 +254,74 @@ def test_every_eigensolve_is_a_real_sector_stack(monkeypatch):
         stacks.append(h)
         return diagonalize(h)
 
-    def spy_hamiltonians(ham, b_values):
-        out = hamiltonians(ham, b_values)
-        assert len(out) == len(ham.sectors)
-        sectors.extend(members.shape for members, _ in ham.sectors)
-        return out
+    def spy_hamiltonians(ham, b_values, size):
+        sectors.append(ham.sectors[size][0].shape)
+        return hamiltonians(ham, b_values, size)
 
     monkeypatch.setattr(molecular, "diagonalize", spy_diagonalize)
     monkeypatch.setattr(molecular.BlockHamiltonian, "hamiltonians",
                         spy_hamiltonians)
     sweep_b(default_device(), [0.0, 3.0, 8.0])
-    solve_point(default_device(9.5), FieldPoint(8.0))
-    assert len(stacks) == len(sectors) > 0
+    assert len(stacks) == 1  # the lines' size only
+    point = solve_point(default_device(9.5), FieldPoint(8.0))
+    assert len(point.electron.energies) == len(point.electron.basis)
+    assert len(stacks) == len(sectors) > 2
     assert [h.shape[1:] for h in stacks] == [(k, m, m) for k, m in sectors]
     assert all(np.isrealobj(h) for h in stacks)
+
+
+@settings(deadline=None, max_examples=30)
+@given(l=st.integers(200, 1500).map(lambda k: k / 100) | st.floats(2.0, 15.0),
+       width=st.floats(3.0, 6.0),
+       depths=st.tuples(st.floats(150.0, 450.0), st.floats(150.0, 450.0)),
+       cap=st.integers(2, 4), quanta=st.integers(2, 6),
+       hole=st.sampled_from([HOLE, replace(HOLE, mass_ratio=0.07)]),
+       fields=st.lists(st.floats(0.001, 12.0), min_size=1, max_size=4,
+                       unique=True).map(sorted),
+       rnd=st.randoms(use_true_random=False))
+@example(l=7.0, width=4.5, depths=(239.0, 203.0), cap=4, quanta=6,
+         hole=HOLE, fields=[3.3, 8.0, 12.0], rnd=random.Random(0))
+def test_label_reads_equal_the_sorted_levels(l, width, depths, cap, quanta,
+                                             hole, fields, rnd):
+    # energy_of_label solves one sector size at a time; read first, in any
+    # order, each level is bit for bit the one .energies lists under its
+    # label afterwards, and .vectors is still the scatter of one
+    # eigensolve per sector
+    d1, d2 = max(depths), min(depths)
+    device = DeviceSpec(well_width_h=width, barrier_l=l, depth_e_dot1=d1,
+                        depth_e_dot2=d2, depth_h_dot1=d1 / 2,
+                        depth_h_dot2=d2 / 2)
+    options = SolverOptions(vertical_cap=cap, lateral_quanta=quanta)
+    hams = [molecular.BlockHamiltonian(
+        vertical_spectrum(device, species, options), species, options)
+        for species in (ELECTRON, hole)]
+    assume(all(len(ham.vertical.energies) > 1 for ham in hams))
+    _, points = sweep_b(device, fields, options, ELECTRON, hole)
+    for carrier, ham in enumerate(hams):
+        spectra = [(point.electron, point.hole)[carrier] for point in points]
+        names = [oracles.label_of(ham.basis, i) for i in range(len(ham))]
+        for spec in spectra:
+            rnd.shuffle(names)
+            first = [spec.energy_of_label(name) for name in names]
+            assert spec.energy_of_label("C:s") is None
+            assert sorted(spec.labels) == sorted(names)
+            after = [spec.energies[spec.labels.index(name)] for name in names]
+            assert np.array(first).tobytes() == np.array(after).tobytes()
+        for spec, dense in zip(spectra, oracles.scattered_vectors(
+                ham, [spec.b for spec in spectra])):
+            assert spec.vectors.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("fields", [[0.0], [8.0], [0.0, 3.0, 8.0]])
+def test_one_bound_state_lacks_the_antibonding_line(fields):
+    # dots binding one electron state: the lines find no "A:s" electron
+    # level at any field, and say so
+    options = SolverOptions(vertical_cap=2)
+    vert = vertical_spectrum(ONE_STATE_DEVICE, ELECTRON, options)
+    assert vert.labels == ("B",)
+    with pytest.raises(MissingLabelError, match=r"^no level labeled 'A:s' "
+                                                r"in the electron spectrum$"):
+        sweep_b(ONE_STATE_DEVICE, fields, options)
 
 
 def scaled_hole(r):
