@@ -261,7 +261,10 @@ def _lowest_eigenvalues(runs: list[tuple[float, int]], c_h2: float, k: int,
     those below it (by default Weyl's bound max V + lambda_{k+1}(-Lapl.),
     which solve_vertical uses only for an unbound ground state).
     Bisection on the Sturm count from (min V, upper) isolates each root; a
-    safeguarded secant on psi_{n+1} polishes it in a 2 eps c/h^2 bracket."""
+    safeguarded secant on psi_{n+1} polishes it in a 2 eps c/h^2 bracket.
+    Roots closer than that, a bonding/antibonding pair across a wide
+    barrier, are bisected apart down to float spacing, where the count
+    still tells them apart, rather than given as one value twice."""
     lower = min(value for value, _ in runs)
     if upper is None:
         n = sum(m for _, m in runs)
@@ -276,7 +279,9 @@ def _lowest_eigenvalues(runs: list[tuple[float, int]], c_h2: float, k: int,
         a = max(e for e, p in probes.items() if p[0] <= i)
         b = min(e for e, p in probes.items() if p[0] > i)
         p0, p1, steps, guess = a, b, [math.inf, math.inf], math.nan
-        while b - a > tol:
+        # past tol only while the bracket holds more roots than the i-th
+        while b - a > tol or (a < 0.5 * (a + b) < b and not (
+                probes[a][0] == i and probes[b][0] == i + 1)):
             x = 0.5 * (a + b)
             isolated = probes[a][0] == i and probes[b][0] == i + 1
             if isolated:
