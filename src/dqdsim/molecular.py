@@ -13,10 +13,12 @@ diag(e0(B)) + hbar*Omega_c(B) <0|y|1>(B) K, with
 K = kron(d/dz, ladder) * sign(n_y' - n_y) field-free and the same for
 either sign: the sign phases the eigenvectors and no eigenvalue. K is
 built once per vertical spectrum; the sectors of equal size are stacked,
-and each size is solved in one real batched eigensolve over a chunk of
-fields (FieldChunk) when a level in it is first read, so the emission
-lines, B:s and A:s, cost the one size that holds them. At B = 0 H is
-diagonal: no eigensolve is made and no d/dz matrix is read.
+and each size is solved in one real batched eigensolve over all the
+requested fields (FieldChunk) when a level in it is first read, so the
+emission lines, B:s and A:s, cost the one size that holds them. At B = 0
+H is diagonal: B = 0 alone is its closed form, with no eigensolve and no
+d/dz matrix, and B = 0 among other fields is a row of their stack, whose
+diagonal matrices give the same levels bit for bit.
 The lateral basis size (options.lateral_quanta) comes from the
 SolverOptions that adiabatic_sweep takes.
 
@@ -48,11 +50,6 @@ from .lateral import lateral_states, renormalized_y_quantum, y_ladder, \
     y_zero_point
 from .vertical import VerticalSpectrum, dz_matrix
 
-# fields per batched solve in adiabatic_sweep: with two bound states and
-# the default lateral basis a chunk keeps about 1.4 kB per field once the
-# lines are read, 4.7 kB at the peak of that size's solve, and 5 kB with
-# every level read; each read of .vectors adds 50 kB
-FIELD_CHUNK = 128
 # d/dz entries below this fraction of max|d/dz| are set to 0 in the sector
 # couplings: in symmetric wells the FD eigenvectors have exact parity, but
 # the parity-forbidden entries still sum to rounding, 5e-16 to 1e-13 of the
@@ -191,14 +188,15 @@ class MolecularSpectrum:
 
 
 class FieldChunk:
-    """The levels of a chunk of fields, one sector size diagonalized on
-    the first read of a level it holds, in one call over the chunk, and
-    kept. levels[f, p] is the level at field f named after basis state p,
-    the k-th level of a sector at the position of its k-th member;
-    members[s] and vectors[s] are the members (k, m) of the sectors of
-    size index s and, once solved, their real eigenvectors (fields, k, m,
-    m). At B = 0 alone H is diagonal: the levels are its diagonal, each
-    state a sector of one, and nothing is solved or kept of the
+    """The levels of one sweep's distinct fields, one sector size
+    diagonalized on the first read of a level it holds, in one call over
+    every field, and kept. levels[f, p] is the level at field f named
+    after basis state p, the k-th level of a sector at the position of its
+    k-th member; members[s] and vectors[s] are the members (k, m) of the
+    sectors of size index s and, once solved, their real eigenvectors
+    (fields, k, m, m). B = 0 among other fields is one more row of the
+    stacks. At B = 0 alone H is diagonal: the levels are its diagonal,
+    each state a sector of one, and nothing is solved or kept of the
     Hamiltonian."""
 
     def __init__(self, ham: BlockHamiltonian, b_values: list[float]):
@@ -237,8 +235,8 @@ class BlockHamiltonian:
     ladder, and through hbar*Omega_c(B) of the cross term. The rest is
     built once: the basis parts once per basis (basis_parts), the vertical
     energy and zero-field diagonal of each state here, and the d/dz
-    matrix, the sectors and their couplings K for the first chunk of
-    nonzero fields only. The lateral states are those with
+    matrix, the sectors and their couplings K on the first solve at a
+    nonzero field only. The lateral states are those with
     n_x + n_y <= options.lateral_quanta.
 
     Every spectrum is indexed by basis position before it is sorted: a
@@ -256,14 +254,17 @@ class BlockHamiltonian:
         self.vertical = vertical
         self.species = species
         self.vertical_energy = np.repeat(vertical.energies, len(self.states))
-        q = species.lateral_quantum
-        # the diagonal of H at B = 0, where it is all of H; bit for bit the
-        # diagonal hamiltonians([0.0], size) builds
-        self.diagonal = self.vertical_energy + (self.half_nx * q
-                                                + self.half_ny * q)
+        # the diagonal of H at B = 0, where it is all of H
+        self.diagonal = self.e0(species.lateral_quantum)
 
     def __len__(self) -> int:
         return len(self.basis)
+
+    def e0(self, q_y) -> np.ndarray:
+        """The diagonal of H over the basis for the y quantum q_y, a
+        scalar or a column of one per field."""
+        return self.vertical_energy + (
+            self.half_nx * self.species.lateral_quantum + self.half_ny * q_y)
 
     def hamiltonians(self, b_values, size: int) -> np.ndarray:
         """The real stacked Hamiltonians of the k sectors of size index
@@ -278,11 +279,9 @@ class BlockHamiltonian:
         scale = np.array(hoc) * [y_zero_point(species, q) for q in q_y]
         members, coupling = self.sectors[size]
         m = members.shape[1]
-        e0 = self.vertical_energy[members] + (
-            self.half_nx[members] * species.lateral_quantum
-            + self.half_ny[members] * np.array(q_y)[:, None, None])
         h = scale[:, None, None, None] * coupling
-        h[..., np.arange(m), np.arange(m)] = e0
+        h[..., np.arange(m), np.arange(m)] = self.e0(
+            np.array(q_y)[:, None])[:, members]
         return h
 
     @cached_property
@@ -334,21 +333,21 @@ def adiabatic_sweep(vertical: VerticalSpectrum, species: ParticleSpecies,
                     ) -> list[MolecularSpectrum]:
     """Labeled spectra at the requested fields, each solved on its own.
 
-    B = 0 takes the closed form; the other fields share a FieldChunk per
-    FIELD_CHUNK of them, one batched eigensolve per sector size read, and
-    are labeled by rank within their sectors. A field's spectrum does not
-    depend on which other fields are requested or read.
+    The distinct fields share one FieldChunk, one batched eigensolve per
+    sector size read, and are labeled by rank within their sectors; B = 0
+    alone takes the closed form. A field's spectrum does not depend on
+    which other fields are requested or read. A NaN, infinite or negative
+    field raises ValueError here, before anything is solved.
     """
-    requested = [round(float(b), 9) for b in b_values]
-    if any(b < 0 for b in requested):
-        raise ValueError("magnetic fields must be >= 0")
-    ham = BlockHamiltonian(vertical, species, options)
-    out = {0.0: MolecularSpectrum(0.0, FieldChunk(ham, [0.0]), 0, 0)
-           } if 0.0 in requested else {}
-    coupled = list(dict.fromkeys(b for b in requested if b))
-    for start in range(0, len(coupled), FIELD_CHUNK):
-        b_values = coupled[start:start + FIELD_CHUNK]
-        chunk = FieldChunk(ham, b_values)
-        out.update((b, MolecularSpectrum(b, chunk, row, species.hyz_sign))
-                   for row, b in enumerate(b_values))
-    return [out[b] for b in requested]
+    # rounded to 1e-9 T, so every field below 5e-10 T is exactly B = 0,
+    # subnormal ones too: a subnormal hbar*Omega_c does not scale by a
+    # power of two r exactly, which spectroscopy.hole_scale relies on
+    requested = [round(float(b), 9) + 0.0 for b in b_values]
+    if not all(0.0 <= b < np.inf for b in requested):
+        raise ValueError("magnetic fields must be finite and >= 0")
+    fields = list(dict.fromkeys(requested))
+    chunk = FieldChunk(BlockHamiltonian(vertical, species, options), fields)
+    spectra = {b: MolecularSpectrum(b, chunk, row,
+                                    species.hyz_sign if b else 0)
+               for row, b in enumerate(fields)}
+    return [spectra[b] for b in requested]

@@ -71,7 +71,8 @@ def hole_scale(electron: ParticleSpecies, hole: ParticleSpecies,
                h_vertical: VerticalSpectrum) -> float | None:
     """r if h_vertical was scaled by r from its twin, the electron's, and
     core.mass_scale and the lateral quanta give the same r, else None:
-    then H, hbar*Omega_c, hypot, sqrt and eigh all scale by r exactly."""
+    then H, hbar*Omega_c, hypot, sqrt and eigh all scale by r exactly, at
+    the fields adiabatic_sweep rounds to: none is subnormal."""
     if h_vertical.twin is None:
         return None
     r = h_vertical.twin[1]

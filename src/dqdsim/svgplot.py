@@ -14,19 +14,17 @@ COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
+    """The round multiples k * step in [lo, hi], about n + 1 of them; just
+    lo when the range is within 1e-9 of its size, as when it spans a few
+    ulps, since no 6-digit label tells such ticks apart."""
+    if not hi - lo > 1e-9 * max(abs(lo), abs(hi)):
         return [lo]
     raw = (hi - lo) / n
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s for s in (mag, 2 * mag, 2.5 * mag, 5 * mag, 10 * mag)
                if s >= raw)
-    first = math.ceil(lo / step) * step
-    out = []
-    t = first
-    while t <= hi + 1e-12 * step:
-        out.append(round(t, 12))
-        t += step
-    return out
+    return [round(k * step, 12) for k in range(
+        math.ceil(lo / step), math.floor(hi / step + 1e-12) + 1)]
 
 
 def write_line_plot(path, series, title: str = "", xlabel: str = "",

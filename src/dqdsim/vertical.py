@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,26 +133,41 @@ class VerticalSpectrum:
 
     energies are ascending, measured from the barrier band edge and all
     negative: only bound states are solved for. labels classify
-    consecutive pairs as bonding (lower) / antibonding (upper). problem
-    holds the (runs, c/h^2, n_states) solve_vertical was given, and twin
-    the (spectrum, r) this one is r times, when it was scaled from one
-    rather than solved. wavefunctions holds the grid-sampled, L2-normalized
-    real eigenfunctions as columns, largest-amplitude lobe positive. It is
-    computed on first read, from the orthogonal eigenvector columns, of
-    any norm, that eigenvectors() builds from the runs, so callers that
-    read only energies never pay for eigenvectors.
+    consecutive pairs as bonding (lower) / antibonding (upper). runs, c_h2
+    and n_states are the problem solve_vertical was given, and twin the
+    (spectrum, r) this one is r times, when it was scaled from one rather
+    than solved. wavefunctions holds the grid-sampled, L2-normalized real
+    eigenfunctions as columns, largest-amplitude lobe positive, built from
+    the runs (or read from the twin) on first read only.
     """
 
     grid: Grid1D
     energies: np.ndarray
     labels: tuple[str, ...]
-    eigenvectors: Callable[[], np.ndarray] = field(repr=False)
-    problem: tuple = field(repr=False)
+    runs: list[tuple[float, int]] = field(repr=False)
+    c_h2: float = field(repr=False)
+    n_states: int = field(repr=False)
     twin: tuple | None = field(default=None, repr=False)
 
     @cached_property
     def wavefunctions(self) -> np.ndarray:
-        vectors = self.eigenvectors()
+        if self.twin is not None:
+            return self.twin[0].wavefunctions
+        runs = self.runs
+        k = np.arange(-1.0, max(m for _, m in runs) + 1.0)
+        rows = np.empty((len(self.energies), self.grid.n_points))
+        for row, energy in zip(rows, self.energies):
+            _eigenvector(runs, energy, self.c_h2, k, row)
+        if runs == runs[::-1]:
+            # a mirror image: state i has parity (-1)^i, and the join's
+            # rounding of the other parity drops out
+            rows += rows[:, ::-1] * (-1.0) ** np.arange(len(rows))[:, None]
+        # Gram-Schmidt, as LAPACK's stein does within a cluster: nearly
+        # degenerate levels share their vectors' rounding
+        for i, row in enumerate(rows):
+            for prev in rows[:i]:
+                row -= (row @ prev) / (prev @ prev) * prev
+        vectors = rows.T
         # unit norm on the grid, and the arbitrary overall sign fixed:
         # largest-amplitude lobe positive
         lobes = vectors[np.argmax(np.abs(vectors), axis=0),
@@ -379,42 +394,22 @@ def solve_vertical(runs: list[tuple[float, int]], grid: Grid1D,
         raise ValueError("run lengths do not sum to the grid's node count")
     if not all(math.isfinite(value) for value, _ in runs):
         raise ValueError("potential values must be finite")
-    n = grid.n_points
     c_h2 = kinetic_coefficient(species) / grid.step ** 2
-    problem = (runs, c_h2, n_states)
     if twin is not None and twin.grid == grid:
-        twin_runs, twin_c_h2, twin_states = twin.problem
-        r = c_h2 / twin_c_h2
-        if (math.frexp(r)[0] == 0.5 and twin_c_h2 * r == c_h2
-                and twin_states == n_states
-                and runs == [(value * r, m) for value, m in twin_runs]):
+        r = c_h2 / twin.c_h2
+        if (math.frexp(r)[0] == 0.5 and twin.c_h2 * r == c_h2
+                and twin.n_states == n_states
+                and runs == [(value * r, m) for value, m in twin.runs]):
             return VerticalSpectrum(grid, twin.energies * r, twin.labels,
-                                    twin.eigenvectors, problem, (twin, r))
-    energies = _lowest_eigenvalues(runs, c_h2, min(n_states, n - 1), 0.0)
+                                    runs, c_h2, n_states, (twin, r))
+    energies = _lowest_eigenvalues(runs, c_h2, min(n_states,
+                                                   grid.n_points - 1), 0.0)
     if not len(energies):
         ground = _lowest_eigenvalues(runs, c_h2, 1)[0]
         raise NoBoundStateError(f"ground state energy {ground:.3f} meV is "
                                 "not bound")
-
-    def eigenvectors() -> np.ndarray:
-        k = np.arange(-1.0, max(m for _, m in runs) + 1.0)
-        rows = np.empty((len(energies), n))
-        for row, energy in zip(rows, energies):
-            _eigenvector(runs, energy, c_h2, k, row)
-        if runs == runs[::-1]:
-            # a mirror image: state i has parity (-1)^i, and the join's
-            # rounding of the other parity drops out
-            rows += rows[:, ::-1] * (-1.0) ** np.arange(len(rows))[:, None]
-        # Gram-Schmidt, as LAPACK's stein does within a cluster: nearly
-        # degenerate levels share their vectors' rounding
-        for i, row in enumerate(rows):
-            for prev in rows[:i]:
-                row -= (row @ prev) / (prev @ prev) * prev
-        return rows.T
-
-    return VerticalSpectrum(grid=grid, energies=energies,
-                            labels=state_labels(len(energies)),
-                            eigenvectors=eigenvectors, problem=problem)
+    return VerticalSpectrum(grid, energies, state_labels(len(energies)),
+                            runs, c_h2, n_states)
 
 
 def solve_double_well(spec: DoubleWellSpec, species: ParticleSpecies,

@@ -1,3 +1,4 @@
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 from pathlib import Path
@@ -580,3 +581,13 @@ def test_svg_writer_standalone(tmp_path):
     assert len(polylines) == 2
     with pytest.raises(ValueError):
         write_line_plot(tmp_path / "empty.svg", [])
+
+
+def test_ticks_are_bounded():
+    from dqdsim.svgplot import _ticks
+
+    assert _ticks(0.0, 8.0) == [0.0, 2.0, 4.0, 6.0, 8.0]
+    assert _ticks(2.5, 15.0) == [2.5, 5.0, 7.5, 10.0, 12.5, 15.0]
+    assert _ticks(3.0, 3.0) == [3.0]
+    # one ulp: a step below float resolution would never move the tick
+    assert _ticks(7.0, math.nextafter(7.0, 8.0)) == [7.0]

@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -385,16 +386,6 @@ class TestBatchedSweepEquivalence:
             assert a.energies.tobytes() == b.energies.tobytes()
             assert a.labels == b.labels
 
-    def test_field_chunks_do_not_change_results(self, electron_vertical,
-                                                monkeypatch):
-        vert = electron_vertical
-        whole = adiabatic_sweep(vert, ELECTRON, DEFAULT_B_VALUES)
-        monkeypatch.setattr(molecular, "FIELD_CHUNK", 7)
-        chunked = adiabatic_sweep(vert, ELECTRON, DEFAULT_B_VALUES)
-        for a, b in zip(whole, chunked):
-            assert a.energies.tobytes() == b.energies.tobytes()
-            assert a.labels == b.labels
-
     def test_coarse_step_halves_once_and_reuses_the_endpoint(
             self, electron_vertical, hole_vertical, monkeypatch):
         # the oracle march: at L = 7 a 4 T step from zero is ambiguous for
@@ -443,6 +434,18 @@ class TestFieldLocality:
             ref = full[spec.b]
             assert spec.labels == ref.labels
             assert spec.energies.tobytes() == ref.energies.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_field_is_rejected_on_call(self, electron_vertical,
+                                           monkeypatch, bad):
+        # not on the first read of a level, which all fields share
+        def unbuilt(*_):
+            raise AssertionError("Hamiltonian built")
+
+        monkeypatch.setattr(molecular, "BlockHamiltonian", unbuilt)
+        for b_values in ([bad, 8.0], [0.0, bad], [bad]):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                adiabatic_sweep(electron_vertical, ELECTRON, b_values)
 
 
 class TestSectors:

@@ -495,6 +495,24 @@ class TestEigenvectorsOnDemand:
         assert calls == {**solved, "_eigenvector": k,
                          "_shoot": solved["_shoot"] + 2 * k}
 
+    @pytest.mark.parametrize("species", [ELECTRON, HOLE], ids=["e", "h"])
+    @pytest.mark.parametrize("barrier_l, shots", [(2.5, 23), (7.0, 23),
+                                                  (15.0, 24)])
+    def test_shoot_count_of_a_default_solve(self, monkeypatch, species,
+                                            barrier_l, shots):
+        # pinned: a change to the root loop states its new count here
+        calls = []
+        shoot = vertical._shoot
+
+        def counted(*args):
+            calls.append(args[0])
+            return shoot(*args)
+
+        monkeypatch.setattr(vertical, "_shoot", counted)
+        spectrum = vertical_spectrum(default_device(barrier_l), species)
+        assert len(spectrum.energies) == 2
+        assert len(calls) == shots
+
 
 def unit_overlaps(psi, reference, grid):
     """Per column the overlap of two sets of grid-normalized states."""
@@ -503,7 +521,9 @@ def unit_overlaps(psi, reference, grid):
 
 def dz_of(spectrum, wavefunctions):
     """dz_matrix of the spectrum's states with these wavefunctions."""
-    return dz_matrix(replace(spectrum, eigenvectors=lambda: wavefunctions))
+    copy = replace(spectrum)
+    copy.wavefunctions = wavefunctions
+    return dz_matrix(copy)
 
 
 DEPTHS = st.one_of(st.just(0.0), st.just(400.0), st.floats(0.0, 400.0))
