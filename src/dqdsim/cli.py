@@ -87,6 +87,10 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep_l(args) -> int:
     run = _load_config(args)
+    for a, b in zip(run.l_values, run.l_values[1:]):  # sorted by the config
+        if a < b and _fmt(a) == _fmt(b):
+            raise errors.ConfigError(f"l_values {a!r} and {b!r} nm both "
+                                     f"print as {_fmt(a)}")
     curve, points = spectroscopy.sweep_l(run.device, run.l_values,
                                          run.options, run.electron, run.hole)
     os.makedirs(args.out, exist_ok=True)

@@ -5,7 +5,8 @@ where each dot's line depends only on its own depths: each dot is solved
 alone in the device at the target's uncoupled_l, on `vertical`'s grid. A
 fixed hole-to-electron depth ratio closes the otherwise underdetermined
 system (two lines, four depths); the default device parametrization
-corresponds to a ratio of exactly one half.
+corresponds to a ratio of exactly one half. One root finder, `brent`,
+serves calibration, the gap-law fit and effective_interdot_distance.
 """
 
 from __future__ import annotations
@@ -22,6 +23,47 @@ from .vertical import DoubleWellSpec, build_potential, grid_for_wells, \
     solve_vertical
 
 CALIBRATION_TOL = 0.01  # meV residual per emission line
+
+
+def brent(f, a: float, b: float, xtol: float,
+          rtol: float = 4 * np.finfo(float).eps) -> float:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign: Brent's
+    zeroin (Brent 1973, ch. 4) as scipy's brentq.c, step for step, so both
+    evaluate f at the same points. Stops once the bracket is narrower than
+    xtol + rtol |x|; raises NoConvergenceError after 100 steps."""
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError(f"f({a}) = {fpre} and f({b}) = {fcur} share a sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        short = abs(spre) > delta and abs(fcur) < abs(fpre)
+        if short:
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)  # else bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise NoConvergenceError(f"no root within 100 steps; last {xcur}")
 
 
 @dataclass(frozen=True)
@@ -52,8 +94,10 @@ def fit_powerlaw(points) -> tuple[PowerLawParams, np.ndarray]:
     Variable projection (Golub & Pereyra 1973): at fixed delta the model is
     linear in (A, C), which linear least squares gives in closed form, so
     only delta is searched. A vectorised scan of delta over [0, 10 max L]
-    picks the best grid cell and a bounded 1-D minimiser refines delta
-    inside it; delta >= 0 always. Needs at least three distinct distances.
+    picks the best grid cell; in it `brent` finds a zero of the gradient
+    -6 A sum r_i/(L_i + delta)^4 of the squared residuals ((A, C) held by
+    the envelope theorem), else the scan's delta stands (a minimum at
+    delta = 0, flat data). delta >= 0. Needs at least 3 distinct distances.
     Raises ValueError naming the first point with a NaN or infinite L or
     gap.
     Raises SingularFitError unless the fitted 1/L^3 term at the smallest
@@ -61,8 +105,6 @@ def fit_powerlaw(points) -> tuple[PowerLawParams, np.ndarray]:
     (A ~ 0) and data rising with L (A < 0) are rejected.
     Returns the parameters and the residuals fit - gap.
     """
-    from scipy.optimize import minimize_scalar  # 0.2 s to import: on use
-
     ls = np.array([float(l) for l, _ in points])
     gaps = np.array([float(g) for _, g in points])
     for l, gap in zip(ls, gaps):
@@ -81,17 +123,18 @@ def fit_powerlaw(points) -> tuple[PowerLawParams, np.ndarray]:
         c = gaps.mean() - a * x.mean(axis=1)
         return a, c, a[:, None] * x + c[:, None] - gaps
 
-    def sse(deltas):
-        return np.sum(project(deltas)[2] ** 2, axis=1)
+    def slope(delta):
+        (a,), _, (residuals,) = project(np.array([delta]))
+        return float(a * np.sum(residuals / (ls + delta) ** 4))
 
     grid = np.linspace(0.0, 10.0 * ls.max(), 201)
     with np.errstate(divide="ignore", invalid="ignore"):
         # nan where the grid meets the pole L + delta = 0: never the best
-        k = int(np.argmin(np.nan_to_num(sse(grid), nan=np.inf)))
-        delta = minimize_scalar(
-            lambda d: sse(np.array([d]))[0], method="bounded",
-            bounds=(grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]),
-            options={"xatol": 1e-12}).x
+        sse = np.sum(project(grid)[2] ** 2, axis=1)
+        k = int(np.argmin(np.nan_to_num(sse, nan=np.inf)))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+        delta = (brent(slope, lo, hi, xtol=1e-12)
+                 if np.sign(slope(lo)) * np.sign(slope(hi)) < 0 else grid[k])
     (a,), (c,), (residuals,) = project(np.array([delta]))
     # negated so that nan parameters are rejected too
     if not a / (ls.min() + delta) ** 3 > 1e-9 * max(np.abs(gaps).max(), 1.0):
@@ -185,8 +228,6 @@ def calibrate_depths(target: CalibrationTarget,
         return lines[depth_e]
 
     def solve_dot(emission):
-        from scipy.optimize import brentq  # 0.2 s to import: on use
-
         # shallower than ~50 meV the state leaks past the default padding
         lo, hi = 50.0, 800.0
         try:
@@ -210,8 +251,8 @@ def calibrate_depths(target: CalibrationTarget,
             raise NoConvergenceError(
                 f"could not bracket a depth for target {emission} meV "
                 f"(residuals {f_lo:.3f}, {f_hi:.3f})")
-        depth = brentq(lambda d: line_energy(d) - emission, lo, hi,
-                       xtol=1e-6, rtol=1e-12)
+        depth = brent(lambda d: line_energy(d) - emission, lo, hi,
+                      xtol=1e-6, rtol=1e-12)
         residual = line_energy(depth) - emission
         if abs(residual) > CALIBRATION_TOL:
             raise NoConvergenceError(

@@ -26,6 +26,7 @@ import numpy as np
 from .core import DeviceSpec, FieldPoint, ParticleSpecies, SolverOptions, \
     ELECTRON, HOLE, mass_scale
 from .errors import DqdError, MissingLabelError, OutOfRangeError
+from .fitting import brent
 from .molecular import MolecularSpectrum, adiabatic_sweep
 from .vertical import DoubleWellSpec, VerticalSpectrum, solve_double_well
 
@@ -193,17 +194,15 @@ def effective_interdot_distance(gap: float, device_template: DeviceSpec,
     """Invert the strictly decreasing zero-field gap curve by Brent's method.
 
     Returns the interdot distance whose zero-field gap equals `gap`, to
-    within `tol` nm: brentq keeps a sign-change bracket, so even the
-    staircase gap(L) of an off-lattice grid gives a point within `tol` of
-    a crossing. Raises OutOfRangeError when the gap lies outside the
+    within `tol` nm: fitting.brent keeps a sign-change bracket, so even
+    the staircase gap(L) of an off-lattice grid gives a point within `tol`
+    of a crossing. Raises OutOfRangeError when the gap lies outside the
     curve's range over [L_MIN, L_MAX].
     """
-    from scipy.optimize import brentq  # 0.2 s to import: on use
-
     if not tol > 0:  # also rejects NaN
         raise ValueError(f"tol must be > 0, got {tol}")
 
-    @cache  # brentq's first two calls are the range ends solved here
+    @cache  # brent's first two calls are the range ends solved here
     def model(l):
         return solve_point(device_template.with_barrier(l), FieldPoint(0.0),
                            options, electron, hole).gap
@@ -215,4 +214,4 @@ def effective_interdot_distance(gap: float, device_template: DeviceSpec,
             f"gap {gap:.3f} meV outside the model range "
             f"[{gap_lo:.3f}, {gap_hi:.3f}] meV for L in "
             f"[{L_MIN}, {L_MAX}] nm")
-    return brentq(lambda l: model(l) - gap, L_MIN, L_MAX, xtol=tol)
+    return brent(lambda l: model(l) - gap, L_MIN, L_MAX, xtol=tol)

@@ -347,6 +347,18 @@ class TestCliSweeps:
             "L=7.0 nm\n")
         assert not out.exists()
 
+    def test_distances_printed_alike_exit_2(self, tmp_path, capsys):
+        # gap_vs_L.csv prints L to six decimals: two rows 7.000000 could
+        # not be fitted by fit-powerlaw
+        cfg = write(tmp_path, "cfg.ini",
+                    "[sweep]\nl_values = 5, 7, 7.0000001, 9\n")
+        out = tmp_path / "run"
+        assert main(["sweep-l", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error (config): l_values 7.0 and 7.0000001 nm both print as "
+            "7.000000\n")
+        assert not out.exists()
+
     def test_repeated_field_exits_2(self, tmp_path, capsys):
         cfg = write(tmp_path, "cfg.ini", "[sweep]\nb_values = 0, 8, 8\n")
         out = tmp_path / "run"

@@ -1,19 +1,79 @@
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dqdsim import (ELECTRON, HOLE, CalibrationResult, CalibrationTarget,
                     PowerLawParams, SolverOptions, calibrate_depths,
                     default_device, eval_powerlaw, fit_powerlaw, fitting,
                     solve_point)
 from dqdsim.errors import NoConvergenceError, SingularFitError
-from dqdsim.fitting import single_well_ground
+from dqdsim.fitting import brent, single_well_ground
 
 MEASURED_LAW = PowerLawParams(amplitude_a=33.0e3, offset_delta=4.88,
                            offset_c=27.0)
+GOLDEN_GAPS = Path(__file__).parent / "golden" / "sweep_l" / "gap_vs_L.csv"
+EPS = sys.float_info.epsilon
+
+
+def recorded(f):
+    """f, and the list of the points it is evaluated at."""
+    points = []
+
+    def g(x):
+        points.append(x)
+        return f(x)
+    return g, points
+
+
+class TestBrent:
+    @settings(deadline=None, max_examples=200)
+    @example(family="cubic", coeffs=[1.0, 0.0, 0.0, 0.0], ends=(2.0, -1.0),
+             xtol=1e-14, rtol=4 * EPS)
+    @given(family=st.sampled_from(["monotone", "cubic"]),
+           coeffs=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+           ends=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+           xtol=st.floats(1e-14, 1e-1),
+           rtol=st.sampled_from([4 * EPS, 1e-12]))
+    def test_same_points_and_root_as_scipy(self, family, coeffs, ends, xtol,
+                                           rtol):
+        from scipy.optimize import brentq  # the oracle only
+
+        c0, c1, c2, c3 = coeffs
+        if family == "monotone":  # strictly increasing through x = c0
+            def f(x):
+                return (1.0 + abs(c1)) * (x - c0) + abs(c2) * math.tanh(
+                    x - c0) + abs(c3) * (x - c0) ** 3
+        else:
+            def f(x):
+                return ((c0 * x + c1) * x + c2) * x + c3
+        a, b = sorted(ends)
+        assume(f(a) * f(b) < 0)
+        ours, our_points = recorded(f)
+        theirs, their_points = recorded(f)
+        try:
+            root = brentq(theirs, a, b, xtol=xtol, rtol=rtol)
+        except RuntimeError:  # 100 steps short of xtol, as at a triple root
+            with pytest.raises(NoConvergenceError):
+                brent(ours, a, b, xtol=xtol, rtol=rtol)
+        else:
+            assert brent(ours, a, b, xtol=xtol, rtol=rtol) == root
+        assert our_points == their_points
+
+    def test_ends_of_one_sign_rejected(self):
+        with pytest.raises(ValueError, match="share a sign"):
+            brent(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-6)
+
+    def test_gives_up_after_100_steps(self):
+        # a step at 1e-200 inside [-1e300, 1e300] needs ~1,700 halvings
+        f, points = recorded(lambda x: -1.0 if x < 1e-200 else 1.0)
+        with pytest.raises(NoConvergenceError, match="within 100 steps"):
+            brent(f, -1e300, 1e300, xtol=1e-300)
+        assert len(points) == 2 + 100
 
 
 class TestEvalPowerLaw:
@@ -107,6 +167,34 @@ class TestFitPowerLaw:
                 with pytest.raises(ValueError, match=rf"point \(L={point[0]}"
                                    rf", gap={point[1]}\) must be finite"):
                     fit_powerlaw(points)
+
+    @staticmethod
+    def slope(points, delta):
+        """A sum r_i/(L_i + delta)^4, with (A, C) projected at delta: the
+        derivative of the squared residuals in delta, over -6."""
+        ls, gaps = np.array(points, dtype=float).T
+        x = 1.0 / (ls + delta) ** 3
+        xc = x - x.mean()
+        a = xc @ (gaps - gaps.mean()) / np.sum(xc ** 2)
+        residuals = a * x + gaps.mean() - a * x.mean() - gaps
+        return a * np.sum(residuals / (ls + delta) ** 4)
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4])
+    def test_delta_is_a_sign_change_of_the_slope(self, seed):
+        # the golden sweep, and noisy samples of the measured law
+        if seed is None:
+            points = np.loadtxt(GOLDEN_GAPS, delimiter=",", skiprows=1)
+        else:
+            ls = np.arange(3.0, 15.0, 1.0)
+            noise = np.random.default_rng(seed).normal(0.0, 0.1, len(ls))
+            points = [(l, eval_powerlaw(MEASURED_LAW, l) + n)
+                      for l, n in zip(ls, noise)]
+        delta = fit_powerlaw(points)[0].offset_delta
+        assert delta > 0
+        # brent's last bracket is narrower than xtol + rtol |delta|
+        width = 1e-12 + 4 * EPS * delta
+        assert (self.slope(points, delta - width)
+                * self.slope(points, delta + width)) <= 0
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(SingularFitError):

@@ -560,7 +560,7 @@ class TestEffectiveDistance:
     @pytest.mark.parametrize("l_star", [7.0, 10.0])
     def test_brentq_reuses_the_range_solves(self, device, l_star,
                                             monkeypatch):
-        # the range check solves L_MIN and L_MAX once, and brentq starts
+        # the range check solves L_MIN and L_MAX once, and brent starts
         # from them; bisection to 0.01 nm took 2 + 13 = 15 solves
         target = solve_point(default_device(l_star)).gap
         solved = []
