@@ -42,6 +42,14 @@ def _lines_row(point: spectroscopy.SolvePoint) -> tuple[str, ...]:
             _fmt(point.gap))
 
 
+def _printed_apart(values, key: str, unit: str) -> None:
+    """Reject ascending neighbours within 2e-6 that print alike."""
+    for a, b in zip(values, values[1:]):
+        if 0 < b - a < 2e-6 and _fmt(a) == _fmt(b):
+            raise errors.ConfigError(
+                f"{key} {a!r} and {b!r} {unit} both print as {_fmt(a)}")
+
+
 def _load_config(args) -> cfg.RunConfig:
     if args.config is None:
         return cfg.RunConfig()
@@ -87,10 +95,7 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep_l(args) -> int:
     run = _load_config(args)
-    for a, b in zip(run.l_values, run.l_values[1:]):  # sorted by the config
-        if a < b and _fmt(a) == _fmt(b):
-            raise errors.ConfigError(f"l_values {a!r} and {b!r} nm both "
-                                     f"print as {_fmt(a)}")
+    _printed_apart(run.l_values, "l_values", "nm")
     curve, points = spectroscopy.sweep_l(run.device, run.l_values,
                                          run.options, run.electron, run.hole)
     os.makedirs(args.out, exist_ok=True)
@@ -118,6 +123,7 @@ def cmd_sweep_l(args) -> int:
 
 def cmd_sweep_b(args) -> int:
     run = _load_config(args)
+    _printed_apart(run.b_values, "b_values", "T")
     curve, points = spectroscopy.sweep_b(run.device, run.b_values,
                                          run.options, run.electron, run.hole)
     os.makedirs(args.out, exist_ok=True)

@@ -51,14 +51,17 @@ def brent(f, a: float, b: float, xtol: float,
             return xcur
         short = abs(spre) > delta and abs(fcur) < abs(fpre)
         if short:
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+                short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+            except ZeroDivisionError:  # C's step is inf or NaN: it bisects
+                short = False
         spre, scur = (scur, stry) if short else (sbis, sbis)  # else bisect
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)

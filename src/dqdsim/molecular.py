@@ -6,35 +6,28 @@ the d/dz matrix with the y ladder over the product basis {vertical bound
 states} x {lateral oscillator states}, ordered (v, n_x, n_y). H splits
 into symmetry sectors, the connected components of its coupling graph;
 the y ladder conserves n_x, so each sector lies in one n_x block, and
-each block's components are read off that block's transitive closure
-(repeated boolean squaring of its adjacency matrix). In the gauge
-|v, n_y> -> (-sign*i)^n_y |v, n_y> a sector is real symmetric,
-diag(e0(B)) + hbar*Omega_c(B) <0|y|1>(B) K, with
+each block's components are read off that block's transitive closure.
+In the gauge |v, n_y> -> (-sign*i)^n_y |v, n_y> a sector is real
+symmetric, diag(e0(B)) + hbar*Omega_c(B) <0|y|1>(B) K, with
 K = kron(d/dz, ladder) * sign(n_y' - n_y) field-free and the same for
-either sign: the sign phases the eigenvectors and no eigenvalue. K is
-built once per vertical spectrum; the sectors of equal size are stacked,
-and each size is solved in one real batched eigensolve over all the
-requested fields (FieldChunk) when a level in it is first read, so the
-emission lines, B:s and A:s, cost the one size that holds them. At B = 0
-H is diagonal: B = 0 alone is its closed form, with no eigensolve and no
-d/dz matrix, and B = 0 among other fields is a row of their stack, whose
-diagonal matrices give the same levels bit for bit.
-The lateral basis size (options.lateral_quanta) comes from the
-SolverOptions that adiabatic_sweep takes.
+either sign, which phases the eigenvectors and moves no level: a spectrum
+is real levels and their labels, and no eigenvector is kept. The sectors
+of equal size are stacked, and each size is solved in one real batched
+eigensolve over all the requested fields (FieldChunk) when a level in it
+is first read, so the emission lines, B:s and A:s, cost the one size
+that holds them. At B = 0 H is diagonal: B = 0 alone is its closed form,
+with no eigensolve and no d/dz matrix; among other fields it is a row of
+their stacks, whose diagonal matrices give the same levels bit for bit.
 
 adiabatic_sweep is the one way from fields to labeled spectra. With two
-bound vertical states a sector is tridiagonal with nonzero off-diagonals
-(a Jacobi matrix), whose eigenvalues are simple: no two levels of a
-sector ever cross (with more bound states, generically so; von Neumann
-and Wigner). The adiabatic label of a sector's k-th level at any field
-is therefore the basis label of its k-th level at B = 0, and every field
-is solved on its own. Levels of different sectors do not couple and
-cross exactly. At every field exactly degenerate levels are listed in
-basis order of the states that name them. A spectrum reads its levels
-from its chunk: energy_of_label finds a label's basis position, hence
-its sector and rank, and solves that sector's size only; the sorted
-energies and labels, and the product-basis eigenvectors phased from the
-real sector ones, are built on first read only, after every size.
+bound vertical states a sector is a Jacobi matrix (tridiagonal, nonzero
+off-diagonals), whose eigenvalues are simple: no two levels of a sector
+ever cross (with more bound states, generically so; von Neumann and
+Wigner). The adiabatic label of a sector's k-th level at any field is
+therefore the basis label of its k-th level at B = 0, and every field is
+solved on its own. Levels of different sectors do not couple and cross
+exactly; exactly degenerate levels are listed in basis order of the
+states that name them.
 """
 
 from __future__ import annotations
@@ -56,8 +49,6 @@ from .vertical import VerticalSpectrum, dz_matrix
 # largest at 0.01-0.0025 nm steps, not to 0, while the allowed ones of the
 # wells tried stay above 5e-3
 DZ_FLOOR = 1e-6
-# (-i)^k; entry sign*n_y mod 4 is the exact gauge phase (-sign*i)^n_y
-QUARTER_TURNS = np.array([1, -1j, -1, 1j])
 
 
 def shell_name(nx: int, ny: int) -> str:
@@ -130,25 +121,18 @@ def diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class MolecularSpectrum:
     """Labeled eigenlevels of the full problem at one field point: row
     `row` of its FieldChunk's levels, times ratio (1, or the power of two
-    that scales a hole from the electron), with the gauge phases
-    (-hyz_sign*i)^n_y; hyz_sign is 0 at B = 0, where H is diagonal.
+    that scales a hole from the electron).
 
     energy_of_label solves only the sector size that holds the label;
-    energies (ascending), labels, order and vectors solve every size of
-    the chunk on first read. A label is the (vertical, shell) identity of
-    a level, eg "B:s" or "A:p_y": the basis label of its rank at B = 0
-    within its symmetry sector. Level j sat at basis position order[j];
-    vectors holds it over the product basis in column j."""
+    energies (ascending), labels and order solve every size of the chunk
+    on first read. A label is the (vertical, shell) identity of a level,
+    eg "B:s" or "A:p_y": the basis label of its rank at B = 0 within its
+    symmetry sector. Level j sat at basis position order[j]."""
 
     b: float
     chunk: FieldChunk = field(repr=False)
     row: int = field(repr=False)
-    hyz_sign: int = field(repr=False)
     ratio: float = field(default=1.0, repr=False)
-
-    @property
-    def basis(self) -> ProductBasis:
-        return self.chunk.basis
 
     def energy_of_label(self, label: str) -> float | None:
         position = self.chunk.positions.get(label)
@@ -157,10 +141,9 @@ class MolecularSpectrum:
         self.chunk.solve(self.chunk.size_of[position])
         return float(self.chunk.levels[self.row, position] * self.ratio)
 
-    def scaled(self, ratio: float, hyz_sign: int) -> MolecularSpectrum:
-        """This spectrum for H times ratio, a power of two, and hyz_sign."""
+    def scaled(self, ratio: float) -> MolecularSpectrum:
+        """This spectrum for H times ratio, a power of two."""
         return MolecularSpectrum(self.b, self.chunk, self.row,
-                                 hyz_sign if self.hyz_sign else 0,
                                  self.ratio * ratio)
 
     @cached_property
@@ -176,50 +159,39 @@ class MolecularSpectrum:
     def labels(self) -> tuple[str, ...]:
         return tuple(self.chunk.names[self.order].tolist())
 
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        chunk, order = self.chunk, self.order
-        phases = QUARTER_TURNS[self.hyz_sign * chunk.ny % 4]
-        vectors = np.zeros((len(self.basis),) * 2, dtype=complex)
-        for members, sector_vectors in zip(chunk.members, chunk.vectors):
-            vectors[members[..., None], members[:, None]] = (
-                phases[members][..., None] * sector_vectors[self.row])
-        return vectors[:, order]
-
 
 class FieldChunk:
     """The levels of one sweep's distinct fields, one sector size
     diagonalized on the first read of a level it holds, in one call over
     every field, and kept. levels[f, p] is the level at field f named
     after basis state p, the k-th level of a sector at the position of its
-    k-th member; members[s] and vectors[s] are the members (k, m) of the
-    sectors of size index s and, once solved, their real eigenvectors
-    (fields, k, m, m). B = 0 among other fields is one more row of the
-    stacks. At B = 0 alone H is diagonal: the levels are its diagonal,
-    each state a sector of one, and nothing is solved or kept of the
-    Hamiltonian."""
+    k-th member; members[s] are the members (k, m) of the sectors of size
+    index s, and solved[s] says whether their levels are known. B = 0
+    among other fields is one more row of the stacks. At B = 0 alone H is
+    diagonal: the levels are its diagonal, each state a sector of one, and
+    nothing is solved or kept of the Hamiltonian."""
 
     def __init__(self, ham: BlockHamiltonian, b_values: list[float]):
-        self.basis, self.names, self.positions, self.ny = (
-            ham.basis, ham.names, ham.positions, ham.ny)
+        self.names, self.positions = ham.names, ham.positions
         if b_values == [0.0]:
             self.levels = ham.diagonal[None]
             self.members = [np.arange(len(ham))[:, None]]
-            self.vectors = [np.ones((1, len(ham), 1, 1))]
+            self.solved = [True]
         else:
             self.ham, self.b_values = ham, b_values
             self.levels = np.empty((len(b_values), len(ham)))
             self.members = [members for members, _ in ham.sectors]
-            self.vectors = [None] * len(self.members)
+            self.solved = [False] * len(self.members)
         size_of = np.empty(len(ham), dtype=int)  # each state's size index
         for size, members in enumerate(self.members):
             size_of[members] = size
         self.size_of = size_of.tolist()
 
     def solve(self, size: int) -> None:
-        if self.vectors[size] is None:
-            self.levels[:, self.members[size]], self.vectors[size] = \
-                diagonalize(self.ham.hamiltonians(self.b_values, size))
+        if not self.solved[size]:
+            self.levels[:, self.members[size]], _ = diagonalize(
+                self.ham.hamiltonians(self.b_values, size))
+            self.solved[size] = True
 
     def solve_all(self) -> None:
         for size in range(len(self.members)):
@@ -347,7 +319,6 @@ def adiabatic_sweep(vertical: VerticalSpectrum, species: ParticleSpecies,
         raise ValueError("magnetic fields must be finite and >= 0")
     fields = list(dict.fromkeys(requested))
     chunk = FieldChunk(BlockHamiltonian(vertical, species, options), fields)
-    spectra = {b: MolecularSpectrum(b, chunk, row,
-                                    species.hyz_sign if b else 0)
+    spectra = {b: MolecularSpectrum(b, chunk, row)
                for row, b in enumerate(fields)}
     return [spectra[b] for b in requested]

@@ -178,7 +178,7 @@ def sweep_b(device: DeviceSpec, b_values,
     r = hole_scale(electron, hole, h_vertical)
     h_specs = (adiabatic_sweep(h_vertical, hole, b_list, options)
                if r is None else
-               [spec.scaled(r, hole.hyz_sign) for spec in e_specs])
+               [spec.scaled(r) for spec in e_specs])
     points = [SolvePoint(barrier_l=device.barrier_l, b=b, electron=e, hole=h,
                          lines=emission_lines(e, h, device))
               for b, e, h in zip(b_list, e_specs, h_specs)]

@@ -13,14 +13,15 @@ at them and the well weights of the vertical states (nodes, well_masks,
 sampled_wells, localization), the dense Hamiltonian over
 the whole product basis (build_basis, y_matrix, product_basis, assemble,
 label_of), which the symmetry sectors are checked against, the sectors
-one at a time (sector_list), the sectors found by scipy's graph search
-(component_sectors), which the library's closure search is checked
-against, and the dense eigenvectors that one
-eigensolve per sector scatters over the product basis (scattered_vectors),
-which MolecularSpectrum.vectors is checked against, and the adiabatic
-march over whole n_x blocks of that dense Hamiltonian (block_spectra,
-label_states, march), which the rank labels of the sectors are checked
-against.
+one at a time with their gauge phases (QUARTER_TURNS, sector_list), the
+sectors found by scipy's graph search (component_sectors), which the
+library's closure search is checked against, the dense eigenvectors that
+one eigensolve per sector scatters over the product basis
+(scattered_vectors), which paired with a library spectrum's levels and
+labels (dense_spectra) must solve the dense complex H (gauge_residual),
+and the adiabatic march over whole n_x blocks of that dense Hamiltonian
+(block_spectra, label_states, march), which the rank labels of the
+sectors are checked against.
 """
 
 from dataclasses import dataclass, replace
@@ -34,8 +35,8 @@ from scipy.sparse.csgraph import connected_components
 from dqdsim.core import FieldPoint, ParticleSpecies, SolverOptions, \
     cyclotron_energy, kinetic_coefficient
 from dqdsim.lateral import renormalized_y_quantum, y_ladder, y_zero_point
-from dqdsim.molecular import DZ_FLOOR, QUARTER_TURNS, BlockHamiltonian, \
-    ProductBasis, diagonalize, shell_name
+from dqdsim.molecular import DZ_FLOOR, BlockHamiltonian, ProductBasis, \
+    diagonalize, shell_name
 from dqdsim.vertical import DoubleWellSpec, Grid1D, VerticalSpectrum, \
     dz_matrix
 
@@ -45,6 +46,8 @@ M0_SI = 9.1093837015e-31
 E_SI = 1.602176634e-19
 
 HB2_2M0 = HBAR_SI ** 2 / (2 * M0_SI) / (E_SI * 1e-3) * 1e18  # meV nm^2
+# (-i)^k; entry sign*n_y mod 4 is the exact gauge phase (-sign*i)^n_y
+QUARTER_TURNS = np.array([1, -1j, -1, 1j])
 
 
 def box_energies(width, mass_ratio, n_levels):
@@ -351,11 +354,11 @@ def component_sectors(ham: BlockHamiltonian) -> list[np.ndarray]:
 
 
 def scattered_vectors(ham: BlockHamiltonian, b_values) -> np.ndarray:
-    """The eigenvectors over the product basis at fields > 0, or at B = 0
-    alone, as a dense complex (fields, dim, dim) array with each field's
-    levels in ascending stable order: one diagonalize call per sector, its
-    real eigenvectors times its gauge phases scattered into the sector's
-    rows and columns. At B = 0 they are the columns of the identity."""
+    """The eigenvectors over the product basis at the fields, as a dense
+    complex (fields, dim, dim) array with each field's levels in ascending
+    stable order: one diagonalize call per sector, its real eigenvectors
+    times its gauge phases scattered into the sector's rows and columns.
+    At B = 0 alone they are the columns of the identity."""
     dim = len(ham)
     if list(b_values) == [0.0]:
         order = np.argsort(ham.diagonal, kind="stable")
@@ -410,6 +413,24 @@ def dense_hamiltonians(ham: BlockHamiltonian, b_values) -> np.ndarray:
                               y_matrix(lateral, ham.species), ham.species,
                               field))
     return np.array(stack)
+
+
+def dense_spectra(ham: BlockHamiltonian, spectra) -> list[DenseSpectrum]:
+    """Library spectra of ham's problem as DenseSpectrum: each one's
+    energies and labels, with column j of its field's scattered_vectors
+    as the eigenvector of level j."""
+    vectors = scattered_vectors(ham, [spec.b for spec in spectra])
+    return [DenseSpectrum(ham.basis, spec.b, spec.energies, v, spec.labels)
+            for spec, v in zip(spectra, vectors)]
+
+
+def gauge_residual(ham: BlockHamiltonian, spectrum) -> float:
+    """max |H v - E v| over the levels of a DenseSpectrum, relative to
+    max |H|, with H the dense complex H of ham at the spectrum's field."""
+    h = dense_hamiltonians(ham, [spectrum.b])[0]
+    vectors = spectrum.vectors
+    residual = h @ vectors - vectors * spectrum.energies
+    return float(np.abs(residual).max() / np.abs(h).max())
 
 
 def nx_blocks(basis: ProductBasis) -> list[np.ndarray]:

@@ -359,6 +359,21 @@ class TestCliSweeps:
             "7.000000\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("b_values, message", [
+        ("0, 8, 8.0000001", "8.0 and 8.0000001 T both print as 8.000000"),
+        ("8, 8.000000000000002",
+         "8.0 and 8.000000000000002 T both print as 8.000000")])
+    def test_fields_printed_alike_exit_2(self, tmp_path, capsys, b_values,
+                                         message):
+        # lines_vs_B.csv prints B to six decimals: two rows 8.000000 could
+        # not be told apart
+        cfg = write(tmp_path, "cfg.ini", f"[sweep]\nb_values = {b_values}\n")
+        out = tmp_path / "run"
+        assert main(["sweep-b", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error (config): b_values {message}\n")
+        assert not out.exists()
+
     def test_repeated_field_exits_2(self, tmp_path, capsys):
         cfg = write(tmp_path, "cfg.ini", "[sweep]\nb_values = 0, 8, 8\n")
         out = tmp_path / "run"
@@ -595,11 +610,15 @@ def test_svg_writer_standalone(tmp_path):
         write_line_plot(tmp_path / "empty.svg", [])
 
 
-def test_ticks_are_bounded():
-    from dqdsim.svgplot import _ticks
+def test_ticks_are_bounded(tmp_path):
+    from dqdsim.svgplot import _ticks, write_line_plot
 
     assert _ticks(0.0, 8.0) == [0.0, 2.0, 4.0, 6.0, 8.0]
     assert _ticks(2.5, 15.0) == [2.5, 5.0, 7.5, 10.0, 12.5, 15.0]
     assert _ticks(3.0, 3.0) == [3.0]
     # one ulp: a step below float resolution would never move the tick
     assert _ticks(7.0, math.nextafter(7.0, 8.0)) == [7.0]
+    # ... so a plot whose axes are one ulp wide is written and returns
+    ulp = [8.0, math.nextafter(8.0, 9.0)]
+    write_line_plot(tmp_path / "ulp.svg", [("line", ulp, ulp)])
+    assert ET.parse(tmp_path / "ulp.svg").getroot().tag.endswith("svg")

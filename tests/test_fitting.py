@@ -34,6 +34,11 @@ class TestBrent:
     @settings(deadline=None, max_examples=200)
     @example(family="cubic", coeffs=[1.0, 0.0, 0.0, 0.0], ends=(2.0, -1.0),
              xtol=1e-14, rtol=4 * EPS)
+    # dblk * dpre * (fblk - fpre) underflows to 0: brentq.c's step is then
+    # inf or NaN, fails the step test, and it bisects
+    @example(family="cubic", coeffs=[4.2740199894149484e-122, 0, 0,
+                                     4.2740199894149484e-122],
+             ends=(0.0, -2.0), xtol=0.0625, rtol=4 * EPS)
     @given(family=st.sampled_from(["monotone", "cubic"]),
            coeffs=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
            ends=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),

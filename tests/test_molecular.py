@@ -196,7 +196,7 @@ class TestBlockHamiltonian:
                              y_matrix(lateral, species), species, field)
             stacks = oracles.size_stacks(ham, [2.0, b])
             scattered = np.zeros_like(dense)
-            phases = molecular.QUARTER_TURNS[species.hyz_sign * ham.ny % 4]
+            phases = oracles.QUARTER_TURNS[species.hyz_sign * ham.ny % 4]
             for (members, _), stack in zip(ham.sectors, stacks):
                 k, m = members.shape
                 assert stack.shape == (2, k, m, m) and stack.dtype == float
@@ -246,9 +246,7 @@ class TestBlockHamiltonian:
         for spec, one in zip(joint, ones):
             assert spec.b == one.b
             assert spec.energies.tobytes() == one.energies.tobytes()
-            assert spec.vectors.tobytes() == one.vectors.tobytes()
             assert spec.labels == one.labels
-            assert spec.basis == one.basis
 
     @settings(deadline=None, max_examples=40)
     @given(steps=st.integers(250, 1500),
@@ -655,37 +653,18 @@ class TestSolveMolecular:
 
     @pytest.mark.parametrize("species", [ELECTRON, HOLE], ids=["e", "h"])
     def test_zero_field_closed_form_matches_block_eigh(self, species):
-        # the closed form must give the energies, labels and eigenvectors
-        # of the eigensolved diagonal blocks, tied levels in any order
+        # the closed form must give the energies and labels of the
+        # eigensolved diagonal blocks, tied levels in any order, and under
+        # its labels the oracle's basis vectors are their eigenvectors
         vert = vertical_spectrum(default_device(7.0), species)
         ham = BlockHamiltonian(vert, species)
         closed = adiabatic_sweep(vert, species, [0.0])[0]
         ref = block_spectra(ham, [0.0])[0]
         match = matched_levels(closed, ref)
         assert closed.energies.tobytes() == ref.energies.tobytes()
-        assert np.array_equal(np.abs(closed.vectors),
+        dense = oracles.dense_spectra(ham, [closed])[0]
+        assert np.array_equal(np.abs(dense.vectors),
                               np.abs(ref.vectors[:, match]))
-
-    @pytest.mark.parametrize("species", [ELECTRON, HOLE], ids=["e", "h"])
-    @pytest.mark.parametrize("well", [2.5, 7.0, 15.0, DoubleWellSpec(
-        9.0, 7.0, 400.0, 400.0)], ids=["2.5nm", "7nm", "15nm", "4-state"])
-    def test_vectors_equal_the_dense_scatter(self, species, well):
-        # .vectors, built on read from the stacked sector eigenvectors, is
-        # bit for bit what one eigensolve per sector scattered densely
-        if isinstance(well, float):
-            vert = vertical_spectrum(default_device(well), species)
-        else:
-            vert = solve_double_well(well, species)
-        ham = BlockHamiltonian(vert, species)
-        fields = [0.05, 1.0, 3.3, 8.0, 12.0]
-        zero, *spectra = adiabatic_sweep(vert, species, [0.0] + fields)
-        dense = oracles.scattered_vectors(ham, [0.0])[0]
-        assert zero.vectors.dtype == dense.dtype == complex
-        assert zero.vectors.tobytes() == dense.tobytes()
-        for spec, dense in zip(spectra,
-                               oracles.scattered_vectors(ham, fields)):
-            assert spec.vectors.shape == dense.shape == (len(ham),) * 2
-            assert spec.vectors.tobytes() == dense.tobytes()
 
     def test_basis_is_built_once_and_shared_read_only(self, electron_vertical,
                                                        hole_vertical):
@@ -706,9 +685,11 @@ class TestSolveMolecular:
         assert len(wider) == 2 * 15 < len(electron)
 
     def test_eigenvector_unitarity(self, electron_vertical):
+        ham = BlockHamiltonian(electron_vertical, ELECTRON)
         spec = adiabatic_sweep(electron_vertical, ELECTRON, [7.0])[0]
-        gram = spec.vectors.conj().T @ spec.vectors
-        assert np.max(np.abs(gram - np.eye(len(spec.basis)))) < 1e-8
+        vectors = oracles.dense_spectra(ham, [spec])[0].vectors
+        gram = vectors.conj().T @ vectors
+        assert np.max(np.abs(gram - np.eye(len(ham)))) < 1e-8
 
     def test_hole_spectrum_is_half_the_electron_one(self):
         # the default parametrization scales the hole Hamiltonian to half
@@ -728,18 +709,27 @@ class TestSolveMolecular:
     @pytest.mark.parametrize("sign", [-1, 1])
     @pytest.mark.parametrize("species", [ELECTRON, HOLE], ids=["e", "h"])
     def test_vectors_are_product_basis_eigenvectors(self, species, sign):
-        # the real sector eigenvectors times the gauge phases solve the
-        # dense complex H; without the phases the residual is of order |H|
+        # the library's levels, in order, with the real sector
+        # eigenvectors times the gauge phases of the sign, solve the dense
+        # complex H of that sign; without the phases the residual is of
+        # order |H|. At B = 0 alone the vectors are the basis states
         species = replace(species, hyz_sign=sign)
-        vert = vertical_spectrum(default_device(7.0), species)
-        ham = BlockHamiltonian(vert, species)
-        zero, spec = adiabatic_sweep(vert, species, [0.0, 8.0])
-        h = oracles.dense_hamiltonians(ham, [8.0])[0]
-        residual = h @ spec.vectors - spec.vectors * spec.energies
-        assert np.abs(residual).max() <= 1e-10 * np.abs(h).max()
-        assert np.array_equal(np.abs(zero.vectors),
-                              np.abs(zero.vectors) ** 2)
-        assert (np.abs(zero.vectors).sum(axis=0) == 1).all()
+        for well in (2.5, 7.0, 15.0, DoubleWellSpec(9.0, 7.0, 400.0, 400.0)):
+            if isinstance(well, float):
+                vert = vertical_spectrum(default_device(well), species)
+            else:
+                vert = solve_double_well(well, species)
+            ham = BlockHamiltonian(vert, species)
+            spectra = adiabatic_sweep(vert, species,
+                                      [0.0, 0.05, 1.0, 3.3, 8.0, 12.0])
+            for dense in oracles.dense_spectra(ham, spectra):
+                assert oracles.gauge_residual(ham, dense) <= 1e-10
+            zero = oracles.dense_spectra(
+                ham, adiabatic_sweep(vert, species, [0.0]))[0]
+            assert oracles.gauge_residual(ham, zero) == 0.0
+            assert np.array_equal(np.abs(zero.vectors),
+                                  np.abs(zero.vectors) ** 2)
+            assert (np.abs(zero.vectors).sum(axis=0) == 1).all()
 
     def test_second_order_perturbation_at_half_tesla(self):
         device = default_device(9.5)
@@ -803,7 +793,9 @@ class TestLabeling:
         # field drags B,p_y up through it, swapping characters along the
         # continuous branches. Adiabatic labels stick to the branches, so
         # at 8 T they disagree with dominant-component labels.
-        spec8 = adiabatic_sweep(electron_vertical, ELECTRON, [8.0])[0]
+        ham = BlockHamiltonian(electron_vertical, ELECTRON)
+        spec8 = oracles.dense_spectra(ham, adiabatic_sweep(
+            electron_vertical, ELECTRON, [8.0]))[0]
         adiabatic = spec8.labels
         dominant = dominant_labels(spec8)
         i_ad = adiabatic.index("A:s")
@@ -814,7 +806,9 @@ class TestLabeling:
     def test_weak_coupling_labels_agree(self):
         device = default_device(9.5)
         vert = vertical_spectrum(device, ELECTRON)
-        spec8 = adiabatic_sweep(vert, ELECTRON, [8.0])[0]
+        spec8 = oracles.dense_spectra(
+            BlockHamiltonian(vert, ELECTRON),
+            adiabatic_sweep(vert, ELECTRON, [8.0]))[0]
         assert spec8.labels.index("A:s") == dominant_labels(spec8).index("A:s")
 
     def test_antibonding_s_stays_below_bonding_p_at_l95(self):
@@ -854,7 +848,9 @@ class TestLabeling:
 
     def test_permuted_phase_rotated_copy_keeps_labels(self,
                                                       electron_vertical):
-        ref = adiabatic_sweep(electron_vertical, ELECTRON, [3.3])[0]
+        ref = oracles.dense_spectra(
+            BlockHamiltonian(electron_vertical, ELECTRON),
+            adiabatic_sweep(electron_vertical, ELECTRON, [3.3]))[0]
         rng = np.random.default_rng(11)
         perm = rng.permutation(len(ref.labels))
         phases = np.exp(2j * np.pi * rng.random(len(perm)))

@@ -110,25 +110,6 @@ def test_zero_field_reads_no_eigenvectors(monkeypatch):
     assert f"{curve.gaps()[0]:.6f}" == "46.650122"
 
 
-def test_sweeps_build_no_product_basis_vectors(monkeypatch):
-    # the sector eigenvectors are phased and scattered over the product
-    # basis only when a caller reads .vectors, and no sweep or line does
-    def unread(*_):
-        raise AssertionError("product-basis vectors built")
-
-    monkeypatch.setattr(molecular.MolecularSpectrum, "vectors",
-                        property(unread))
-    device = default_device(7.0)
-    curve, points = sweep_b(device, [0.0, 1.0, 8.0])
-    for point in points:
-        assert emission_lines(point.electron, point.hole, device) == \
-            point.lines
-    assert f"{curve.gaps()[0]:.6f}" == "46.650122"
-    assert solve_point(device, FieldPoint(3.3)).gap > 0
-    with pytest.raises(AssertionError, match="product-basis"):
-        points[2].electron.vectors
-
-
 def check_sector_stacks(monkeypatch, device, hole, solved):
     """Equal-size sectors share one stack over every field of the sweep,
     B = 0 among them, solved when a level in it is first read: per carrier
@@ -260,7 +241,7 @@ def test_every_eigensolve_is_a_real_sector_stack(monkeypatch):
     sweep_b(default_device(), [0.0, 3.0, 8.0])
     assert len(stacks) == 1  # the lines' size only
     point = solve_point(default_device(9.5), FieldPoint(8.0))
-    assert len(point.electron.energies) == len(point.electron.basis)
+    assert len(point.electron.energies) == len(point.electron.chunk.names)
     assert len(stacks) == len(sectors) > 2
     assert [h.shape[1:] for h in stacks] == [(k, m, m) for k, m in sectors]
     assert all(np.isrealobj(h) for h in stacks)
@@ -281,8 +262,8 @@ def test_label_reads_equal_the_sorted_levels(l, width, depths, cap, quanta,
                                              hole, fields, rnd):
     # energy_of_label solves one sector size at a time; read first, in any
     # order, each level is bit for bit the one .energies lists under its
-    # label afterwards, and .vectors is still the scatter of one
-    # eigensolve per sector
+    # label afterwards, and with the dense scatter of one eigensolve per
+    # sector the levels solve the dense complex H
     d1, d2 = max(depths), min(depths)
     device = DeviceSpec(well_width_h=width, barrier_l=l, depth_e_dot1=d1,
                         depth_e_dot2=d2, depth_h_dot1=d1 / 2,
@@ -303,9 +284,8 @@ def test_label_reads_equal_the_sorted_levels(l, width, depths, cap, quanta,
             assert sorted(spec.labels) == sorted(names)
             after = [spec.energies[spec.labels.index(name)] for name in names]
             assert np.array(first).tobytes() == np.array(after).tobytes()
-        for spec, dense in zip(spectra, oracles.scattered_vectors(
-                ham, [spec.b for spec in spectra])):
-            assert spec.vectors.tobytes() == dense.tobytes()
+        for dense in oracles.dense_spectra(ham, spectra):
+            assert oracles.gauge_residual(ham, dense) <= 1e-10
 
 
 @pytest.mark.parametrize("fields", [[0.0], [8.0], [0.0, 3.0, 8.0]])
@@ -330,7 +310,6 @@ def assert_same_spectra(found, expected):
     for spec, ref in zip(found, expected, strict=True):
         assert spec.b == ref.b and spec.labels == ref.labels
         assert spec.energies.tobytes() == ref.energies.tobytes()
-        assert spec.vectors.tobytes() == ref.vectors.tobytes()
 
 
 class TestScaledHole:
@@ -378,6 +357,15 @@ class TestScaledHole:
         _, points = sweep_b(device, fields, options, ELECTRON, hole)
         direct = adiabatic_sweep(h_direct, hole, fields, options)
         assert_same_spectra([p.hole for p in points], direct)
+        # the scaled levels, with the electron's sector eigenvectors in the
+        # hole's gauge phases, solve the hole's dense complex H: only the
+        # phases differ
+        e_gauged = molecular.BlockHamiltonian(
+            e_vertical, replace(ELECTRON, hyz_sign=hole.hyz_sign), options)
+        h_ham = molecular.BlockHamiltonian(h_direct, hole, options)
+        for dense in oracles.dense_spectra(e_gauged,
+                                           [p.hole for p in points]):
+            assert oracles.gauge_residual(h_ham, dense) <= 1e-10
 
     @settings(deadline=None, max_examples=40)
     @given(depth=st.floats(50.0, 800.0), width=st.floats(3.0, 6.0),
