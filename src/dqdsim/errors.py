@@ -20,12 +20,6 @@ class ConfigError(DqdError):
     exit_code = 2
 
 
-class DomainTooSmallError(DqdError):
-    """Grid domain does not leave enough padding around the wells."""
-
-    module = "vertical"
-
-
 class NoBoundStateError(DqdError):
     """The potential holds no bound state (ground energy >= 0)."""
 

@@ -19,8 +19,7 @@ from .core import ELECTRON, HOLE, DeviceSpec, ParticleSpecies, \
     SolverOptions, default_device, mass_scale, require_finite
 from .errors import NoBoundStateError, NoConvergenceError, SingularFitError, \
     UnboundDotError
-from .vertical import DoubleWellSpec, build_potential, grid_for_wells, \
-    solve_vertical
+from .vertical import DoubleWellSpec, build_potential, solve_vertical
 
 CALIBRATION_TOL = 0.01  # meV residual per emission line
 
@@ -188,9 +187,8 @@ def single_well_ground(depth: float, width: float, uncoupled_l: float,
     solve, so its Dirichlet walls sit where the device's do.
     """
     spec = DoubleWellSpec(width, uncoupled_l, depth, 0.0)
-    grid = grid_for_wells(spec, options)
-    spectrum = solve_vertical(build_potential(spec, grid), grid, species,
-                              n_states=1)
+    grid, runs = build_potential(spec, options)
+    spectrum = solve_vertical(runs, grid, species, n_states=1)
     return float(spectrum.energies[0])
 
 

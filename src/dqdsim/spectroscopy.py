@@ -74,9 +74,9 @@ def hole_scale(electron: ParticleSpecies, hole: ParticleSpecies,
     core.mass_scale and the lateral quanta give the same r, else None:
     then H, hbar*Omega_c, hypot, sqrt and eigh all scale by r exactly, at
     the fields adiabatic_sweep rounds to: none is subnormal."""
-    if h_vertical.twin is None:
+    r = h_vertical.scale
+    if r is None:
         return None
-    r = h_vertical.twin[1]
     exact = (mass_scale(electron, hole) == r
              and hole.lateral_quantum == r * electron.lateral_quantum)
     return r if exact else None

@@ -28,9 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import MIN_PADDING, ParticleSpecies, SolverOptions, \
-    kinetic_coefficient
-from .errors import DomainTooSmallError, NoBoundStateError
+from .core import ParticleSpecies, SolverOptions, kinetic_coefficient
+from .errors import NoBoundStateError
 
 
 @dataclass(frozen=True)
@@ -79,17 +78,21 @@ class DoubleWellSpec:
         return (self.barrier_l / 2, self.barrier_l / 2 + self.width_h)
 
 
-def grid_for_wells(spec: DoubleWellSpec,
-                   options: SolverOptions = SolverOptions()) -> Grid1D:
-    """Uniform grid of options.grid_step covering both wells plus
-    options.padding nm of barrier on each side.
+def build_potential(spec: DoubleWellSpec,
+                    options: SolverOptions = SolverOptions(),
+                    ) -> tuple[Grid1D, list[tuple[float, int]]]:
+    """The grid of options.grid_step covering both wells plus
+    options.padding nm of barrier on each side, and the double well on it
+    as its runs: (value, nodes) left to right, equal neighbours merged,
+    lengths summing to grid.n_points.
 
-    The nodes are centred on the barrier midpoint, so the grid is its own
-    mirror image and equal wells are sampled as mirror images (palindromic
-    runs) at any L, step and padding, unless a node lies exactly on an edge
-    (build_potential's [lo, hi) gives it to the right). The sampled wells
-    and barrier are exact, every edge half a step from its nearest nodes,
-    only when padding/step, H/step and L/step are all integers. Off that
+    The nodes are centred on the barrier midpoint. Well 1 [lo, hi) holds
+    the nodes z in it, to 1e-9 of a step: from ceil((lo - z_min)/h - 1e-9)
+    up to ceil((hi - z_min)/h - 1e-9), s barrier nodes before it and w in
+    it. Well 2 is its mirror image by node index, so equal wells give
+    palindromic runs at any L, step and padding. The sampled wells and
+    barrier are exact, every edge half a step from its nearest nodes, only
+    when padding/step, H/step and L/step are all integers. Off that
     lattice the edges snap to cell boundaries: at the default 0.01 nm step
     L = 7.003 and 7.005 nm are both sampled as a 7.00 nm barrier, and
     L = 7.006 nm as 7.01 nm (see the ROADMAP item "Exact geometry at any L").
@@ -97,34 +100,18 @@ def grid_for_wells(spec: DoubleWellSpec,
     span = 2 * spec.width_h + spec.barrier_l + 2 * options.padding
     n = int(round(span / options.grid_step))
     half = (n - 1) * options.grid_step / 2
-    return Grid1D(-half, half, n)
-
-
-def build_potential(spec: DoubleWellSpec, grid: Grid1D,
-                    ) -> list[tuple[float, int]]:
-    """The piecewise-constant double well on the grid as its runs: (value,
-    nodes) left to right, equal neighbours merged, lengths summing to
-    grid.n_points. A well [lo, hi) holds the nodes z in it, to 1e-9 of a
-    step: from ceil((lo - z_min)/h - 1e-9) up to ceil((hi - z_min)/h - 1e-9).
-    """
-    # the Dirichlet walls sit one step beyond the end nodes
-    pad_left = spec.well1_support[0] - (grid.z_min - grid.step)
-    pad_right = (grid.z_max + grid.step) - spec.well2_support[1]
-    if pad_left < MIN_PADDING - 1e-9 or pad_right < MIN_PADDING - 1e-9:
-        raise DomainTooSmallError(
-            f"grid [{grid.z_min}, {grid.z_max}] nm leaves padding "
-            f"({pad_left:.2f}, {pad_right:.2f}) nm around the wells; "
-            f"need >= {MIN_PADDING} nm on each side")
-    edges = [math.ceil((z - grid.z_min) / grid.step - 1e-9)
-             for z in (*spec.well1_support, *spec.well2_support)]
-    values = (0.0, float(-spec.depth1), 0.0, float(-spec.depth2), 0.0)
+    grid = Grid1D(-half, half, n)
+    s, end = (math.ceil((z - grid.z_min) / grid.step - 1e-9)
+              for z in spec.well1_support)
+    w = end - s
     runs = []
-    for value, lo, hi in zip(values, [0, *edges], [*edges, grid.n_points]):
+    for value, m in ((0.0, s), (float(-spec.depth1), w), (0.0, n - 2 * end),
+                     (float(-spec.depth2), w), (0.0, s)):
         if runs and runs[-1][0] == value:
-            runs[-1] = (runs[-1][0], runs[-1][1] + hi - lo)
-        elif hi > lo:
-            runs.append((value, hi - lo))
-    return runs
+            runs[-1] = (runs[-1][0], runs[-1][1] + m)
+        elif m > 0:
+            runs.append((value, m))
+    return grid, runs
 
 
 @dataclass(eq=False)
@@ -134,11 +121,11 @@ class VerticalSpectrum:
     energies are ascending, measured from the barrier band edge and all
     negative: only bound states are solved for. labels classify
     consecutive pairs as bonding (lower) / antibonding (upper). runs, c_h2
-    and n_states are the problem solve_vertical was given, and twin the
-    (spectrum, r) this one is r times, when it was scaled from one rather
-    than solved. wavefunctions holds the grid-sampled, L2-normalized real
+    and n_states are the problem solve_vertical was given; scale is the r
+    it multiplied a twin's energies by, or None when it solved them.
+    wavefunctions holds the grid-sampled, L2-normalized real
     eigenfunctions as columns, largest-amplitude lobe positive, built from
-    the runs (or read from the twin) on first read only.
+    the runs on first read only.
     """
 
     grid: Grid1D
@@ -147,12 +134,10 @@ class VerticalSpectrum:
     runs: list[tuple[float, int]] = field(repr=False)
     c_h2: float = field(repr=False)
     n_states: int = field(repr=False)
-    twin: tuple | None = field(default=None, repr=False)
+    scale: float | None = field(default=None, repr=False)
 
     @cached_property
     def wavefunctions(self) -> np.ndarray:
-        if self.twin is not None:
-            return self.twin[0].wavefunctions
         runs = self.runs
         k = np.arange(-1.0, max(m for _, m in runs) + 1.0)
         rows = np.empty((len(self.energies), self.grid.n_points))
@@ -385,8 +370,9 @@ def solve_vertical(runs: list[tuple[float, int]], grid: Grid1D,
     every run value those of this problem divided by a power of two r,
     is this problem's solve divided by r bit for bit: the shooting
     probes and tolerance scale by r and delta does not. Then its energies
-    times r and its eigenvectors are returned and nothing is shot; any
-    other twin is ignored.
+    times r are returned and nothing is shot, and the eigenvectors, built
+    from these runs when read, equal the twin's bit for bit; any other
+    twin is ignored.
     """
     if n_states < 1:
         raise ValueError("n_states must be >= 1")
@@ -401,7 +387,7 @@ def solve_vertical(runs: list[tuple[float, int]], grid: Grid1D,
                 and twin.n_states == n_states
                 and runs == [(value * r, m) for value, m in twin.runs]):
             return VerticalSpectrum(grid, twin.energies * r, twin.labels,
-                                    runs, c_h2, n_states, (twin, r))
+                                    runs, c_h2, n_states, r)
     energies = _lowest_eigenvalues(runs, c_h2, min(n_states,
                                                    grid.n_points - 1), 0.0)
     if not len(energies):
@@ -417,11 +403,10 @@ def solve_double_well(spec: DoubleWellSpec, species: ParticleSpecies,
                       twin: VerticalSpectrum | None = None,
                       ) -> VerticalSpectrum:
     """Grid, potential and solve in one call: the bound states, at most
-    options.vertical_cap, on the grid of grid_for_wells(spec, options),
-    scaled from twin where solve_vertical can."""
-    grid = grid_for_wells(spec, options)
-    return solve_vertical(build_potential(spec, grid), grid, species,
-                          options.vertical_cap, twin)
+    options.vertical_cap, of build_potential(spec, options), scaled from
+    twin where solve_vertical can."""
+    grid, runs = build_potential(spec, options)
+    return solve_vertical(runs, grid, species, options.vertical_cap, twin)
 
 
 def dz_matrix(spectrum: VerticalSpectrum) -> np.ndarray:

@@ -201,11 +201,12 @@ def well_masks(spec: DoubleWellSpec, grid: Grid1D) -> list[np.ndarray]:
 
 
 def sampled_wells(spec: DoubleWellSpec, grid: Grid1D) -> np.ndarray:
-    """The double well at the grid's node positions: -depth at the nodes
-    inside each well, 0 elsewhere."""
+    """The double well at the grid's node positions: -depth1 at the nodes
+    inside well 1, -depth2 at their mirror images, 0 elsewhere."""
     potential = np.zeros(grid.n_points)
-    for mask, depth in zip(well_masks(spec, grid), (spec.depth1, spec.depth2)):
-        potential[mask] = -depth
+    mask = well_masks(spec, grid)[0]
+    potential[mask] = -spec.depth1
+    potential[mask[::-1]] = -spec.depth2
     return potential
 
 

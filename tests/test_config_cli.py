@@ -178,6 +178,17 @@ class TestCliSolve:
         assert code == 2
         assert "vertical_cap >= 2" in capsys.readouterr().err
 
+    def test_padding_below_the_floor_exits_2(self, tmp_path, capsys):
+        # SolverOptions holds the one padding guard: build_potential makes
+        # every grid from it, so none has less barrier outside a well
+        cfg = write(tmp_path, "thin.ini", "[solver]\npadding = 14.9\n")
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error (config): ")
+        assert "padding >= 15.0 nm" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["solve", "sweep-b"])
     def test_one_bound_electron_state_exits_3(self, tmp_path, capsys,
                                               command):
@@ -575,7 +586,6 @@ class TestCliFitPowerlaw:
 @pytest.mark.parametrize("error, module, code", [
     (errors.DqdError, "dqdsim", 3),
     (errors.ConfigError, "config", 2),
-    (errors.DomainTooSmallError, "vertical", 3),
     (errors.NoBoundStateError, "vertical", 3),
     (errors.NotHermitianError, "molecular", 3),
     (errors.EigenResidualError, "molecular", 3),

@@ -251,17 +251,17 @@ class TestCalibration:
 
     @settings(deadline=None, max_examples=20)
     @given(depths=st.tuples(st.floats(150.0, 300.0), st.floats(150.0, 300.0)),
-           width=st.integers(450, 550).map(lambda k: k / 100),
+           width=st.floats(4.5, 5.5),
            binding=st.floats(0.0, 40.0), offset=st.floats(-200.0, 200.0))
+    # off the 0.01 nm grid, with nodes on both inner well edges: well 2 is
+    # well 1's mirror image, so dot 2 calibrated as well 1 comes back
+    @example(width=4.875, depths=(155.0, 150.0), binding=25.0, offset=0.0)
     def test_round_trip_recovers_drawn_depths(self, depths, width, binding,
                                               offset):
         # dots closer than a few meV are still tunnel coupled at 50 nm
         # (3.6e-3 meV at 150/150), so the drawn pair is kept detuned; the
         # coupling grows as the wells narrow (150/155 is recovered to
-        # 2.7e-6 meV at 4.5 nm but 1.3e-5 meV at 4.0 nm). Widths lie on the
-        # 0.01 nm grid: off it the device samples its two wells to different
-        # widths (4.875 nm as 4.87 and 4.88), and dot 2 calibrated as well 1
-        # is 0.22 meV off
+        # 2.7e-6 meV at 4.5 nm but 1.3e-5 meV at 4.0 nm)
         assume(abs(depths[0] - depths[1]) >= 5.0)
         d1, d2 = max(depths), min(depths)
         device = replace(default_device(50.0), well_width_h=width,

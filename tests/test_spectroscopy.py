@@ -347,13 +347,18 @@ class TestScaledHole:
         # the lines need the antibonding level: two bound states
         assume(len(e_vertical.energies) > 1)
         h_vertical = vertical_spectrum(device, hole, options, e_vertical)
-        assert h_vertical.twin == (e_vertical, r)
+        assert h_vertical.scale == r
         assert spectroscopy.hole_scale(ELECTRON, hole, h_vertical) == r
         h_direct = vertical_spectrum(device, hole, options)
-        assert h_direct.twin is None
+        assert h_direct.scale is None
         assert h_vertical.energies.tobytes() == h_direct.energies.tobytes()
         assert (h_vertical.wavefunctions.tobytes()
                 == h_direct.wavefunctions.tobytes())
+        # the scaled hole builds its vectors from its own runs: the
+        # electron's bit for bit, in an array of its own
+        assert h_vertical.wavefunctions is not e_vertical.wavefunctions
+        assert (h_vertical.wavefunctions.tobytes()
+                == e_vertical.wavefunctions.tobytes())
         _, points = sweep_b(device, fields, options, ELECTRON, hole)
         direct = adiabatic_sweep(h_direct, hole, fields, options)
         assert_same_spectra([p.hole for p in points], direct)

@@ -12,11 +12,10 @@ import oracles
 from dqdsim import (ELECTRON, HOLE, ParticleSpecies, SolverOptions,
                     default_device, vertical)
 from dqdsim.core import kinetic_coefficient
-from dqdsim.errors import DomainTooSmallError, NoBoundStateError
+from dqdsim.errors import NoBoundStateError
 from dqdsim.spectroscopy import vertical_spectrum
 from dqdsim.vertical import (DoubleWellSpec, Grid1D, build_potential,
-                             dz_matrix, grid_for_wells, solve_double_well,
-                             solve_vertical)
+                             dz_matrix, solve_double_well, solve_vertical)
 
 DEFAULT_WELL = DoubleWellSpec(width_h=4.5, barrier_l=7.0,
                             depth1=239.0, depth2=203.0)
@@ -45,21 +44,21 @@ def sampled(runs):
 class TestBuildPotential:
     def test_zero_depths_give_zero_potential(self):
         spec = DoubleWellSpec(4.5, 7.0, 0.0, 0.0)
-        grid = grid_for_wells(spec)
-        assert build_potential(spec, grid) == [(0.0, grid.n_points)]
+        grid, runs = build_potential(spec)
+        assert runs == [(0.0, grid.n_points)]
 
     def test_default_wells_shape(self):
-        grid = grid_for_wells(DEFAULT_WELL)
+        grid, runs = build_potential(DEFAULT_WELL)
         # 20 nm of padding, 4.5 nm wells and exactly L = 7 nm of barrier
         # between them, in 0.01 nm cells
-        assert build_potential(DEFAULT_WELL, grid) == [
+        assert runs == [
             (0.0, 2000), (-239.0, 450), (0.0, 700), (-203.0, 450),
             (0.0, 2000)]
         assert grid.n_points == 5600
 
     def test_symmetric_depths_even_about_midpoint(self):
         spec = DoubleWellSpec(4.5, 7.0, 239.0, 239.0)
-        runs = build_potential(spec, grid_for_wells(spec))
+        _, runs = build_potential(spec)
         # mirror symmetry about the barrier midpoint reverses the runs
         assert runs == runs[::-1]
 
@@ -67,12 +66,11 @@ class TestBuildPotential:
         # a barrier thinner than one cell holds no node, so equal wells
         # make one run and a depth-0 second well joins the padding
         spec = DoubleWellSpec(4.5, 0.004, 239.0, 239.0)
-        grid = grid_for_wells(spec)
-        assert build_potential(spec, grid) == [(0.0, 2000), (-239.0, 900),
-                                               (0.0, 2000)]
+        assert build_potential(spec)[1] == [(0.0, 2000), (-239.0, 900),
+                                            (0.0, 2000)]
         spec = DoubleWellSpec(4.5, 0.004, 239.0, 0.0)
-        assert build_potential(spec, grid) == [(0.0, 2000), (-239.0, 450),
-                                               (0.0, 2450)]
+        assert build_potential(spec)[1] == [(0.0, 2000), (-239.0, 450),
+                                            (0.0, 2450)]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_runs_match_node_sampling_off_the_lattice(self, seed):
@@ -87,13 +85,19 @@ class TestBuildPotential:
             spec = DoubleWellSpec(float(width), float(barrier),
                                   float(rng.choice([0.0, 203.0, 239.0])),
                                   float(rng.choice([0.0, 203.0, 239.0])))
-            grid = grid_for_wells(spec, SolverOptions(grid_step=float(step),
-                                                      padding=float(padding)))
-            runs = build_potential(spec, grid)
+            grid, runs = build_potential(spec, SolverOptions(
+                grid_step=float(step), padding=float(padding)))
             assert all(m >= 1 for _, m in runs)
             assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
             assert np.array_equal(sampled(runs),
                                   oracles.sampled_wells(spec, grid))
+            # well 2 [lo, hi) holds its own nodes too, save one on an edge
+            offsets = [(z - grid.z_min) / grid.step
+                       for z in spec.well2_support]
+            if all(abs(x - round(x)) > 1e-9 for x in offsets):
+                mask = oracles.well_masks(spec, grid)[1]
+                assert np.array_equal(sampled(runs)[mask],
+                                      np.full(mask.sum(), -spec.depth2))
 
     @settings(deadline=None, max_examples=200)
     @given(width=st.floats(1.0, 8.0), barrier=st.floats(0.001, 40.0),
@@ -101,38 +105,50 @@ class TestBuildPotential:
            depth=st.sampled_from([203.0, 239.0]))
     @example(width=5.17, barrier=32.43, step=0.0137, padding=20.0,
              depth=239.0)
+    # nodes on well edges: a [lo, hi) rule for each well would give each
+    # to its right-hand side, which no mirror keeps
+    @example(width=1.0, barrier=1.0, step=1 / 64, padding=15.0234375,
+             depth=239.0)
+    @example(width=4.875, barrier=50.0, step=0.01, padding=20.0,
+             depth=239.0)
     def test_equal_wells_give_palindromic_runs(self, width, barrier, step,
                                                padding, depth):
-        # the grid is centred on the barrier midpoint, so equal wells are
-        # sampled as mirror images off the lattice too
+        # the grid is centred on the barrier midpoint and well 2 is well
+        # 1's mirror image, so equal wells are mirror images off the
+        # lattice too
         spec = DoubleWellSpec(width, barrier, depth, depth)
-        grid = grid_for_wells(spec, SolverOptions(grid_step=step,
-                                                  padding=padding))
+        grid, runs = build_potential(spec, SolverOptions(grid_step=step,
+                                                         padding=padding))
         assert grid.z_min == -grid.z_max
-        # except where a node lies on an edge: [lo, hi) gives it to the
-        # right-hand side, which no mirror keeps
-        offsets = [(z - grid.z_min) / grid.step
-                   for z in (*spec.well1_support, *spec.well2_support)]
-        assume(all(abs(x - round(x)) > 1e-6 for x in offsets))
-        runs = build_potential(spec, grid)
         assert runs == runs[::-1]
 
-    def test_domain_too_small(self):
-        # SolverOptions rejects a padding below MIN_PADDING, so a hand-made
-        # grid with 10 nm of barrier outside each well reaches the check
-        step, padding = 0.01, 10.0
-        z_min = DEFAULT_WELL.well1_support[0] - padding + step / 2
-        n = int(round((9.0 + 7.0 + 2 * padding) / step))
-        grid = Grid1D(z_min, z_min + (n - 1) * step, n)
-        with pytest.raises(DomainTooSmallError):
-            build_potential(DEFAULT_WELL, grid)
+    @settings(deadline=None, max_examples=200)
+    @given(width=st.floats(0.001, 8.0), barrier=st.floats(1e-6, 40.0),
+           step=st.floats(0.004, 0.03), padding=st.floats(15.0, 25.0),
+           depths=st.tuples(st.sampled_from([0.0, 203.0, 239.0]),
+                            st.sampled_from([0.0, 203.0, 239.0])))
+    @example(width=4.875, barrier=50.0, step=0.01, padding=20.0,
+             depths=(239.0, 203.0))
+    def test_swapped_depths_reverse_the_runs(self, width, barrier, step,
+                                             padding, depths):
+        # off the lattice too, wells and barrier thinner than a cell
+        # included: the wells hold equally many nodes, which the mirror
+        # swaps
+        options = SolverOptions(grid_step=step, padding=padding)
+        grid, runs = build_potential(DoubleWellSpec(width, barrier,
+                                                    *depths), options)
+        _, swapped = build_potential(DoubleWellSpec(width, barrier,
+                                                    *depths[::-1]), options)
+        assert sum(m for _, m in runs) == grid.n_points
+        assert all(m >= 1 for _, m in runs)
+        assert swapped == runs[::-1]
 
 
 class TestOptionsReachTheGrid:
     OPTIONS = SolverOptions(grid_step=0.02, padding=25.0)
 
-    def test_grid_for_wells_honours_step_and_padding(self):
-        grid = grid_for_wells(DEFAULT_WELL, self.OPTIONS)
+    def test_build_potential_honours_step_and_padding(self):
+        grid, _ = build_potential(DEFAULT_WELL, self.OPTIONS)
         assert grid.step == pytest.approx(0.02, rel=1e-12)
         # the cells around the nodes span the wells plus 25 nm each side
         assert grid.z_min - grid.step / 2 == pytest.approx(
@@ -147,11 +163,10 @@ class TestOptionsReachTheGrid:
         options = SolverOptions(grid_step=0.02, padding=25.0,
                                 vertical_cap=cap)
         spectrum = solve_double_well(spec, ELECTRON, options)
-        assert spectrum.grid == grid_for_wells(spec, options)
+        grid, runs = build_potential(spec, options)
+        assert spectrum.grid == grid
         assert len(spectrum.energies) == cap
-        grid = spectrum.grid
-        expected = solve_vertical(build_potential(spec, grid), grid,
-                                  ELECTRON, 4).energies[:cap]
+        expected = solve_vertical(runs, grid, ELECTRON, 4).energies[:cap]
         assert spectrum.energies.tobytes() == expected.tobytes()
 
 
@@ -208,9 +223,9 @@ class TestSolveVertical:
 
     def test_no_bound_state(self):
         spec = DoubleWellSpec(4.5, 7.0, 0.0, 0.0)
-        grid = grid_for_wells(spec)
+        grid, runs = build_potential(spec)
         with pytest.raises(NoBoundStateError):
-            solve_vertical(build_potential(spec, grid), grid, ELECTRON, 4)
+            solve_vertical(runs, grid, ELECTRON, 4)
 
     def test_orthonormality_and_node_counts(self):
         spectrum = solve_double_well(DEFAULT_WELL, ELECTRON, TWO_STATES)
@@ -273,10 +288,9 @@ class TestParity:
                               *depths)
         mirror = DoubleWellSpec(spec.width_h, spec.barrier_l, depths[1],
                                 depths[0])
-        grid = grid_for_wells(spec, options)
-        assert grid == grid_for_wells(mirror, options)
-        runs, mirrored = (build_potential(spec, grid),
-                          build_potential(mirror, grid))
+        grid, runs = build_potential(spec, options)
+        mirror_grid, mirrored = build_potential(mirror, options)
+        assert mirror_grid == grid
         assert mirrored == runs[::-1]
         # a floor -v0 under both binds at least 4 levels, shallow wells too
         c_h2 = kinetic_coefficient(species) / grid.step ** 2
@@ -390,9 +404,8 @@ class TestDzMatrix:
 
     def test_one_state_gives_the_1x1_zero(self):
         spec = DoubleWellSpec(4.5, 10.0, 239.0, 0.0)
-        grid = grid_for_wells(spec)
-        spectrum = solve_vertical(build_potential(spec, grid), grid,
-                                  ELECTRON, 1)
+        grid, runs = build_potential(spec)
+        spectrum = solve_vertical(runs, grid, ELECTRON, 1)
         d = dz_matrix(spectrum)
         assert d.shape == (1, 1) and d[0, 0] == 0.0
 
@@ -411,10 +424,10 @@ def fd_matrix(potential, species, step):
 
 
 def tridiagonal(spec, species):
-    """Diagonal, off-diagonal and grid of the FD problem for a well."""
-    grid = grid_for_wells(spec)
-    return (*fd_matrix(sampled(build_potential(spec, grid)), species,
-                       grid.step), grid)
+    """Diagonal, off-diagonal, grid and runs of the FD problem for a
+    well."""
+    grid, runs = build_potential(spec)
+    return (*fd_matrix(sampled(runs), species, grid.step), grid, runs)
 
 
 def certificate_tolerance(diag, off):
@@ -441,7 +454,7 @@ class TestEigenvectorsOnDemand:
         and within eps; the vectors built from the runs agree with LAPACK
         stein's inverse iteration at those energies, and with
         eigh_tridiagonal's own vectors."""
-        diag, off, grid = tridiagonal(spec, species)
+        diag, off, grid, runs = tridiagonal(spec, species)
         eps = certificate_tolerance(diag, off)
         spectrum = solve_double_well(spec, species)
         energies = spectrum.energies
@@ -455,8 +468,7 @@ class TestEigenvectorsOnDemand:
         reference, vectors = eigh_tridiagonal(
             diag, off, select="i", select_range=(0, len(energies) - 1))
         assert np.max(np.abs(energies - reference)) <= eps
-        stein = oracles.stein_vectors(
-            build_potential(spec, grid), grid, species, energies)
+        stein = oracles.stein_vectors(runs, grid, species, energies)
         assert np.all(unit_overlaps(spectrum.wavefunctions, stein, grid)
                       >= 1 - 1e-12)
         dz, stein_dz = dz_matrix(spectrum), dz_of(spectrum, stein)
@@ -563,8 +575,7 @@ class TestRunWiseVectors:
         # depth2 None draws equal wells
         spec = DoubleWellSpec(width, barrier, depth1,
                               depth1 if depth2 is None else depth2)
-        grid = grid_for_wells(spec, SolverOptions(grid_step=step))
-        runs = build_potential(spec, grid)
+        grid, runs = build_potential(spec, SolverOptions(grid_step=step))
         diag, off = fd_matrix(sampled(runs), species, grid.step)
         # a bound ground state, not one on the E = 0 edge
         assume(lowest_eigh(diag, off, 1)[0] < -certificate_tolerance(diag,
@@ -642,9 +653,7 @@ class TestRunWiseVectors:
         # mirror-symmetric runs give states of alternating parity, and
         # d/dz, odd under the mirror, joins only opposite ones
         spec = DoubleWellSpec(width, barrier, depth, depth)
-        grid = grid_for_wells(spec, SolverOptions(grid_step=step))
-        runs = build_potential(spec, grid)
-        assume(runs == runs[::-1])
+        grid, runs = build_potential(spec, SolverOptions(grid_step=step))
         spectrum = solve_vertical(runs, grid, species, 4)
         k = len(spectrum.energies)
         assume(k >= 3)
@@ -753,9 +762,8 @@ class TestTransferMatrixEigenvalues:
     def test_symmetric_double_wells(self, barrier, depth, species):
         # at large L the bonding/antibonding pair is closer than any scan
         spec = DoubleWellSpec(4.5, barrier, depth, depth)
-        grid = grid_for_wells(spec)
-        assert_matches_eigh(sampled(build_potential(spec, grid)), grid,
-                            species, 4)
+        grid, runs = build_potential(spec)
+        assert_matches_eigh(sampled(runs), grid, species, 4)
 
     @settings(deadline=None, max_examples=30)
     @given(n=st.integers(3, 3000), n_states=st.integers(1, 6),
