@@ -12,6 +12,10 @@ The FD matrix is piecewise Toeplitz (5 runs for the double well): its
 recurrence crosses a run in one 2x2 Chebyshev transfer matrix (Tsu & Esaki,
 APL 22, 562, 1973), its signs give the Sturm count (Barth, Martin &
 Wilkinson, Numer. Math. 9, 386, 1967), so an eigenvalue costs O(runs).
+The count isolates each eigenvalue; Muller's method (MTAC 10, 208, 1956)
+polishes it on the last node's value with two factors that bend it across
+the bracket divided out: the barriers' growth e^{m theta(E)}, and E - lambda
+for each lower eigenvalue lambda.
 That transfer is written once, in _shoot, which serves the eigenvectors
 too: at an eigenvalue it also records each run's closed form, whose nodes
 are one numpy expression. Two such marches, in from each wall, are joined
@@ -122,7 +126,9 @@ class VerticalSpectrum:
     negative: only bound states are solved for. labels classify
     consecutive pairs as bonding (lower) / antibonding (upper). runs, c_h2
     and n_states are the problem solve_vertical was given; scale is the r
-    it multiplied a twin's energies by, or None when it solved them.
+    it multiplied a twin's energies by, or None when it solved them;
+    shoots is the number of transfer-matrix marches the energies took, 0
+    when scaled from a twin.
     wavefunctions holds the grid-sampled, L2-normalized real
     eigenfunctions as columns, largest-amplitude lobe positive, built from
     the runs on first read only.
@@ -135,6 +141,7 @@ class VerticalSpectrum:
     c_h2: float = field(repr=False)
     n_states: int = field(repr=False)
     scale: float | None = field(default=None, repr=False)
+    shoots: int = field(default=0, repr=False)
 
     @cached_property
     def wavefunctions(self) -> np.ndarray:
@@ -200,18 +207,24 @@ class _Form(NamedTuple):
 
 def _shoot(energy: float, runs: list[tuple[float, int]], c_h2: float,
            forms: list[_Form] | None = None) -> tuple[int, float, float]:
-    """Sturm count and psi_{n+1} = mantissa * e^log_scale at E of the FD
-    recurrence psi_{j+1} = 2(1 + delta_j) psi_j - psi_{j-1} from psi_0 = 0,
-    psi_1 = 1, delta_j = (V_j - E) h^2/2c. A run of m equal nodes is one T^m
-    (cos theta = 1 + delta; cosh where delta > 0) acting on (psi_s, psi_s -
-    psi_{s-1}), or on the modes of a run decaying by over e, so rounding
-    stays at the run ends. Into a list `forms` goes each run's _Form."""
-    x, y, log_scale, count = 1.0, 0.0, 0.0, 0
+    """Sturm count and psi_{n+1} e^-G = mantissa * e^log_scale at E of the
+    FD recurrence psi_{j+1} = 2(1 + delta_j) psi_j - psi_{j-1} from psi_0 =
+    0, psi_1 = 1, delta_j = (V_j - E) h^2/2c. A run of m equal nodes is one
+    T^m (cos theta = 1 + delta; cosh where delta > 0) acting on (psi_s,
+    psi_s - psi_{s-1}), or on the modes of a run decaying by over e, so
+    rounding stays at the run ends. G, the sum of m theta over the runs
+    where delta > 0, is the barriers' growth: a positive factor, smooth in
+    E, that the count and the sign ignore. Into a list `forms` goes each
+    run's _Form, whose log_scale keeps the growth."""
+    x, y, log_scale, count, growth = 1.0, 0.0, 0.0, 0, 0.0
     for value, m in runs:
         start, d, delta = x, x - y, (value - energy) / (2.0 * c_h2)
-        cos, sin, arc = ((math.cos, math.sin, math.asin) if delta < 0.0
-                         else (math.cosh, math.sinh, math.asinh))
-        theta = 2.0 * arc(math.sqrt(abs(delta) / 2.0))
+        if delta < 0.0:
+            cos, sin = math.cos, math.sin
+            theta = 2.0 * math.asin(math.sqrt(-delta / 2.0))
+        else:
+            cos, sin = math.cosh, math.sinh
+            theta = 2.0 * math.asinh(math.sqrt(delta / 2.0))
         if delta > 0.0 and m * theta > 1.0:
             e, grow = math.exp(-theta), d + x * math.expm1(theta)
             decay = -d - x * math.expm1(-theta)
@@ -245,25 +258,40 @@ def _shoot(energy: float, runs: list[tuple[float, int]], c_h2: float,
                     + d * sin(m * theta) / sin_t,
                     x * cos((m - 0.5) * theta) / cos_h
                     + d * sin((m - 1) * theta) / sin_t)
-        # m theta/pi half-waves: that many sign changes or one more
-        turns = math.floor(m * theta / math.pi) if delta < 0.0 else 0
+        # m theta/pi half-waves: that many sign changes or one more; a
+        # barrier's e^{m theta} goes to growth, which the return divides out
+        if delta < 0.0:
+            turns = math.floor(m * theta / math.pi)
+        else:
+            turns, growth = 0, growth + m * theta
         count += turns + (turns + ((x < 0.0) != (start < 0.0))) % 2
         scale = abs(x) + abs(y)
         x, y = x / scale, y / scale
         log_scale += math.log(scale)
-    return count, x, log_scale
+    return count, x, log_scale - growth
 
 
 def _lowest_eigenvalues(runs: list[tuple[float, int]], c_h2: float, k: int,
-                        upper: float | None = None) -> np.ndarray:
+                        upper: float | None = None,
+                        ) -> tuple[np.ndarray, int]:
     """The lowest k eigenvalues, ascending, of the FD matrix 2 c_h2 + the
     potential's runs on the diagonal, -c_h2 = -c/h^2 off it; with `upper`, only
     those below it (by default Weyl's bound max V + lambda_{k+1}(-Lapl.),
-    which solve_vertical uses only for an unbound ground state).
-    Bisection on the Sturm count from (min V, upper) isolates each root; a
-    safeguarded secant on psi_{n+1} polishes it in a 2 eps c/h^2 bracket.
-    Roots closer than that, a bonding/antibonding pair across a wide
-    barrier, are bisected apart down to float spacing, where the count
+    which solve_vertical uses only for an unbound ground state); and the
+    number of _shoot calls that found them.
+    Bisection on the Sturm count from (min V, upper) isolates each root.
+    Muller's quadratic through the last three probes (a secant through the
+    first two) polishes it in a 2 eps c/h^2 bracket, and a step that leaves
+    the bracket or does not halve the step before last is a bisection. The
+    polish of root i iterates on _shoot's value, psi_{n+1} with the
+    barriers' growth divided out, divided again by E - lambda_j for each
+    root j < i, which is positive in its bracket. Across a bracket
+    psi_{n+1} changes about 10x through e^{m theta(E)} alone, and 3-4x
+    through its neighbour roots' factors lambda - E: those below are
+    divided out, and the quadratic's second root models the one above. A
+    secant, Newton or Brent step models neither.
+    Roots closer than that bracket, a bonding/antibonding pair across a
+    wide barrier, are bisected apart down to float spacing, where the count
     still tells them apart, rather than given as one value twice."""
     lower = min(value for value, _ in runs)
     if upper is None:
@@ -273,32 +301,66 @@ def _lowest_eigenvalues(runs: list[tuple[float, int]], c_h2: float, k: int,
     if upper - lower >= 4.0 * c_h2:  # cos theta would pass -1
         raise ValueError("grid step too coarse for these well depths")
     tol = 2.0 * np.finfo(float).eps * max(c_h2, -lower, upper)
-    probes = {e: _shoot(e, runs, c_h2) for e in (lower, upper)}
-    roots = []
+    # lambda_1 > min V, the Laplacian being positive definite: the count
+    # there is 0 unshot, and its value (nan) is never read
+    probes = {lower: (0, math.nan, 0.0), upper: _shoot(upper, runs, c_h2)}
+    shoots, roots = 1, []
+
+    def scaled(e):  # the polish's value at probe e: times e^-ref, deflated
+        _, f, log = probes[e]
+        f *= math.exp(min(log - ref, 700.0))
+        for r in roots:
+            f /= e - r
+        return f
+
     for i in range(min(k, probes[upper][0])):
         a = max(e for e, p in probes.items() if p[0] <= i)
         b = min(e for e, p in probes.items() if p[0] > i)
-        p0, p1, steps, guess = a, b, [math.inf, math.inf], math.nan
-        # past tol only while the bracket holds more roots than the i-th
-        while b - a > tol or (a < 0.5 * (a + b) < b and not (
-                probes[a][0] == i and probes[b][0] == i + 1)):
+        while not (probes[a][0] == i and probes[b][0] == i + 1) and (
+                a < 0.5 * (a + b) < b):
             x = 0.5 * (a + b)
-            isolated = probes[a][0] == i and probes[b][0] == i + 1
-            if isolated:
-                (_, f0, l0), (_, f1, l1) = probes[p0], probes[p1]
-                slope = f1 - f0 * math.exp(min(l0 - l1, 700.0))  # finite
-                step = -f1 * (p1 - p0) / slope if slope else math.inf
-                # secant step (>= tol) from bracket end p1 unless it stalls
-                if (a < p1 + step < b and abs(step) <= 0.5 * steps[-2]
-                        and steps[-1] >= tol):
-                    x = p1 + math.copysign(max(abs(step), tol), step)
-                    guess = p1 + step
-                steps.append(abs(step))
             probes[x] = _shoot(x, runs, c_h2)
+            shoots += 1
             a, b = (x, b) if probes[x][0] <= i else (a, x)
-            p0, p1 = (p1, x) if isolated else (a, b)
+        # the polish's last probes x0, x1, x2 (latest) and their values:
+        # b, and a unless it is min V, unshot, or the root below, when the
+        # polish first bisects
+        ref, known = probes[b][2], 1
+        x0 = f0 = f1 = math.nan
+        x1, x2, f2 = a, b, scaled(b)
+        if probes[a][1] == probes[a][1] and not (roots and a <= roots[-1]):
+            f1, known = scaled(a), 2
+        last = before = math.inf
+        guess = math.nan
+        while b - a > tol:
+            step = math.inf
+            if known == 3:  # Muller's quadratic through the three
+                h1, h2 = x1 - x0, x2 - x1
+                d2 = (f2 - f1) / h2
+                curve = (d2 - (f1 - f0) / h1) / (h1 + h2)
+                slope = d2 + h2 * curve
+                disc = slope * slope - 4.0 * curve * f2
+                if disc >= 0.0:
+                    den = slope + math.copysign(math.sqrt(disc), slope)
+                    if den:
+                        step = -2.0 * f2 / den
+            if step == math.inf and known > 1 and f2 != f1:  # the secant
+                step = -f2 * (x2 - x1) / (f2 - f1)
+            # a step (>= tol) from x2, a bracket end, unless it stalls
+            if (a < x2 + step < b and abs(step) <= 0.5 * before
+                    and last >= tol):
+                x = x2 + math.copysign(max(abs(step), tol), step)
+                guess = x2 + step
+            else:
+                x = 0.5 * (a + b)
+            before, last = last, abs(step)
+            probes[x] = _shoot(x, runs, c_h2)
+            shoots += 1
+            x0, f0, x1, f1, x2, f2 = x1, f1, x2, f2, x, scaled(x)
+            known += known < 3
+            a, b = (x, b) if probes[x][0] <= i else (a, x)
         roots.append(guess if a <= guess <= b else 0.5 * (a + b))
-    return np.array(roots)
+    return np.array(roots), shoots
 
 
 def _nodes(form: _Form, k: np.ndarray, factor: float) -> np.ndarray:
@@ -388,14 +450,14 @@ def solve_vertical(runs: list[tuple[float, int]], grid: Grid1D,
                 and runs == [(value * r, m) for value, m in twin.runs]):
             return VerticalSpectrum(grid, twin.energies * r, twin.labels,
                                     runs, c_h2, n_states, r)
-    energies = _lowest_eigenvalues(runs, c_h2, min(n_states,
-                                                   grid.n_points - 1), 0.0)
+    energies, shoots = _lowest_eigenvalues(
+        runs, c_h2, min(n_states, grid.n_points - 1), 0.0)
     if not len(energies):
-        ground = _lowest_eigenvalues(runs, c_h2, 1)[0]
+        ground = _lowest_eigenvalues(runs, c_h2, 1)[0][0]
         raise NoBoundStateError(f"ground state energy {ground:.3f} meV is "
                                 "not bound")
     return VerticalSpectrum(grid, energies, state_labels(len(energies)),
-                            runs, c_h2, n_states)
+                            runs, c_h2, n_states, shoots=shoots)
 
 
 def solve_double_well(spec: DoubleWellSpec, species: ParticleSpecies,

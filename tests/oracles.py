@@ -4,8 +4,10 @@ The scalar references deliberately avoid the package's finite-difference
 and matrix machinery: transcendental roots by bracketed bisection, analytic
 box levels (continuum and FD, with the floor under a box that binds its
 lowest k FD levels), oscillator integrals by Gauss-Hermite quadrature, a plain
-Sturm count, and the run encoding of a potential by np.diff (diff_runs),
-which turns an array into the runs vertical.solve_vertical takes.
+Sturm count, the FD levels to 80 bits by a longdouble Sturm multisection
+(extended_eigenvalues), and the run encoding of a potential by np.diff
+(diff_runs), which turns an array into the runs vertical.solve_vertical
+takes.
 The module also holds LAPACK's inverse iteration for the vertical
 eigenvectors (stein_vectors), the d/dz matrix by numpy's gradient
 and trapezoid rules (dz_reference), the grid nodes, the wells sampled
@@ -24,6 +26,7 @@ and the adiabatic march over whole n_x blocks of that dense Hamiltonian
 sectors are checked against.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -110,8 +113,6 @@ def ho_y2_element(n, m, mass_ratio, quantum):
 
 
 def _ho_moment(n, m, mass_ratio, quantum, power):
-    import math
-
     a2 = 2.0 * (HB2_2M0 / mass_ratio) / quantum
     a = np.sqrt(a2)
     nodes, weights = np.polynomial.hermite.hermgauss(200)
@@ -141,6 +142,44 @@ def sturm_count(diag, off, energy):
             pivot = -np.finfo(float).tiny
         count += pivot < 0.0
     return count
+
+
+def extended_eigenvalues(runs, c_h2, k):
+    """The lowest k eigenvalues of the FD matrix of the runs, 2 c_h2 plus
+    the potential on the diagonal and -c_h2 off it, in np.longdouble (80
+    bits on x86): Sturm-count multisection from [min V, max V + 4 c_h2],
+    63 shifts per root per round in one vector, down to adjacent
+    longdoubles. The pivots of (T - x)/c_h2, written 1 + u_j with
+    u_j = (V_j - x)/c_h2 + u_{j-1}/(1 + u_{j-1}), lose no digits to the 2
+    on the diagonal; each node's pivots are kept and the negative ones
+    counted once per round."""
+    ld, shifts = np.longdouble, 63
+    c = ld(c_h2)
+    a = np.full(k, ld(min(value for value, _ in runs)))
+    b = np.full(k, ld(max(value for value, _ in runs)) + 4 * c)
+    fractions = np.arange(1, shifts + 1, dtype=ld) / (shifts + 1)
+    pivots = np.empty((sum(m for _, m in runs), k * shifts), dtype=ld)
+    u = np.empty(k * shifts, dtype=ld)
+    while True:
+        x = (a[:, None] + (b - a)[:, None] * fractions).ravel()
+        ratio, j = np.ones_like(u), 0  # u_0/(1 + u_0) = 1: no row 0
+        for value, m in runs:
+            shifted = ld(value) / c - x / c
+            for pivot in pivots[j:j + m]:
+                np.add(shifted, ratio, out=u)
+                np.add(u, 1, out=pivot)
+                np.divide(u, pivot, out=ratio)
+            j += m
+        if not np.all(np.isfinite(ratio)):  # a zero pivot
+            raise ArithmeticError("a shift hit a pivot of zero")
+        below = (np.count_nonzero(pivots < 0, axis=0).reshape(k, shifts)
+                 <= np.arange(k)[:, None])
+        x = x.reshape(k, shifts)
+        lo = np.where(below, x, a[:, None]).max(axis=1)
+        hi = np.where(below, b[:, None], x).min(axis=1)
+        if np.array_equal(lo, a) and np.array_equal(hi, b):
+            return (a + b) / 2
+        a, b = lo, hi
 
 
 def diff_runs(potential):
@@ -194,10 +233,19 @@ def nodes(grid: Grid1D) -> np.ndarray:
 
 
 def well_masks(spec: DoubleWellSpec, grid: Grid1D) -> list[np.ndarray]:
-    """Per well [lo, hi), the nodes z of the grid with lo <= z < hi."""
-    z = nodes(grid)
-    return [(z >= lo) & (z < hi)
-            for lo, hi in (spec.well1_support, spec.well2_support)]
+    """Per well [lo, hi), the nodes z of the grid in it to 1e-9 of a step,
+    the edge rule of build_potential: node indices from
+    ceil((lo - z_min)/h - 1e-9) up to ceil((hi - z_min)/h - 1e-9). So a
+    node on an edge whose linspace position rounds off it stays on it: at
+    H = 4.875 nm, L = 50 nm node 2487 lies at -25.000000000000004 nm, on
+    well 1's upper edge, and belongs to the barrier."""
+    index = np.arange(grid.n_points)
+    masks = []
+    for support in (spec.well1_support, spec.well2_support):
+        first, end = (math.ceil((z - grid.z_min) / grid.step - 1e-9)
+                      for z in support)
+        masks.append((index >= first) & (index < end))
+    return masks
 
 
 def sampled_wells(spec: DoubleWellSpec, grid: Grid1D) -> np.ndarray:

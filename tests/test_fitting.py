@@ -321,10 +321,10 @@ class TestCalibration:
         assert len({depth for depth, _ in calls}) == len(calls)
         # bit for bit the result of solving every evaluation afresh
         assert result == CalibrationResult(
-            depth_e_dot1=239.00000008724592, depth_e_dot2=203.00000023159222,
-            depth_h_dot1=119.50000004362296, depth_h_dot2=101.50000011579611,
-            residual_low=-8.79325625646743e-08,
-            residual_high=-2.2003500532719045e-07)
+            depth_e_dot1=239.00000008724726, depth_e_dot2=203.00000023159816,
+            depth_h_dot1=119.50000004362363, depth_h_dot2=101.50000011579908,
+            residual_low=-8.793634265202854e-08,
+            residual_high=-2.2003528954428475e-07)
 
     def test_unscaled_hole_is_solved_too(self, monkeypatch):
         # a hole mass that is not a power of two times the electron's
@@ -336,7 +336,7 @@ class TestCalibration:
         hole = [depth for depth, name in calls if name == "hole"]
         assert hole == [0.5 * depth for depth in electron]
         assert len(set(electron)) == 14
-        assert result.depth_e_dot1 != 239.00000008724592
+        assert result.depth_e_dot1 != 239.00000008724726
 
     @pytest.mark.parametrize("nudge", ["mass_ratio", "depth_ratio"])
     def test_one_ulp_off_solves_the_hole(self, monkeypatch, nudge):

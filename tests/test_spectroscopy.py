@@ -351,6 +351,10 @@ class TestScaledHole:
         assert spectroscopy.hole_scale(ELECTRON, hole, h_vertical) == r
         h_direct = vertical_spectrum(device, hole, options)
         assert h_direct.scale is None
+        # nothing is shot for the scaled hole; its own solve shoots the
+        # electron's probes times r
+        assert h_vertical.shoots == 0
+        assert h_direct.shoots == e_vertical.shoots > 0
         assert h_vertical.energies.tobytes() == h_direct.energies.tobytes()
         assert (h_vertical.wavefunctions.tobytes()
                 == h_direct.wavefunctions.tobytes())

@@ -10,7 +10,7 @@ from scipy.linalg import eigh_tridiagonal
 
 import oracles
 from dqdsim import (ELECTRON, HOLE, ParticleSpecies, SolverOptions,
-                    default_device, vertical)
+                    default_device, fitting, vertical)
 from dqdsim.core import kinetic_coefficient
 from dqdsim.errors import NoBoundStateError
 from dqdsim.spectroscopy import vertical_spectrum
@@ -75,16 +75,20 @@ class TestBuildPotential:
     @pytest.mark.parametrize("seed", range(4))
     def test_runs_match_node_sampling_off_the_lattice(self, seed):
         # random H, L, step and padding put the edges anywhere between
-        # the nodes; the first case is an off-lattice pair of equal wells
+        # the nodes; the first case is an off-lattice pair of equal wells,
+        # the second a well edge on a node whose linspace position lies
+        # 4e-15 nm below it
         rng = np.random.default_rng(seed)
-        cases = [(5.17, 32.43, 0.0137, 20.0)] + [
+        cases = [(5.17, 32.43, 0.0137, 20.0, 239.0, 239.0),
+                 (4.875, 50.0, 0.01, 20.0, 203.0, 0.0)] + [
             (rng.uniform(1.0, 8.0), rng.uniform(0.001, 40.0),
-             rng.uniform(0.004, 0.03), rng.uniform(15.0, 25.0))
+             rng.uniform(0.004, 0.03), rng.uniform(15.0, 25.0),
+             rng.choice([0.0, 203.0, 239.0]),
+             rng.choice([0.0, 203.0, 239.0]))
             for _ in range(100)]
-        for width, barrier, step, padding in cases:
+        for width, barrier, step, padding, depth1, depth2 in cases:
             spec = DoubleWellSpec(float(width), float(barrier),
-                                  float(rng.choice([0.0, 203.0, 239.0])),
-                                  float(rng.choice([0.0, 203.0, 239.0])))
+                                  float(depth1), float(depth2))
             grid, runs = build_potential(spec, SolverOptions(
                 grid_step=float(step), padding=float(padding)))
             assert all(m >= 1 for _, m in runs)
@@ -494,8 +498,9 @@ class TestEigenvectorsOnDemand:
             monkeypatch.setattr(vertical, name, counted(name))
         spectrum = solve_double_well(DEFAULT_WELL, ELECTRON)
         solved = dict(calls)
-        # one energy solve and no vector
+        # one energy solve, which counts its shoots, and no vector
         assert solved["_lowest_eigenvalues"] == 1
+        assert spectrum.shoots == solved["_shoot"]
         assert "_eigenvector" not in solved
         oracles.localization(spectrum, DEFAULT_WELL)
         spectrum.wavefunctions
@@ -508,22 +513,40 @@ class TestEigenvectorsOnDemand:
                          "_shoot": solved["_shoot"] + 2 * k}
 
     @pytest.mark.parametrize("species", [ELECTRON, HOLE], ids=["e", "h"])
-    @pytest.mark.parametrize("barrier_l, shots", [(2.5, 23), (7.0, 23),
-                                                  (15.0, 24)])
-    def test_shoot_count_of_a_default_solve(self, monkeypatch, species,
-                                            barrier_l, shots):
+    @pytest.mark.parametrize("barrier_l, shots", [(2.5, 17), (7.0, 16),
+                                                  (15.0, 15)],
+                             ids=["2.5", "7.0", "15.0"])
+    def test_shoot_count_of_a_default_solve(self, species, barrier_l,
+                                            shots):
         # pinned: a change to the root loop states its new count here
-        calls = []
-        shoot = vertical._shoot
-
-        def counted(*args):
-            calls.append(args[0])
-            return shoot(*args)
-
-        monkeypatch.setattr(vertical, "_shoot", counted)
         spectrum = vertical_spectrum(default_device(barrier_l), species)
         assert len(spectrum.energies) == 2
-        assert len(calls) == shots
+        assert spectrum.shoots == shots
+
+    def test_shoot_count_of_a_calibration_solve(self, monkeypatch):
+        # pinned: the one-root solve of each depth calibrate_depths tries
+        solved = []
+        solve = fitting.solve_vertical
+
+        def spy(*args, **kwargs):
+            solved.append(solve(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(fitting, "solve_vertical", spy)
+        fitting.single_well_ground(239.0, 4.5, 50.0, ELECTRON)
+        [spectrum] = solved
+        assert len(spectrum.energies) == 1
+        assert spectrum.shoots == 12
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                        reason="np.longdouble is no wider than a double")
+    @pytest.mark.parametrize("species", [ELECTRON, HOLE], ids=["e", "h"])
+    @pytest.mark.parametrize("barrier_l", [2.5, 7.0, 15.0])
+    def test_levels_match_an_80_bit_multisection(self, species, barrier_l):
+        spectrum = vertical_spectrum(default_device(barrier_l), species)
+        reference = oracles.extended_eigenvalues(
+            spectrum.runs, spectrum.c_h2, len(spectrum.energies))
+        assert np.max(np.abs(spectrum.energies - reference)) <= 5e-12
 
 
 def unit_overlaps(psi, reference, grid):
