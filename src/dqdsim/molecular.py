@@ -43,13 +43,6 @@ from .lateral import lateral_states, renormalized_y_quantum, y_ladder, \
     y_zero_point
 from .vertical import VerticalSpectrum, dz_matrix
 
-# d/dz entries below this fraction of max|d/dz| are set to 0 in the sector
-# couplings: in symmetric wells the FD eigenvectors have exact parity, but
-# the parity-forbidden entries still sum to rounding, 5e-16 to 1e-13 of the
-# largest at 0.01-0.0025 nm steps, not to 0, while the allowed ones of the
-# wells tried stay above 5e-3
-DZ_FLOOR = 1e-6
-
 
 def shell_name(nx: int, ny: int) -> str:
     total = nx + ny
@@ -264,20 +257,26 @@ class BlockHamiltonian:
         couplings K (k, m, m).
 
         K = kron(d/dz, ladder) * sign(n_y' - n_y) over the whole product
-        basis, with d/dz entries below DZ_FLOOR of the largest set to
-        exactly 0, so its nonzero entries are the edges of the coupling
-        graph and a sector is a connected component of that graph. The y
-        ladder is zero across n_x, so every sector lies in one n_x block,
-        and each block is closed on its own: its reach R = (K != 0) | I is
-        squared, R <- (R @ R) > 0, until it stops changing (about log2 n
-        BLAS products on n <= vertical_cap * (lateral_quanta + 1) states).
+        basis. In mirror-image wells (runs == runs[::-1]) state i has
+        parity (-1)^i, so the d/dz entries with i + j even are set to
+        exactly 0: they sum to rounding, 5e-16 to 1e-13 of the largest,
+        not to 0. Every other entry is kept as computed, so K's nonzero
+        entries are the edges of the coupling graph and a sector is a
+        connected component of that graph. The y ladder is zero across
+        n_x, so every sector lies in one n_x block, and each block is
+        closed on its own: its reach R = (K != 0) | I is squared,
+        R <- (R @ R) > 0, until it stops changing (about log2 n BLAS
+        products on n <= vertical_cap * (lateral_quanta + 1) states).
         Then R[i, j] holds exactly when j is in i's component, and the
         first True of row i, the component's smallest index, names it.
         Sectors come in ascending order of that index, the order a graph
         search that scans the states numbers them in.
         """
         dz = dz_matrix(self.vertical)
-        dz = np.where(np.abs(dz) > DZ_FLOOR * np.abs(dz).max(), dz, 0.0)
+        runs = self.vertical.runs
+        if runs == runs[::-1]:
+            i = np.arange(len(dz))
+            dz[(i[:, None] + i) % 2 == 0] = 0.0
         coupling = np.kron(dz, y_ladder(self.states)) * np.sign(
             self.ny - self.ny[:, None])
         component = np.empty(len(coupling), dtype=int)

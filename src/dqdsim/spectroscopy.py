@@ -20,6 +20,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache
+from math import isnan, log
 
 import numpy as np
 
@@ -34,6 +35,10 @@ BONDING_LINE = "bonding-exciton"
 ANTIBONDING_LINE = "antibonding-exciton"
 # nm, the distances effective_interdot_distance searches between
 L_MIN, L_MAX = 2.0, 50.0
+# meV, the CSVs' printed resolution: effective_interdot_distance inverts
+# log(gap(L) - gap(L_MAX) + SPLITTING_FLOOR), whose argument root rounding
+# of the flat gap beyond ~30 nm (down to about -1e-10 meV) cannot bring to 0
+SPLITTING_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -191,16 +196,25 @@ def effective_interdot_distance(gap: float, device_template: DeviceSpec,
                                 tol: float = 0.01,
                                 electron: ParticleSpecies = ELECTRON,
                                 hole: ParticleSpecies = HOLE) -> float:
-    """Invert the strictly decreasing zero-field gap curve by Brent's method.
+    """Invert the zero-field gap curve by Brent's method on a log scale.
 
     Returns the interdot distance whose zero-field gap equals `gap`, to
-    within `tol` nm: fitting.brent keeps a sign-change bracket, so even
-    the staircase gap(L) of an off-lattice grid gives a point within `tol`
-    of a crossing. Raises OutOfRangeError when the gap lies outside the
-    curve's range over [L_MIN, L_MAX].
+    within `tol` nm. The gap decreases in L, to within about 1e-10 meV of
+    root rounding beyond about 30 nm, and its tunnel splitting
+    gap(L) - gap(L_MAX) decays like exp(-kappa L), so brent is given
+    log(splitting + SPLITTING_FLOOR) less its value at `gap`: nearly
+    linear in L, so brent's first interpolation lands next to the root,
+    and of the same sign as gap(L) - gap, so the root is the gap's own.
+    fitting.brent keeps a sign-change bracket, so even the staircase
+    gap(L) of an off-lattice grid gives a point within `tol` of a
+    crossing. Raises ValueError for a NaN `gap` or a `tol` that is not
+    > 0, before solving, and OutOfRangeError when the gap lies outside
+    the curve's range over [L_MIN, L_MAX].
     """
     if not tol > 0:  # also rejects NaN
         raise ValueError(f"tol must be > 0, got {tol}")
+    if isnan(gap):
+        raise ValueError(f"gap must be a number, got {gap}")
 
     @cache  # brent's first two calls are the range ends solved here
     def model(l):
@@ -214,4 +228,10 @@ def effective_interdot_distance(gap: float, device_template: DeviceSpec,
             f"gap {gap:.3f} meV outside the model range "
             f"[{gap_lo:.3f}, {gap_hi:.3f}] meV for L in "
             f"[{L_MIN}, {L_MAX}] nm")
-    return brent(lambda l: model(l) - gap, L_MIN, L_MAX, xtol=tol)
+
+    def log_splitting(value):
+        return log(value - gap_lo + SPLITTING_FLOOR)
+
+    target = log_splitting(gap)
+    return brent(lambda l: log_splitting(model(l)) - target, L_MIN, L_MAX,
+                 xtol=tol)

@@ -324,12 +324,16 @@ def _lowest_eigenvalues(runs: list[tuple[float, int]], c_h2: float, k: int,
             a, b = (x, b) if probes[x][0] <= i else (a, x)
         # the polish's last probes x0, x1, x2 (latest) and their values:
         # b, and a unless it is min V, unshot, or the root below, when the
-        # polish first bisects
+        # polish first bisects; none when the bracket is already within
+        # tol, as for a pair one ulp apart, whose b may be the root below
         ref, known = probes[b][2], 1
-        x0 = f0 = f1 = math.nan
-        x1, x2, f2 = a, b, scaled(b)
-        if probes[a][1] == probes[a][1] and not (roots and a <= roots[-1]):
-            f1, known = scaled(a), 2
+        x0 = f0 = f1 = f2 = math.nan
+        x1, x2 = a, b
+        if b - a > tol:
+            f2 = scaled(b)
+            if probes[a][1] == probes[a][1] and not (
+                    roots and a <= roots[-1]):
+                f1, known = scaled(a), 2
         last = before = math.inf
         guess = math.nan
         while b - a > tol:

@@ -38,7 +38,7 @@ from scipy.sparse.csgraph import connected_components
 from dqdsim.core import FieldPoint, ParticleSpecies, SolverOptions, \
     cyclotron_energy, kinetic_coefficient
 from dqdsim.lateral import renormalized_y_quantum, y_ladder, y_zero_point
-from dqdsim.molecular import DZ_FLOOR, BlockHamiltonian, ProductBasis, \
+from dqdsim.molecular import BlockHamiltonian, ProductBasis, \
     diagonalize, shell_name
 from dqdsim.vertical import DoubleWellSpec, Grid1D, VerticalSpectrum, \
     dz_matrix
@@ -393,7 +393,10 @@ def component_sectors(ham: BlockHamiltonian) -> list[np.ndarray]:
     largest first, then by component number; each sector's members in
     stable ascending order of zero-field energy."""
     dz = dz_matrix(ham.vertical)
-    dz = np.where(np.abs(dz) > DZ_FLOOR * np.abs(dz).max(), dz, 0.0)
+    runs = ham.vertical.runs
+    if runs == runs[::-1]:  # parity forbids d/dz between i, j of one parity
+        v = np.arange(len(dz))
+        dz = np.where((v[:, None] + v) % 2 == 0, 0.0, dz)
     ny = np.array([n_y for _, _, n_y in ham.basis.entries])
     coupling = np.kron(dz, y_ladder(ham.states)) * np.sign(ny - ny[:, None])
     n, component = connected_components(coupling, directed=False)

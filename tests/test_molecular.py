@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from dqdsim import (ELECTRON, HOLE, FieldPoint, ParticleSpecies,
@@ -16,7 +16,8 @@ from dqdsim.errors import EigenResidualError, NotHermitianError
 from dqdsim.config import DEFAULT_B_VALUES
 from dqdsim.molecular import BlockHamiltonian, ProductBasis, shell_name
 from dqdsim.spectroscopy import vertical_spectrum
-from dqdsim import default_device
+from dqdsim import default_device, solve_point
+from dqdsim.lateral import y_ladder
 from dqdsim.vertical import DoubleWellSpec, dz_matrix, solve_double_well
 from oracles import (AmbiguousContinuation, OVERLAP_THRESHOLD, DenseSpectrum,
                      assemble, block_spectra, build_basis, dominant_labels,
@@ -497,25 +498,73 @@ class TestSectors:
                 assert np.all(np.triu(path, 2) == 0)
 
     def test_parity_forbidden_entries_split_symmetric_wells(self):
-        # identical wells bind four states whose same-parity d/dz entries
-        # are numerically tiny; they must neither join the parity sectors
-        # nor reach any sector's coupling
+        # identical wells bind four states of parity (-1)^v whose
+        # same-parity d/dz entries sum to rounding, not to 0; they must
+        # neither join the parity sectors nor reach any sector's coupling
         vert = solve_double_well(DoubleWellSpec(9.0, 7.0, 400.0, 400.0),
                                  ELECTRON)
         ham = BlockHamiltonian(vert, ELECTRON)
         assert len(vert.energies) == 4
         dz = np.abs(dz_matrix(vert))
-        floor = molecular.DZ_FLOOR * dz.max()
-        assert 0 < dz[0, 2] < floor
+        assert 0 < dz[0, 2] < 1e-13 * dz.max()
         # two parity sectors per n_x block; the last block, n_y = 0 only,
         # has no y coupling and four single-state sectors
         quanta = SolverOptions().lateral_quanta
         per_nx = Counter(ham.basis.entries[members[0]][1]
                          for members, _, _ in sector_list(ham))
         assert [per_nx[n] for n in range(quanta + 1)] == [2] * quanta + [4]
-        for _, coupling, _ in sector_list(ham):
-            k = np.abs(coupling)
-            assert not np.any((k > 0) & (k < floor))
+        parity = np.array([v % 2 for v, _, _ in ham.basis.entries])
+        for members, coupling, _ in sector_list(ham):
+            same = parity[members][:, None] == parity[members]
+            assert np.all(coupling[same] == 0)
+
+    @settings(deadline=None, max_examples=40)
+    @given(width=st.floats(3.0, 9.0), l=st.floats(1.0, 50.0),
+           depth1=st.floats(100.0, 600.0), detuning=st.floats(1.0, 500.0),
+           deeper_first=st.booleans(),
+           species=st.sampled_from([ELECTRON, HOLE]), cap=st.integers(3, 4))
+    @example(width=9.0, l=45.0, depth1=119.5, detuning=18.0,
+             deeper_first=True, species=HOLE, cap=4)
+    def test_asymmetric_wells_keep_every_coupling(
+            self, width, l, depth1, detuning, deeper_first, species, cap):
+        # unequal wells have no parity: every d/dz entry is kept as
+        # computed, however small, so each nonzero entry of the full K
+        # joins its two states in one sector with that very value
+        depth2 = depth1 - detuning if deeper_first else depth1 + detuning
+        assume(depth2 >= 100.0)
+        options = SolverOptions(vertical_cap=cap)
+        vert = solve_double_well(DoubleWellSpec(width, l, depth1, depth2),
+                                 species, options)
+        assert vert.runs != vert.runs[::-1]
+        ham = BlockHamiltonian(vert, species, options)
+        ny = np.array([n_y for _, _, n_y in ham.basis.entries])
+        full = np.kron(dz_matrix(vert), y_ladder(ham.states)) * np.sign(
+            ny - ny[:, None])
+        sector = np.empty(len(ham), dtype=int)
+        for number, (members, coupling, _) in enumerate(sector_list(ham)):
+            sector[members] = number
+            assert np.array_equal(coupling, full[np.ix_(members, members)])
+        joined = sector[:, None] == sector
+        assert np.all(joined[full != 0])
+
+    def test_four_state_well_keeps_its_weakest_coupling_at_45_nm(self):
+        # the CI's four-state device at L = 45 nm: the hole's d/dz entry
+        # between its two lowest states is 7.0e-7 of the largest, which a
+        # 1e-6 floor once cut, so the 8 T gap read 116.20751791640538 meV
+        device = replace(default_device(45.0), well_width_h=9.0,
+                         depth_e_dot1=400.0, depth_e_dot2=300.0)
+        options = SolverOptions(vertical_cap=4)
+        vert = vertical_spectrum(device, HOLE, options)
+        dz = np.abs(dz_matrix(vert))
+        assert dz[0, 1] == pytest.approx(7.0e-7 * dz.max(), rel=0.01)
+        ham = BlockHamiltonian(vert, HOLE, options)
+        b_s, a_p_y = ham.positions["B:s"], ham.positions["A:p_y"]
+        members, coupling, _ = next(s for s in sector_list(ham)
+                                    if b_s in s[0])
+        row, column = list(members).index(b_s), list(members).index(a_p_y)
+        assert coupling[row, column] != 0
+        gap = solve_point(device, FieldPoint(8.0), options).gap
+        assert gap == pytest.approx(116.20751096299887, abs=1e-8)
 
     @pytest.mark.parametrize("species", [ELECTRON, HOLE], ids=["e", "h"])
     def test_sectors_split_n_x_blocks(self, species):

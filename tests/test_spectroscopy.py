@@ -558,7 +558,8 @@ class TestEffectiveDistance:
     def test_brentq_reuses_the_range_solves(self, device, l_star,
                                             monkeypatch):
         # the range check solves L_MIN and L_MAX once, and brent starts
-        # from them; bisection to 0.01 nm took 2 + 13 = 15 solves
+        # from them; bisection to 0.01 nm took 2 + 13 = 15 solves, brent
+        # on the gap itself up to 12, on the log of the splitting 7
         target = solve_point(default_device(l_star)).gap
         solved = []
 
@@ -568,7 +569,7 @@ class TestEffectiveDistance:
 
         monkeypatch.setattr(spectroscopy, "solve_point", counting)
         recovered = effective_interdot_distance(target, device)
-        assert len(solved) <= 12
+        assert len(solved) <= 7
         assert solved[:2] == [spectroscopy.L_MIN, spectroscopy.L_MAX]
         assert len(set(solved)) == len(solved)
         assert abs(recovered - l_star) <= 0.005
@@ -583,3 +584,88 @@ class TestEffectiveDistance:
         monkeypatch.setattr(spectroscopy, "solve_point", no_solve)
         with pytest.raises(ValueError, match="tol"):
             effective_interdot_distance(40.0, device, tol=tol)
+
+    def test_nan_gap_rejected_before_solving(self, device, monkeypatch):
+        # a NaN gap lies in no range: it is refused before the two range
+        # solves, not after them as out of range
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking gap")
+
+        monkeypatch.setattr(spectroscopy, "solve_point", no_solve)
+        with pytest.raises(ValueError, match="gap"):
+            effective_interdot_distance(float("nan"), device)
+
+    @pytest.mark.parametrize("end", [spectroscopy.L_MIN, spectroscopy.L_MAX])
+    def test_range_ends_invert_to_themselves(self, device, end,
+                                             monkeypatch):
+        # the log of the splitting is exactly 0 at either end's own gap,
+        # so brent returns that end from the two range solves alone
+        target = solve_point(device.with_barrier(end)).gap
+        solved = []
+
+        def counting(device, *args):
+            solved.append(device.barrier_l)
+            return solve_point(device, *args)
+
+        monkeypatch.setattr(spectroscopy, "solve_point", counting)
+        assert effective_interdot_distance(target, device) == end
+        assert solved == [spectroscopy.L_MIN, spectroscopy.L_MAX]
+
+    @settings(deadline=None, max_examples=30)
+    @given(depth1=st.floats(200.0, 280.0), detuning=st.floats(20.0, 50.0),
+           l_star=st.integers(300, 1200).map(lambda k: round(k * 0.01, 2))
+           | st.floats(3.0, 12.0))
+    @example(depth1=239.0, detuning=50.0, l_star=4.62)
+    @example(depth1=239.0, detuning=50.0, l_star=7.003)
+    def test_drawn_devices_invert_in_seven_solves(self, depth1, detuning,
+                                                  l_star):
+        # devices drawn as the inverse benchmark draws them, L* on and off
+        # the 0.01 nm lattice: brent on the log of the splitting lands
+        # within tol of a sign change of gap(L) - gap in at most 7 solves
+        solved, recovered, target, device = invert_counting(
+            depth1, detuning, l_star)
+        assert len(solved) <= 7
+        tol = 0.01 + 1e-9  # brent's width is xtol + 4 eps |x|
+        ends = [max(recovered - tol, spectroscopy.L_MIN),
+                min(recovered + tol, spectroscopy.L_MAX)]
+        low_l, high_l = (solve_point(device.with_barrier(l)).gap
+                         for l in ends)
+        assert low_l >= target >= high_l
+        # the log's argument stays positive wherever brent looked
+        floor = solved[spectroscopy.L_MAX] - spectroscopy.SPLITTING_FLOOR
+        assert all(gap > floor for gap in solved.values())
+
+    def test_mean_solves_over_drawn_devices(self):
+        # 24 draws of the inverse benchmark's ranges: brent on the gap
+        # itself took 9.8 solves on average and up to 12
+        rng = random.Random(0)
+        counts = [len(invert_counting(200.0 + 80.0 * rng.random(),
+                                      20.0 + 30.0 * rng.random(),
+                                      rng.randrange(300, 1201) * 0.01)[0])
+                  for _ in range(24)]
+        assert max(counts) <= 7
+        assert sum(counts) / len(counts) <= 5.5
+
+
+def invert_counting(depth1, detuning, l_star):
+    """The distinct solves of one inversion, as {L: gap}, the recovered
+    L, the gap inverted (the device's own at l_star) and the device."""
+    device = replace(default_device(7.0), depth_e_dot1=depth1,
+                     depth_e_dot2=depth1 - detuning,
+                     depth_h_dot1=0.5 * depth1,
+                     depth_h_dot2=0.5 * (depth1 - detuning))
+    target = solve_point(device.with_barrier(l_star)).gap
+    solved = {}
+    real = spectroscopy.solve_point
+
+    def counting(device, *args):
+        point = real(device, *args)
+        solved[device.barrier_l] = point.gap
+        return point
+
+    spectroscopy.solve_point = counting
+    try:
+        recovered = effective_interdot_distance(target, device)
+    finally:
+        spectroscopy.solve_point = real
+    return solved, recovered, target, device

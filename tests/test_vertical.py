@@ -284,6 +284,10 @@ class TestParity:
            padding=st.sampled_from([15.0, 20.0, 23.3]),
            depths=st.tuples(st.floats(0.0, 600.0), st.floats(0.0, 600.0)),
            species=st.sampled_from([ELECTRON, HOLE]))
+    # a bonding/antibonding pair within one float of each other: the root
+    # loop once divided by 0 deflating the pair's second root by its first
+    @example(width_cells=325, barrier_cells=1894, step=0.02, padding=15.0,
+             depths=(577.0, 577.0), species=HOLE)
     def test_swapped_depths_reverse_the_runs_on_the_lattice(
             self, width_cells, barrier_cells, step, padding, depths, species):
         # H, L and the padding are whole numbers of cells: the lattice
