@@ -3,7 +3,8 @@
 Library layout:
 
 - core: constants, units, device and carrier data model
-- vertical: 1D finite-difference double-well eigensolver
+- vertical: the double well as runs of nodes at a grid step, and its 1D
+  finite-difference eigensolver
 - lateral: analytic 2D oscillator basis with magnetic renormalization
 - molecular: symmetry sectors of the product basis, one diagonalization
   per sector size, labeling
@@ -24,8 +25,7 @@ from .molecular import (MolecularSpectrum, ProductBasis, adiabatic_sweep,
 from .spectroscopy import (EmissionLine, GapCurve, SolvePoint,
                            effective_interdot_distance, emission_lines,
                            solve_point, sweep_b, sweep_l)
-from .vertical import (DoubleWellSpec, Grid1D, VerticalSpectrum,
-                       build_potential, dz_matrix, solve_double_well,
+from .vertical import (VerticalSpectrum, build_potential, dz_matrix,
                        solve_vertical)
 
 __version__ = "0.1.0"

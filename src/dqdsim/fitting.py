@@ -2,7 +2,8 @@
 
 Calibration inverts the emission model in the uncoupled (large L) limit,
 where each dot's line depends only on its own depths: each dot is solved
-alone in the device at the target's uncoupled_l, on `vertical`'s grid. A
+alone, as vertical.build_potential's well 1 at the target's uncoupled_l
+with well 2 emptied, by vertical.solve_vertical at options.grid_step. A
 fixed hole-to-electron depth ratio closes the otherwise underdetermined
 system (two lines, four depths); the default device parametrization
 corresponds to a ratio of exactly one half. One root finder, `brent`,
@@ -19,7 +20,7 @@ from .core import ELECTRON, HOLE, DeviceSpec, ParticleSpecies, \
     SolverOptions, default_device, mass_scale, require_finite
 from .errors import NoBoundStateError, NoConvergenceError, SingularFitError, \
     UnboundDotError
-from .vertical import DoubleWellSpec, build_potential, solve_vertical
+from .vertical import build_potential, solve_vertical
 
 CALIBRATION_TOL = 0.01  # meV residual per emission line
 
@@ -183,12 +184,11 @@ def single_well_ground(depth: float, width: float, uncoupled_l: float,
     """Ground energy of one dot alone, from the barrier edge.
 
     The dot is well 1 of the device at barrier uncoupled_l with well 2
-    emptied, sampled by the same grid and potential as every double-well
+    emptied, sampled by the same build_potential as every double-well
     solve, so its Dirichlet walls sit where the device's do.
     """
-    spec = DoubleWellSpec(width, uncoupled_l, depth, 0.0)
-    grid, runs = build_potential(spec, options)
-    spectrum = solve_vertical(runs, grid, species, n_states=1)
+    runs = build_potential(width, uncoupled_l, depth, 0.0, options)
+    spectrum = solve_vertical(runs, options.grid_step, species, n_states=1)
     return float(spectrum.energies[0])
 
 

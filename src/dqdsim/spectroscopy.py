@@ -29,7 +29,7 @@ from .core import DeviceSpec, FieldPoint, ParticleSpecies, SolverOptions, \
 from .errors import DqdError, MissingLabelError, OutOfRangeError
 from .fitting import brent
 from .molecular import MolecularSpectrum, adiabatic_sweep
-from .vertical import DoubleWellSpec, VerticalSpectrum, solve_double_well
+from .vertical import VerticalSpectrum, build_potential, solve_vertical
 
 BONDING_LINE = "bonding-exciton"
 ANTIBONDING_LINE = "antibonding-exciton"
@@ -64,13 +64,13 @@ def vertical_spectrum(device: DeviceSpec, species: ParticleSpecies,
                       options: SolverOptions = SolverOptions(),
                       twin: VerticalSpectrum | None = None,
                       ) -> VerticalSpectrum:
-    """Vertical spectrum of one carrier in the device, scaled from twin
-    where vertical.solve_vertical can."""
-    d1, d2 = device.depths_for(species)
-    well = DoubleWellSpec(width_h=device.well_width_h,
-                          barrier_l=device.barrier_l,
-                          depth1=d1, depth2=d2)
-    return solve_double_well(well, species, options, twin)
+    """Vertical spectrum of one carrier in the device, at most
+    options.vertical_cap bound states, scaled from twin where
+    vertical.solve_vertical can."""
+    runs = build_potential(device.well_width_h, device.barrier_l,
+                           *device.depths_for(species), options)
+    return solve_vertical(runs, options.grid_step, species,
+                          options.vertical_cap, twin)
 
 
 def hole_scale(electron: ParticleSpecies, hole: ParticleSpecies,

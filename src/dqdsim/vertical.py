@@ -5,8 +5,9 @@ equal width H separated edge to edge by a barrier of thickness L, with the
 energy zero at the barrier band edge (well bottoms at -depth). Bound states
 therefore come out negative. The solver uses the standard three-point
 Laplacian on a uniform grid with hard-wall (Dirichlet) boundaries placed
-far enough out that bound states have decayed. Grid step, padding and the
-cap on solved states come from a SolverOptions, their one home.
+far enough out that bound states have decayed. A problem is its grid step
+and its runs [(value, nodes), ...], which build_potential samples on the
+grid a SolverOptions sets; their lengths are its node count.
 
 The FD matrix is piecewise Toeplitz (5 runs for the double well): its
 recurrence crosses a run in one 2x2 Chebyshev transfer matrix (Tsu & Esaki,
@@ -36,105 +37,67 @@ from .core import ParticleSpecies, SolverOptions, kinetic_coefficient
 from .errors import NoBoundStateError
 
 
-@dataclass(frozen=True)
-class Grid1D:
-    z_min: float
-    z_max: float
-    n_points: int
+def build_potential(width_h: float, barrier_l: float, depth1: float,
+                    depth2: float, options: SolverOptions = SolverOptions(),
+                    ) -> list[tuple[float, int]]:
+    """The double well as its runs, (value, nodes) left to right with equal
+    neighbours merged, on the grid of step h = options.grid_step covering
+    both wells plus options.padding nm of barrier on each side.
 
-    def __post_init__(self):
-        if self.z_max <= self.z_min:
-            raise ValueError("z_max must exceed z_min")
-        if self.n_points < 3:
-            raise ValueError("need at least 3 grid points")
-
-    @property
-    def step(self) -> float:
-        return (self.z_max - self.z_min) / (self.n_points - 1)
-
-
-@dataclass(frozen=True)
-class DoubleWellSpec:
-    """Vertical double well: equal widths H, barrier L, depths per dot.
-
-    Well 1 (deep dot) occupies [-L/2 - H, -L/2), well 2 [L/2, L/2 + H),
-    so the wells are separated by exactly L of zero potential centred on
-    the origin.
+    Well 1 (bottom -depth1) occupies [-L/2 - H, -L/2) and well 2 (bottom
+    -depth2) [L/2, L/2 + H). The n nodes are z_min + k h, centred on the
+    origin: z_min = -(n - 1)h/2. Well 1 [lo, hi) holds the nodes in it, to
+    1e-9 of a step: from ceil((lo - z_min)/h - 1e-9) up to
+    ceil((hi - z_min)/h - 1e-9). Well 2 is its mirror image by node index,
+    so equal wells give palindromic runs at any L, step and padding. The
+    wells and barrier are sampled exactly, every edge half a step from its
+    nearest nodes, only when padding/step, H/step and L/step are all
+    integers. Off that lattice the edges snap to cell boundaries: at the
+    default 0.01 nm step L = 7.003 and 7.005 nm are both sampled as a
+    7.00 nm barrier, and L = 7.006 nm as 7.01 nm (see the ROADMAP item
+    "Exact geometry at any L"). Raises ValueError for a width or barrier
+    not > 0, a depth not >= 0, or a grid outside 3 to 2**24 nodes: past
+    2**24 the edge rule's rounding passes its 1e-9 of a step.
     """
-
-    width_h: float
-    barrier_l: float
-    depth1: float
-    depth2: float
-
-    def __post_init__(self):
-        if self.width_h <= 0 or self.barrier_l <= 0:
-            raise ValueError("width_h and barrier_l must be > 0")
-        if self.depth1 < 0 or self.depth2 < 0:
-            raise ValueError("depths must be >= 0")
-
-    @property
-    def well1_support(self) -> tuple[float, float]:
-        return (-self.barrier_l / 2 - self.width_h, -self.barrier_l / 2)
-
-    @property
-    def well2_support(self) -> tuple[float, float]:
-        return (self.barrier_l / 2, self.barrier_l / 2 + self.width_h)
-
-
-def build_potential(spec: DoubleWellSpec,
-                    options: SolverOptions = SolverOptions(),
-                    ) -> tuple[Grid1D, list[tuple[float, int]]]:
-    """The grid of options.grid_step covering both wells plus
-    options.padding nm of barrier on each side, and the double well on it
-    as its runs: (value, nodes) left to right, equal neighbours merged,
-    lengths summing to grid.n_points.
-
-    The nodes are centred on the barrier midpoint. Well 1 [lo, hi) holds
-    the nodes z in it, to 1e-9 of a step: from ceil((lo - z_min)/h - 1e-9)
-    up to ceil((hi - z_min)/h - 1e-9), s barrier nodes before it and w in
-    it. Well 2 is its mirror image by node index, so equal wells give
-    palindromic runs at any L, step and padding. The sampled wells and
-    barrier are exact, every edge half a step from its nearest nodes, only
-    when padding/step, H/step and L/step are all integers. Off that
-    lattice the edges snap to cell boundaries: at the default 0.01 nm step
-    L = 7.003 and 7.005 nm are both sampled as a 7.00 nm barrier, and
-    L = 7.006 nm as 7.01 nm (see the ROADMAP item "Exact geometry at any L").
-    """
-    span = 2 * spec.width_h + spec.barrier_l + 2 * options.padding
-    n = int(round(span / options.grid_step))
-    half = (n - 1) * options.grid_step / 2
-    grid = Grid1D(-half, half, n)
-    s, end = (math.ceil((z - grid.z_min) / grid.step - 1e-9)
-              for z in spec.well1_support)
+    if not (width_h > 0 and barrier_l > 0 and depth1 >= 0 and depth2 >= 0):
+        raise ValueError("width_h and barrier_l must be > 0, depths >= 0")
+    h = options.grid_step
+    span = 2 * width_h + barrier_l + 2 * options.padding
+    if not 3 <= span / h <= 2 ** 24:  # as floats: nan and inf fail too
+        raise ValueError(f"the grid spans {span:.6g} nm, {span / h:.6g} "
+                         f"nodes at a {h:g} nm step, not 3 to 2**24")
+    n = int(round(span / h))
+    z_min = -(n - 1) * h / 2
+    s, end = (math.ceil((z - z_min) / h - 1e-9)
+              for z in (-barrier_l / 2 - width_h, -barrier_l / 2))
     w = end - s
     runs = []
-    for value, m in ((0.0, s), (float(-spec.depth1), w), (0.0, n - 2 * end),
-                     (float(-spec.depth2), w), (0.0, s)):
+    for value, m in ((0.0, s), (float(-depth1), w), (0.0, n - 2 * end),
+                     (float(-depth2), w), (0.0, s)):
         if runs and runs[-1][0] == value:
             runs[-1] = (runs[-1][0], runs[-1][1] + m)
         elif m > 0:
             runs.append((value, m))
-    return grid, runs
+    return runs
 
 
 @dataclass(eq=False)
 class VerticalSpectrum:
-    """Bound eigenpairs of the vertical problem on `grid`.
+    """Bound eigenpairs of the vertical problem on the grid of `step` nm.
 
     energies are ascending, measured from the barrier band edge and all
     negative: only bound states are solved for. labels classify
-    consecutive pairs as bonding (lower) / antibonding (upper). runs, c_h2
-    and n_states are the problem solve_vertical was given; scale is the r
-    it multiplied a twin's energies by, or None when it solved them;
-    shoots is the number of transfer-matrix marches the energies took, 0
-    when scaled from a twin.
+    consecutive pairs as bonding (lower) / antibonding (upper). step, runs
+    and n_states are the problem solve_vertical was given, c_h2 its c/h^2;
+    scale is the r it multiplied a twin's energies by, or None when it
+    solved them; shoots is the number of transfer-matrix marches the
+    energies took, 0 when scaled from a twin.
     wavefunctions holds the grid-sampled, L2-normalized real
     eigenfunctions as columns, largest-amplitude lobe positive, built from
     the runs on first read only.
     """
 
-    grid: Grid1D
+    step: float
     energies: np.ndarray
     labels: tuple[str, ...]
     runs: list[tuple[float, int]] = field(repr=False)
@@ -147,7 +110,7 @@ class VerticalSpectrum:
     def wavefunctions(self) -> np.ndarray:
         runs = self.runs
         k = np.arange(-1.0, max(m for _, m in runs) + 1.0)
-        rows = np.empty((len(self.energies), self.grid.n_points))
+        rows = np.empty((len(self.energies), sum(m for _, m in runs)))
         for row, energy in zip(rows, self.energies):
             _eigenvector(runs, energy, self.c_h2, k, row)
         if runs == runs[::-1]:
@@ -165,7 +128,7 @@ class VerticalSpectrum:
         lobes = vectors[np.argmax(np.abs(vectors), axis=0),
                         np.arange(vectors.shape[1])]
         return vectors * (np.sign(lobes) / np.sqrt(
-            np.einsum("ij,ij->j", vectors, vectors) * self.grid.step))
+            np.einsum("ij,ij->j", vectors, vectors) * self.step))
 
 
 def state_labels(count: int) -> tuple[str, ...]:
@@ -419,20 +382,20 @@ def _eigenvector(runs: list[tuple[float, int]], energy: float, c_h2: float,
           for form, size in zip(right[1:], lengths[r + 1:]))), out=out)
 
 
-def solve_vertical(runs: list[tuple[float, int]], grid: Grid1D,
+def solve_vertical(runs: list[tuple[float, int]], step: float,
                    species: ParticleSpecies, n_states: int,
                    twin: VerticalSpectrum | None = None) -> VerticalSpectrum:
-    """The bound states, E < 0, of the 1D problem on the given grid, at
-    most the lowest n_states; the eigenfunctions follow when first read.
+    """The bound states, E < 0, of the 1D problem on the grid of `step` nm,
+    at most the lowest n_states; the eigenfunctions follow when first read.
 
     The potential comes as its runs (value, nodes) left to right, as
-    build_potential makes them. Dirichlet walls sit one step outside the
-    first and last nodes. Raises NoBoundStateError, quoting the ground
-    energy, when even the ground state is unbound. Vectors: _eigenvector
-    from the runs, of exact parity when the runs are a mirror image, then
-    Gram-Schmidt.
+    build_potential makes them; their lengths sum to the node count.
+    Dirichlet walls sit one step outside the first and last nodes. Raises
+    NoBoundStateError, quoting the ground energy, when even the ground
+    state is unbound. Vectors: _eigenvector from the runs, of exact parity
+    when the runs are a mirror image, then Gram-Schmidt.
 
-    A twin solved on this grid for the same n_states, with c/h^2 and
+    A twin solved at this step for the same n_states, with c/h^2 and
     every run value those of this problem divided by a power of two r,
     is this problem's solve divided by r bit for bit: the shooting
     probes and tolerance scale by r and delta does not. Then its energies
@@ -442,37 +405,29 @@ def solve_vertical(runs: list[tuple[float, int]], grid: Grid1D,
     """
     if n_states < 1:
         raise ValueError("n_states must be >= 1")
-    if sum(m for _, m in runs) != grid.n_points:
-        raise ValueError("run lengths do not sum to the grid's node count")
+    if not 0 < step < math.inf:
+        raise ValueError(f"grid step must be finite and > 0, got {step}")
+    n = sum(m for _, m in runs)
+    if n < 3:
+        raise ValueError(f"the runs hold {n} nodes, not at least 3")
     if not all(math.isfinite(value) for value, _ in runs):
         raise ValueError("potential values must be finite")
-    c_h2 = kinetic_coefficient(species) / grid.step ** 2
-    if twin is not None and twin.grid == grid:
+    c_h2 = kinetic_coefficient(species) / step ** 2
+    if twin is not None and twin.step == step:
         r = c_h2 / twin.c_h2
         if (math.frexp(r)[0] == 0.5 and twin.c_h2 * r == c_h2
                 and twin.n_states == n_states
                 and runs == [(value * r, m) for value, m in twin.runs]):
-            return VerticalSpectrum(grid, twin.energies * r, twin.labels,
+            return VerticalSpectrum(step, twin.energies * r, twin.labels,
                                     runs, c_h2, n_states, r)
     energies, shoots = _lowest_eigenvalues(
-        runs, c_h2, min(n_states, grid.n_points - 1), 0.0)
+        runs, c_h2, min(n_states, n - 1), 0.0)
     if not len(energies):
         ground = _lowest_eigenvalues(runs, c_h2, 1)[0][0]
         raise NoBoundStateError(f"ground state energy {ground:.3f} meV is "
                                 "not bound")
-    return VerticalSpectrum(grid, energies, state_labels(len(energies)),
+    return VerticalSpectrum(step, energies, state_labels(len(energies)),
                             runs, c_h2, n_states, shoots=shoots)
-
-
-def solve_double_well(spec: DoubleWellSpec, species: ParticleSpecies,
-                      options: SolverOptions = SolverOptions(),
-                      twin: VerticalSpectrum | None = None,
-                      ) -> VerticalSpectrum:
-    """Grid, potential and solve in one call: the bound states, at most
-    options.vertical_cap, of build_potential(spec, options), scaled from
-    twin where solve_vertical can."""
-    grid, runs = build_potential(spec, options)
-    return solve_vertical(runs, grid, species, options.vertical_cap, twin)
 
 
 def dz_matrix(spectrum: VerticalSpectrum) -> np.ndarray:

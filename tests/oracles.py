@@ -12,7 +12,8 @@ The module also holds LAPACK's inverse iteration for the vertical
 eigenvectors (stein_vectors), the d/dz matrix by numpy's gradient
 and trapezoid rules (dz_reference), the grid nodes, the wells sampled
 at them and the well weights of the vertical states (nodes, well_masks,
-sampled_wells, localization), the dense Hamiltonian over
+sampled_wells, localization), the bound states of a well given by its
+numbers (solve_well), the dense Hamiltonian over
 the whole product basis (build_basis, y_matrix, product_basis, assemble,
 label_of), which the symmetry sectors are checked against, the sectors
 one at a time with their gauge phases (QUARTER_TURNS, sector_list), the
@@ -40,8 +41,8 @@ from dqdsim.core import FieldPoint, ParticleSpecies, SolverOptions, \
 from dqdsim.lateral import renormalized_y_quantum, y_ladder, y_zero_point
 from dqdsim.molecular import BlockHamiltonian, ProductBasis, \
     diagonalize, shell_name
-from dqdsim.vertical import DoubleWellSpec, Grid1D, VerticalSpectrum, \
-    dz_matrix
+from dqdsim.vertical import VerticalSpectrum, build_potential, dz_matrix, \
+    solve_vertical
 
 # CODATA 2018, fetched independently of the package constants
 HBAR_SI = 1.054571817e-34
@@ -193,7 +194,7 @@ def diff_runs(potential):
     return list(zip(potential[np.r_[0, starts]].tolist(), lengths.tolist()))
 
 
-def stein_vectors(runs, grid: Grid1D, species: ParticleSpecies,
+def stein_vectors(runs, step: float, species: ParticleSpecies,
                   energies) -> np.ndarray:
     """LAPACK stein's inverse iteration at the given energies on the FD
     matrix, 2c/h^2 plus the runs' potential on the diagonal and -c/h^2 off
@@ -201,8 +202,8 @@ def stein_vectors(runs, grid: Grid1D, species: ParticleSpecies,
     amplitude lobe positive, like VerticalSpectrum.wavefunctions. Forming
     2c/h^2 + V rounds each diagonal entry by up to eps max|diag|/2."""
     values, lengths = zip(*runs)
-    c_h2 = kinetic_coefficient(species) / grid.step ** 2
-    n = grid.n_points
+    c_h2 = kinetic_coefficient(species) / step ** 2
+    n = sum(lengths)
     diag = 2.0 * c_h2 + np.repeat(values, lengths)
     vectors, info = dstein(diag, np.full(n - 1, -c_h2), energies,
                            np.ones(n, np.int32),
@@ -211,14 +212,14 @@ def stein_vectors(runs, grid: Grid1D, species: ParticleSpecies,
         raise LinAlgError(f"stein failed with info {info}")
     lobes = vectors[np.argmax(np.abs(vectors), axis=0),
                     np.arange(vectors.shape[1])]
-    return vectors * (np.sign(lobes) / np.sqrt(grid.step))
+    return vectors * (np.sign(lobes) / np.sqrt(step))
 
 
 def dz_reference(spectrum: VerticalSpectrum) -> np.ndarray:
     """<v_i| d/dz |v_j> with np.gradient derivatives (one-sided at the
     ends) and trapezoid quadrature, antisymmetrized as (D - D^T)/2."""
     psi = spectrum.wavefunctions
-    h = spectrum.grid.step
+    h = spectrum.step
     dpsi = np.gradient(psi, h, axis=0)
     d = np.empty((psi.shape[1], psi.shape[1]))
     for i in range(psi.shape[1]):
@@ -227,44 +228,61 @@ def dz_reference(spectrum: VerticalSpectrum) -> np.ndarray:
     return (d - d.T) / 2.0
 
 
-def nodes(grid: Grid1D) -> np.ndarray:
-    """The grid's node positions, in nm."""
-    return np.linspace(grid.z_min, grid.z_max, grid.n_points)
+def nodes(n: int, step: float) -> np.ndarray:
+    """The positions of n nodes `step` nm apart centred on the origin, the
+    barrier midpoint, as build_potential places them, in nm."""
+    half = (n - 1) * step / 2
+    return np.linspace(-half, half, n)
 
 
-def well_masks(spec: DoubleWellSpec, grid: Grid1D) -> list[np.ndarray]:
-    """Per well [lo, hi), the nodes z of the grid in it to 1e-9 of a step,
-    the edge rule of build_potential: node indices from
-    ceil((lo - z_min)/h - 1e-9) up to ceil((hi - z_min)/h - 1e-9). So a
-    node on an edge whose linspace position rounds off it stays on it: at
-    H = 4.875 nm, L = 50 nm node 2487 lies at -25.000000000000004 nm, on
-    well 1's upper edge, and belongs to the barrier."""
-    index = np.arange(grid.n_points)
+def well_masks(width_h: float, barrier_l: float, n: int,
+               step: float) -> list[np.ndarray]:
+    """Per well, [-L/2 - H, -L/2) and [L/2, L/2 + H), the nodes z of the
+    grid of n nodes in it to 1e-9 of a step, the edge rule of
+    build_potential: node indices from ceil((lo - z_min)/h - 1e-9) up to
+    ceil((hi - z_min)/h - 1e-9), z_min = -(n - 1)h/2. So a node on an edge
+    whose linspace position rounds off it stays on it: at H = 4.875 nm,
+    L = 50 nm node 2487 lies at -25.000000000000004 nm, on well 1's upper
+    edge, and belongs to the barrier."""
+    z_min, index = -(n - 1) * step / 2, np.arange(n)
     masks = []
-    for support in (spec.well1_support, spec.well2_support):
-        first, end = (math.ceil((z - grid.z_min) / grid.step - 1e-9)
-                      for z in support)
+    for support in ((-barrier_l / 2 - width_h, -barrier_l / 2),
+                    (barrier_l / 2, barrier_l / 2 + width_h)):
+        first, end = (math.ceil((z - z_min) / step - 1e-9) for z in support)
         masks.append((index >= first) & (index < end))
     return masks
 
 
-def sampled_wells(spec: DoubleWellSpec, grid: Grid1D) -> np.ndarray:
-    """The double well at the grid's node positions: -depth1 at the nodes
-    inside well 1, -depth2 at their mirror images, 0 elsewhere."""
-    potential = np.zeros(grid.n_points)
-    mask = well_masks(spec, grid)[0]
-    potential[mask] = -spec.depth1
-    potential[mask[::-1]] = -spec.depth2
+def sampled_wells(width_h: float, barrier_l: float, depth1: float,
+                  depth2: float, n: int, step: float) -> np.ndarray:
+    """The double well at the node positions: -depth1 at the nodes inside
+    well 1, -depth2 at their mirror images, 0 elsewhere."""
+    potential = np.zeros(n)
+    mask = well_masks(width_h, barrier_l, n, step)[0]
+    potential[mask] = -depth1
+    potential[mask[::-1]] = -depth2
     return potential
 
 
-def localization(spectrum: VerticalSpectrum,
-                 spec: DoubleWellSpec) -> np.ndarray:
+def localization(spectrum: VerticalSpectrum, width_h: float,
+                 barrier_l: float) -> np.ndarray:
     """Per state the probability weights (w1, w2) summed over the nodes
-    inside each well of spec, the wells the spectrum was solved for."""
-    return np.stack([np.sum(spectrum.wavefunctions[mask] ** 2, axis=0)
-                     * spectrum.grid.step
-                     for mask in well_masks(spec, spectrum.grid)], axis=1)
+    inside each well of width H at barrier L, the wells the spectrum was
+    solved for."""
+    psi = spectrum.wavefunctions
+    return np.stack([np.sum(psi[mask] ** 2, axis=0) * spectrum.step
+                     for mask in well_masks(width_h, barrier_l, len(psi),
+                                            spectrum.step)], axis=1)
+
+
+def solve_well(well, species: ParticleSpecies,
+               options: SolverOptions = SolverOptions()) -> VerticalSpectrum:
+    """The bound states, at most options.vertical_cap, of the well
+    (width_h, barrier_l, depth1, depth2): build_potential's runs solved at
+    options.grid_step, as spectroscopy.vertical_spectrum solves a device,
+    for wells no DeviceSpec holds."""
+    return solve_vertical(build_potential(*well, options), options.grid_step,
+                          species, options.vertical_cap)
 
 
 # The dense Hamiltonian over the whole product basis, assembled in one

@@ -21,9 +21,9 @@ from dqdsim import (ELECTRON, CalibrationTarget, FieldPoint,
 from dqdsim.cli import main
 from dqdsim.core import kinetic_coefficient
 from dqdsim.spectroscopy import vertical_spectrum
-from dqdsim.vertical import DoubleWellSpec, Grid1D, dz_matrix, \
-    solve_double_well, solve_vertical
-from oracles import assemble, build_basis, product_basis, y_matrix
+from dqdsim.vertical import dz_matrix, solve_vertical
+from oracles import assemble, build_basis, product_basis, solve_well, \
+    y_matrix
 
 MEASURED_LAW = PowerLawParams(33.0e3, 4.88, 27.0)
 
@@ -67,17 +67,16 @@ def test_criterion_02_powerlaw_round_trip():
 def test_criterion_03_vertical_solver_oracles():
     width, step = 10.0, 0.01
     n = int(round(width / step)) - 1
-    grid = Grid1D(-width / 2 + step, -width / 2 + n * step, n)
     species = ParticleSpecies("electron", 1.0, 30.0, -1)
     # a uniform floor -v0 binds exactly the box's lowest 3 levels
     v0 = oracles.box_floor(n, kinetic_coefficient(species) / step ** 2, 3)
     t0 = time.perf_counter()
-    box = solve_vertical([(-v0, n)], grid, species, n_states=4)
+    box = solve_vertical([(-v0, n)], step, species, n_states=4)
     t_box = time.perf_counter() - t0
     box_rel = np.max(np.abs((box.energies + v0)
                             / oracles.box_energies(width, 1, 3) - 1.0))
     t0 = time.perf_counter()
-    well = solve_double_well(DoubleWellSpec(4.5, 10.0, 239.0, 0.0), ELECTRON)
+    well = solve_well((4.5, 10.0, 239.0, 0.0), ELECTRON)
     t_well = time.perf_counter() - t0
     well_err = abs(well.energies[0]
                    - oracles.finite_well_levels(239.0, 4.5, 0.03)[0])
@@ -193,7 +192,7 @@ def test_criterion_09_numerical_properties():
     vert = vertical_spectrum(device, ELECTRON)
     dz = dz_matrix(vert)
     psi = vert.wavefunctions
-    h = vert.grid.step
+    h = vert.step
     gram = psi.T @ psi * h
     checks["orthonormal"] = np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-8
     nodes_ok = True
@@ -238,11 +237,9 @@ def test_criterion_09_numerical_properties():
     checks["pt2_within_1pct"] = (abs((exact - e_as_zero) - (diamag + pt2))
                                  < 0.01 * abs(pt2))
 
-    e_coarse = solve_double_well(DoubleWellSpec(4.5, 7.0, 239.0, 203.0),
-                                 ELECTRON).energies[:2]
-    e_fine = solve_double_well(DoubleWellSpec(4.5, 7.0, 239.0, 203.0),
-                               ELECTRON, SolverOptions(grid_step=0.005)
-                               ).energies[:2]
+    e_coarse = solve_well((4.5, 7.0, 239.0, 203.0), ELECTRON).energies[:2]
+    e_fine = solve_well((4.5, 7.0, 239.0, 203.0), ELECTRON,
+                        SolverOptions(grid_step=0.005)).energies[:2]
     checks["grid_convergence"] = np.max(np.abs(e_coarse - e_fine)) < 0.01
 
     lows = {}

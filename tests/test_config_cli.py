@@ -189,6 +189,19 @@ class TestCliSolve:
         assert "padding >= 15.0 nm" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("barrier", ["1e16", "1e306"])
+    def test_barrier_past_the_grid_exits_2(self, tmp_path, capsys, barrier):
+        # more than 2**24 nodes: a gap 3.1 meV short of the uncoupled limit
+        # at 1e16 nm, a traceback at 1e306 nm, before build_potential
+        # refused them
+        cfg = write(tmp_path, "far.ini", f"[device]\nbarrier_l = {barrier}\n")
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error (config): ")
+        assert "not 3 to 2**24" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["solve", "sweep-b"])
     def test_one_bound_electron_state_exits_3(self, tmp_path, capsys,
                                               command):

@@ -280,9 +280,9 @@ class TestCalibration:
         spans = []
         solve = fitting.solve_vertical
 
-        def spy(potential, grid, species, **kwargs):
-            spans.append(grid.n_points * grid.step)
-            return solve(potential, grid, species, **kwargs)
+        def spy(runs, step, species, **kwargs):
+            spans.append(sum(m for _, m in runs) * step)
+            return solve(runs, step, species, **kwargs)
 
         monkeypatch.setattr(fitting, "solve_vertical", spy)
         target = CalibrationTarget(emission_low=-138.8, emission_high=-104.1,

@@ -18,11 +18,11 @@ from dqdsim.molecular import BlockHamiltonian, ProductBasis, shell_name
 from dqdsim.spectroscopy import vertical_spectrum
 from dqdsim import default_device, solve_point
 from dqdsim.lateral import y_ladder
-from dqdsim.vertical import DoubleWellSpec, dz_matrix, solve_double_well
+from dqdsim.vertical import dz_matrix
 from oracles import (AmbiguousContinuation, OVERLAP_THRESHOLD, DenseSpectrum,
                      assemble, block_spectra, build_basis, dominant_labels,
                      label_of, label_states, product_basis, sector_list,
-                     y_matrix)
+                     solve_well, y_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -142,8 +142,7 @@ class TestAssemble:
         assert h[i, j] == pytest.approx(expected, rel=1e-12)
 
     def test_parity_selection_in_symmetric_molecule(self):
-        spec = DoubleWellSpec(6.0, 4.0, 600.0, 600.0)
-        vert = solve_double_well(spec, ELECTRON)
+        vert = solve_well((6.0, 4.0, 600.0, 600.0), ELECTRON)
         dz = dz_matrix(vert)
         field = FieldPoint(4.0)
         basis = build_basis(ELECTRON, field, 2)
@@ -226,10 +225,10 @@ class TestBlockHamiltonian:
 
     @pytest.mark.parametrize("quanta", range(7))
     @pytest.mark.parametrize("well", [
-        DoubleWellSpec(4.5, 7.0, 239.0, 203.0),
-        DoubleWellSpec(9.0, 7.0, 400.0, 400.0)], ids=["2-state", "4-state"])
+        (4.5, 7.0, 239.0, 203.0),
+        (9.0, 7.0, 400.0, 400.0)], ids=["2-state", "4-state"])
     def test_names_are_the_basis_labels(self, well, quanta):
-        vert = solve_double_well(well, ELECTRON)
+        vert = solve_well(well, ELECTRON)
         ham = BlockHamiltonian(vert, ELECTRON,
                                SolverOptions(lateral_quanta=quanta))
         assert len(ham.names) == len(ham.basis) == (
@@ -463,10 +462,9 @@ class TestSectors:
         # equal wells (depth2 None) zero the parity-forbidden d/dz entries
         # and split the sectors; the closure search must give the members
         # of scipy's connected components, in the same order
-        well = DoubleWellSpec(width, l, depth1,
-                              depth1 if depth2 is None else depth2)
+        well = (width, l, depth1, depth1 if depth2 is None else depth2)
         options = SolverOptions(vertical_cap=cap, lateral_quanta=quanta)
-        ham = BlockHamiltonian(solve_double_well(well, species, options),
+        ham = BlockHamiltonian(solve_well(well, species, options),
                                species, options)
         found = [members for members, _, _ in sector_list(ham)]
         expected = oracles.component_sectors(ham)
@@ -501,8 +499,7 @@ class TestSectors:
         # identical wells bind four states of parity (-1)^v whose
         # same-parity d/dz entries sum to rounding, not to 0; they must
         # neither join the parity sectors nor reach any sector's coupling
-        vert = solve_double_well(DoubleWellSpec(9.0, 7.0, 400.0, 400.0),
-                                 ELECTRON)
+        vert = solve_well((9.0, 7.0, 400.0, 400.0), ELECTRON)
         ham = BlockHamiltonian(vert, ELECTRON)
         assert len(vert.energies) == 4
         dz = np.abs(dz_matrix(vert))
@@ -533,8 +530,7 @@ class TestSectors:
         depth2 = depth1 - detuning if deeper_first else depth1 + detuning
         assume(depth2 >= 100.0)
         options = SolverOptions(vertical_cap=cap)
-        vert = solve_double_well(DoubleWellSpec(width, l, depth1, depth2),
-                                 species, options)
+        vert = solve_well((width, l, depth1, depth2), species, options)
         assert vert.runs != vert.runs[::-1]
         ham = BlockHamiltonian(vert, species, options)
         ny = np.array([n_y for _, _, n_y in ham.basis.entries])
@@ -571,8 +567,7 @@ class TestSectors:
         # the sectors partition the basis, each within one n_x block, its
         # members in stable ascending order of zero-field energy
         for vert in (vertical_spectrum(default_device(7.0), species),
-                     solve_double_well(DoubleWellSpec(9.0, 7.0, 400.0, 400.0),
-                                       species)):
+                     solve_well((9.0, 7.0, 400.0, 400.0), species)):
             ham = BlockHamiltonian(vert, species)
             every = np.concatenate([s[0] for s in sector_list(ham)])
             assert sorted(every) == list(range(len(ham)))
@@ -607,8 +602,7 @@ class TestSectors:
         # four bound states per carrier; across the parity sectors the
         # march's overlaps are near zero, so it crosses diabatically, and
         # so must the ranks
-        vert = solve_double_well(DoubleWellSpec(9.0, 7.0, 400.0, 400.0),
-                                 species)
+        vert = solve_well((9.0, 7.0, 400.0, 400.0), species)
         assert len(vert.energies) == 4
         marched = oracles.march(vert, species, DEFAULT_B_VALUES,
                                 field_step=0.02)
@@ -763,11 +757,11 @@ class TestSolveMolecular:
         # complex H of that sign; without the phases the residual is of
         # order |H|. At B = 0 alone the vectors are the basis states
         species = replace(species, hyz_sign=sign)
-        for well in (2.5, 7.0, 15.0, DoubleWellSpec(9.0, 7.0, 400.0, 400.0)):
+        for well in (2.5, 7.0, 15.0, (9.0, 7.0, 400.0, 400.0)):
             if isinstance(well, float):
                 vert = vertical_spectrum(default_device(well), species)
             else:
-                vert = solve_double_well(well, species)
+                vert = solve_well(well, species)
             ham = BlockHamiltonian(vert, species)
             spectra = adiabatic_sweep(vert, species,
                                       [0.0, 0.05, 1.0, 3.3, 8.0, 12.0])

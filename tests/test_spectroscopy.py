@@ -121,7 +121,7 @@ def check_sector_stacks(monkeypatch, device, hole, solved):
     calls, stacks, verticals, shot = [], [], [], []
     diagonalize = molecular.diagonalize
     hamiltonians = molecular.BlockHamiltonian.hamiltonians
-    solve_double_well = spectroscopy.solve_double_well
+    solve_vertical = spectroscopy.solve_vertical
     lowest_eigenvalues = vertical._lowest_eigenvalues
 
     def spy(h):
@@ -132,9 +132,9 @@ def check_sector_stacks(monkeypatch, device, hole, solved):
         stacks.append((ham.species, size, len(b_values)))
         return hamiltonians(ham, b_values, size)
 
-    def spy_vertical(well, species, options, twin=None):
+    def spy_vertical(runs, step, species, n_states, twin=None):
         verticals.append((species, twin))
-        return solve_double_well(well, species, options, twin)
+        return solve_vertical(runs, step, species, n_states, twin)
 
     def spy_shoot(runs, c_h2, k, upper=None):
         shot.append(c_h2)
@@ -143,7 +143,7 @@ def check_sector_stacks(monkeypatch, device, hole, solved):
     monkeypatch.setattr(molecular, "diagonalize", spy)
     monkeypatch.setattr(molecular.BlockHamiltonian, "hamiltonians",
                         spy_stack)
-    monkeypatch.setattr(spectroscopy, "solve_double_well", spy_vertical)
+    monkeypatch.setattr(spectroscopy, "solve_vertical", spy_vertical)
     monkeypatch.setattr(vertical, "_lowest_eigenvalues", spy_shoot)
     fields = [round(0.05 * k, 9) for k in range(161)]  # 0 to 8 T
     _, points = sweep_b(device, fields, hole=hole)

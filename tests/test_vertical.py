@@ -14,19 +14,19 @@ from dqdsim import (ELECTRON, HOLE, ParticleSpecies, SolverOptions,
 from dqdsim.core import kinetic_coefficient
 from dqdsim.errors import NoBoundStateError
 from dqdsim.spectroscopy import vertical_spectrum
-from dqdsim.vertical import (DoubleWellSpec, Grid1D, build_potential,
-                             dz_matrix, solve_double_well, solve_vertical)
+from dqdsim.vertical import build_potential, dz_matrix, solve_vertical
+from oracles import solve_well
 
-DEFAULT_WELL = DoubleWellSpec(width_h=4.5, barrier_l=7.0,
-                            depth1=239.0, depth2=203.0)
+# (width_h, barrier_l, depth1, depth2) of the default device's electron
+DEFAULT_WELL = (4.5, 7.0, 239.0, 203.0)
 TWO_STATES = SolverOptions(vertical_cap=2)
+STEP = SolverOptions().grid_step
 
 
-def box_grid(width, step):
+def box_nodes(width, step):
     # Dirichlet walls sit one step outside the end nodes, so chop the
     # end nodes off the nominal box to make its width exactly `width`.
-    n = int(round(width / step)) - 1
-    return Grid1D(-width / 2 + step, -width / 2 + n * step, n)
+    return int(round(width / step)) - 1
 
 
 def count_sign_changes(psi):
@@ -43,34 +43,27 @@ def sampled(runs):
 
 class TestBuildPotential:
     def test_zero_depths_give_zero_potential(self):
-        spec = DoubleWellSpec(4.5, 7.0, 0.0, 0.0)
-        grid, runs = build_potential(spec)
-        assert runs == [(0.0, grid.n_points)]
+        assert build_potential(4.5, 7.0, 0.0, 0.0) == [(0.0, 5600)]
 
     def test_default_wells_shape(self):
-        grid, runs = build_potential(DEFAULT_WELL)
         # 20 nm of padding, 4.5 nm wells and exactly L = 7 nm of barrier
-        # between them, in 0.01 nm cells
-        assert runs == [
+        # between them, in 0.01 nm cells: 5600 nodes
+        assert build_potential(*DEFAULT_WELL) == [
             (0.0, 2000), (-239.0, 450), (0.0, 700), (-203.0, 450),
             (0.0, 2000)]
-        assert grid.n_points == 5600
 
     def test_symmetric_depths_even_about_midpoint(self):
-        spec = DoubleWellSpec(4.5, 7.0, 239.0, 239.0)
-        _, runs = build_potential(spec)
+        runs = build_potential(4.5, 7.0, 239.0, 239.0)
         # mirror symmetry about the barrier midpoint reverses the runs
         assert runs == runs[::-1]
 
     def test_zero_node_barrier_merges_equal_wells(self):
         # a barrier thinner than one cell holds no node, so equal wells
         # make one run and a depth-0 second well joins the padding
-        spec = DoubleWellSpec(4.5, 0.004, 239.0, 239.0)
-        assert build_potential(spec)[1] == [(0.0, 2000), (-239.0, 900),
-                                            (0.0, 2000)]
-        spec = DoubleWellSpec(4.5, 0.004, 239.0, 0.0)
-        assert build_potential(spec)[1] == [(0.0, 2000), (-239.0, 450),
-                                            (0.0, 2450)]
+        assert build_potential(4.5, 0.004, 239.0, 239.0) == [
+            (0.0, 2000), (-239.0, 900), (0.0, 2000)]
+        assert build_potential(4.5, 0.004, 239.0, 0.0) == [
+            (0.0, 2000), (-239.0, 450), (0.0, 2450)]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_runs_match_node_sampling_off_the_lattice(self, seed):
@@ -86,22 +79,24 @@ class TestBuildPotential:
              rng.choice([0.0, 203.0, 239.0]),
              rng.choice([0.0, 203.0, 239.0]))
             for _ in range(100)]
-        for width, barrier, step, padding, depth1, depth2 in cases:
-            spec = DoubleWellSpec(float(width), float(barrier),
-                                  float(depth1), float(depth2))
-            grid, runs = build_potential(spec, SolverOptions(
-                grid_step=float(step), padding=float(padding)))
+        for case in cases:
+            width, barrier, step, padding, depth1, depth2 = map(float, case)
+            runs = build_potential(width, barrier, depth1, depth2,
+                                   SolverOptions(grid_step=step,
+                                                 padding=padding))
+            n = sum(m for _, m in runs)
             assert all(m >= 1 for _, m in runs)
             assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
-            assert np.array_equal(sampled(runs),
-                                  oracles.sampled_wells(spec, grid))
+            assert np.array_equal(sampled(runs), oracles.sampled_wells(
+                width, barrier, depth1, depth2, n, step))
             # well 2 [lo, hi) holds its own nodes too, save one on an edge
-            offsets = [(z - grid.z_min) / grid.step
-                       for z in spec.well2_support]
+            z_min = oracles.nodes(n, step)[0]
+            offsets = [(z - z_min) / step
+                       for z in (barrier / 2, barrier / 2 + width)]
             if all(abs(x - round(x)) > 1e-9 for x in offsets):
-                mask = oracles.well_masks(spec, grid)[1]
+                mask = oracles.well_masks(width, barrier, n, step)[1]
                 assert np.array_equal(sampled(runs)[mask],
-                                      np.full(mask.sum(), -spec.depth2))
+                                      np.full(mask.sum(), -depth2))
 
     @settings(deadline=None, max_examples=200)
     @given(width=st.floats(1.0, 8.0), barrier=st.floats(0.001, 40.0),
@@ -120,10 +115,8 @@ class TestBuildPotential:
         # the grid is centred on the barrier midpoint and well 2 is well
         # 1's mirror image, so equal wells are mirror images off the
         # lattice too
-        spec = DoubleWellSpec(width, barrier, depth, depth)
-        grid, runs = build_potential(spec, SolverOptions(grid_step=step,
-                                                         padding=padding))
-        assert grid.z_min == -grid.z_max
+        runs = build_potential(width, barrier, depth, depth,
+                               SolverOptions(grid_step=step, padding=padding))
         assert runs == runs[::-1]
 
     @settings(deadline=None, max_examples=200)
@@ -139,38 +132,69 @@ class TestBuildPotential:
         # included: the wells hold equally many nodes, which the mirror
         # swaps
         options = SolverOptions(grid_step=step, padding=padding)
-        grid, runs = build_potential(DoubleWellSpec(width, barrier,
-                                                    *depths), options)
-        _, swapped = build_potential(DoubleWellSpec(width, barrier,
-                                                    *depths[::-1]), options)
-        assert sum(m for _, m in runs) == grid.n_points
+        runs = build_potential(width, barrier, *depths, options)
+        swapped = build_potential(width, barrier, *depths[::-1], options)
+        # the grid's nodes, one per cell of the span
+        assert sum(m for _, m in runs) == round(
+            (2 * width + barrier + 2 * padding) / step)
         assert all(m >= 1 for _, m in runs)
         assert swapped == runs[::-1]
+
+
+    @pytest.mark.parametrize("barrier_l", [1e16, 1e18, 1e200, 1e306,
+                                           math.inf])
+    def test_rejects_a_barrier_past_2_24_nodes(self, barrier_l):
+        # the edge rule's (z - z_min)/h rounds by 1e-10 of a step at 2**22
+        # nodes and 3e-9 at 1e8, past its 1e-9: at L = 1e16 nm the gap
+        # came out 3.1 meV short of its uncoupled limit, 1e18 nm bound
+        # nothing and 1e200 nm or 1e306 nm crashed
+        with pytest.raises(ValueError, match=r"not 3 to 2\*\*24"):
+            build_potential(4.5, barrier_l, 239.0, 203.0)
+
+    @pytest.mark.parametrize("step", [1e-6, 30.0])
+    def test_rejects_a_step_past_its_node_bounds(self, step):
+        # 5.6e7 nodes, or fewer than 3
+        with pytest.raises(ValueError, match=r"not 3 to 2\*\*24"):
+            build_potential(*DEFAULT_WELL, SolverOptions(grid_step=step))
+
+    def test_samples_a_grid_just_inside_2_24_nodes(self):
+        runs = build_potential(4.5, 167723.0, 239.0, 203.0)
+        assert sum(m for _, m in runs) == 2 ** 24 - 16
+        assert runs[0] == runs[-1] == (0.0, 2000)
+
+    @pytest.mark.parametrize("well", [
+        (math.nan, 7.0, 239.0, 203.0), (4.5, math.nan, 239.0, 203.0),
+        (0.0, 7.0, 239.0, 203.0), (4.5, -7.0, 239.0, 203.0),
+        (-math.inf, 7.0, 239.0, 203.0), (4.5, 7.0, math.nan, 203.0),
+        (4.5, 7.0, 239.0, math.nan), (4.5, 7.0, -1.0, 203.0)],
+        ids=["nan-width", "nan-barrier", "zero-width", "negative-barrier",
+             "-inf-width", "nan-depth1", "nan-depth2", "negative-depth"])
+    def test_rejects_what_it_cannot_sample(self, well):
+        with pytest.raises(ValueError, match="must be"):
+            build_potential(*well)
 
 
 class TestOptionsReachTheGrid:
     OPTIONS = SolverOptions(grid_step=0.02, padding=25.0)
 
     def test_build_potential_honours_step_and_padding(self):
-        grid, _ = build_potential(DEFAULT_WELL, self.OPTIONS)
-        assert grid.step == pytest.approx(0.02, rel=1e-12)
-        # the cells around the nodes span the wells plus 25 nm each side
-        assert grid.z_min - grid.step / 2 == pytest.approx(
-            DEFAULT_WELL.well1_support[0] - 25.0, abs=1e-9)
-        assert grid.z_max + grid.step / 2 == pytest.approx(
-            DEFAULT_WELL.well2_support[1] + 25.0, abs=1e-9)
+        # the 0.02 nm cells around the nodes span the wells plus 25 nm of
+        # padding each side
+        assert build_potential(*DEFAULT_WELL, self.OPTIONS) == [
+            (0.0, 1250), (-239.0, 225), (0.0, 350), (-203.0, 225),
+            (0.0, 1250)]
 
     @pytest.mark.parametrize("cap", [2, 3, 4])
-    def test_solve_double_well_honours_every_option(self, cap):
+    def test_vertical_spectrum_honours_every_option(self, cap):
         # this deep wide well binds 4 states, so the cap decides the count
-        spec = DoubleWellSpec(6.0, 4.0, 600.0, 600.0)
-        options = SolverOptions(grid_step=0.02, padding=25.0,
-                                vertical_cap=cap)
-        spectrum = solve_double_well(spec, ELECTRON, options)
-        grid, runs = build_potential(spec, options)
-        assert spectrum.grid == grid
+        device = replace(default_device(4.0), well_width_h=6.0,
+                         depth_e_dot1=600.0, depth_e_dot2=600.0)
+        options = replace(self.OPTIONS, vertical_cap=cap)
+        spectrum = vertical_spectrum(device, ELECTRON, options)
+        runs = build_potential(6.0, 4.0, 600.0, 600.0, options)
+        assert spectrum.step == 0.02 and spectrum.runs == runs
         assert len(spectrum.energies) == cap
-        expected = solve_vertical(runs, grid, ELECTRON, 4).energies[:cap]
+        expected = solve_vertical(runs, 0.02, ELECTRON, 4).energies[:cap]
         assert spectrum.energies.tobytes() == expected.tobytes()
 
 
@@ -179,11 +203,11 @@ class TestSolveVertical:
                                          (8.0, 1)])
     def test_particle_in_a_box(self, width, n):
         # a uniform floor -v0 binds exactly the box's lowest n levels
-        grid = box_grid(width, step=0.01)
+        nodes = box_nodes(width, STEP)
         species = ParticleSpecies("electron", 1.0, 30.0, -1)
-        v0 = oracles.box_floor(grid.n_points, kinetic_coefficient(species)
-                               / grid.step ** 2, n)
-        spectrum = solve_vertical([(-v0, grid.n_points)], grid, species,
+        v0 = oracles.box_floor(nodes, kinetic_coefficient(species)
+                               / STEP ** 2, n)
+        spectrum = solve_vertical([(-v0, nodes)], STEP, species,
                                   n_states=n + 1)
         assert len(spectrum.energies) == n
         exact = oracles.box_energies(width, 1.0, n)
@@ -194,17 +218,16 @@ class TestSolveVertical:
                                             (119.5, 0.06), (101.5, 0.06)])
     def test_single_finite_well_against_transcendental_root(self, depth, mass):
         # single well realized as a double well whose second depth is zero
-        spec = DoubleWellSpec(4.5, 10.0, depth, 0.0)
         species = ParticleSpecies("x", mass, 30.0, -1)
-        spectrum = solve_double_well(spec, species)
+        spectrum = solve_well((4.5, 10.0, depth, 0.0), species)
         oracle = oracles.finite_well_levels(depth, 4.5, mass)[0]
         assert spectrum.energies[0] == pytest.approx(oracle, abs=0.05)
 
     def test_symmetric_double_well_splitting_shrinks_with_l(self):
         gaps = []
         for barrier in (5.0, 8.0, 11.0, 14.0):
-            spec = DoubleWellSpec(4.5, barrier, 239.0, 239.0)
-            spectrum = solve_double_well(spec, ELECTRON, TWO_STATES)
+            spectrum = solve_well((4.5, barrier, 239.0, 239.0), ELECTRON,
+                                  TWO_STATES)
             psi0 = spectrum.wavefunctions[:, 0]
             psi1 = spectrum.wavefunctions[:, 1]
             # bonding even, antibonding odd about the barrier midpoint
@@ -226,14 +249,22 @@ class TestSolveVertical:
         assert np.all(spectrum.energies < 0)
 
     def test_no_bound_state(self):
-        spec = DoubleWellSpec(4.5, 7.0, 0.0, 0.0)
-        grid, runs = build_potential(spec)
+        runs = build_potential(4.5, 7.0, 0.0, 0.0)
         with pytest.raises(NoBoundStateError):
-            solve_vertical(runs, grid, ELECTRON, 4)
+            solve_vertical(runs, STEP, ELECTRON, 4)
+
+    @pytest.mark.parametrize("step", [0.0, -0.01, math.nan, math.inf])
+    def test_rejects_a_step_not_finite_and_positive(self, step):
+        with pytest.raises(ValueError, match="step must be finite and > 0"):
+            solve_vertical(build_potential(*DEFAULT_WELL), step, ELECTRON, 2)
+
+    def test_rejects_fewer_than_3_nodes(self):
+        with pytest.raises(ValueError, match="2 nodes, not at least 3"):
+            solve_vertical([(-100.0, 2)], STEP, ELECTRON, 1)
 
     def test_orthonormality_and_node_counts(self):
-        spectrum = solve_double_well(DEFAULT_WELL, ELECTRON, TWO_STATES)
-        h = spectrum.grid.step
+        spectrum = solve_well(DEFAULT_WELL, ELECTRON, TWO_STATES)
+        h = spectrum.step
         psi = spectrum.wavefunctions
         gram = psi.T @ psi * h
         assert abs(gram[0, 0] - 1.0) < 1e-10
@@ -246,17 +277,16 @@ class TestSolveVertical:
         assert edge < 1e-4 * np.max(np.abs(psi[:, 0]))
 
     def test_grid_convergence(self):
-        e_default = solve_double_well(DEFAULT_WELL, ELECTRON).energies
-        e_half = solve_double_well(DEFAULT_WELL, ELECTRON,
-                                   SolverOptions(grid_step=0.005)).energies
+        e_default = solve_well(DEFAULT_WELL, ELECTRON).energies
+        e_half = solve_well(DEFAULT_WELL, ELECTRON,
+                            SolverOptions(grid_step=0.005)).energies
         assert np.max(np.abs(e_default[:2] - e_half[:2])) < 0.01
 
     def test_variational_bound_in_domain_size(self):
         # shallow well leaks far into the barrier, making the Dirichlet
         # truncation visible; enlarging the domain must lower the energy
-        spec = DoubleWellSpec(4.5, 7.0, 30.0, 30.0)
-        energies = [solve_double_well(spec, ELECTRON,
-                                      SolverOptions(padding=p)).energies[0]
+        energies = [solve_well((4.5, 7.0, 30.0, 30.0), ELECTRON,
+                               SolverOptions(padding=p)).energies[0]
                     for p in (15.0, 20.0, 30.0, 45.0)]
         assert all(a > b for a, b in zip(energies, energies[1:]))
 
@@ -264,8 +294,8 @@ class TestSolveVertical:
         barriers = np.arange(5.0, 15.5, 1.0)
         logs = []
         for barrier in barriers:
-            spec = DoubleWellSpec(4.5, barrier, 239.0, 239.0)
-            spectrum = solve_double_well(spec, ELECTRON, TWO_STATES)
+            spectrum = solve_well((4.5, barrier, 239.0, 239.0), ELECTRON,
+                                  TWO_STATES)
             logs.append(np.log(spectrum.energies[1] - spectrum.energies[0]))
         d1 = np.diff(logs)
         d2 = np.diff(d1)
@@ -292,19 +322,15 @@ class TestParity:
             self, width_cells, barrier_cells, step, padding, depths, species):
         # H, L and the padding are whole numbers of cells: the lattice
         options = SolverOptions(grid_step=step, padding=padding)
-        spec = DoubleWellSpec(width_cells * step, barrier_cells * step,
-                              *depths)
-        mirror = DoubleWellSpec(spec.width_h, spec.barrier_l, depths[1],
-                                depths[0])
-        grid, runs = build_potential(spec, options)
-        mirror_grid, mirrored = build_potential(mirror, options)
-        assert mirror_grid == grid
+        geometry = (width_cells * step, barrier_cells * step)
+        runs = build_potential(*geometry, *depths, options)
+        mirrored = build_potential(*geometry, *depths[::-1], options)
         assert mirrored == runs[::-1]
         # a floor -v0 under both binds at least 4 levels, shallow wells too
-        c_h2 = kinetic_coefficient(species) / grid.step ** 2
-        v0 = oracles.box_floor(grid.n_points, c_h2, 4)
+        c_h2 = kinetic_coefficient(species) / step ** 2
+        v0 = oracles.box_floor(sum(m for _, m in runs), c_h2, 4)
         energies, swapped = (
-            solve_vertical([(value - v0, m) for value, m in r], grid,
+            solve_vertical([(value - v0, m) for value, m in r], step,
                            species, 4).energies
             for r in (runs, mirrored))
         # both lie within the solver's bisection bracket of the same roots
@@ -315,40 +341,38 @@ class TestParity:
 
 class TestClassification:
     def test_symmetric_labels(self):
-        spec = DoubleWellSpec(4.5, 7.0, 239.0, 239.0)
-        spectrum = solve_double_well(spec, ELECTRON, TWO_STATES)
+        spectrum = solve_well((4.5, 7.0, 239.0, 239.0), ELECTRON, TWO_STATES)
         assert spectrum.labels[:2] == ("B", "A")
 
     def test_weak_coupling_localization(self):
-        spec = DoubleWellSpec(4.5, 9.5, 239.0, 203.0)
-        spectrum = solve_double_well(spec, ELECTRON, TWO_STATES)
-        w = oracles.localization(spectrum, spec)
+        spectrum = solve_well((4.5, 9.5, 239.0, 203.0), ELECTRON, TWO_STATES)
+        w = oracles.localization(spectrum, 4.5, 9.5)
         # these barely-bound states keep ~1/3 of their weight in the
         # evanescent tails, so dominance is a ratio over the well weights
         assert w[0, 0] / (w[0, 0] + w[0, 1]) > 0.9  # ground: deep dot
         assert w[1, 1] / (w[1, 0] + w[1, 1]) > 0.9  # excited: shallow dot
         # oracle: integrate |psi|^2 over the deep well directly
-        h = spectrum.grid.step
-        z = oracles.nodes(spectrum.grid)
+        h = spectrum.step
         psi0 = spectrum.wavefunctions[:, 0]
+        z = oracles.nodes(len(psi0), h)
         mask = (z > -9.5 / 2 - 4.5) & (z < -9.5 / 2)
         assert w[0, 0] == pytest.approx(np.sum(psi0[mask] ** 2) * h, abs=1e-9)
 
     def test_hybridization_grows_as_l_shrinks(self):
-        far = DoubleWellSpec(4.5, 9.5, 239.0, 203.0)
-        near = DoubleWellSpec(4.5, 3.0, 239.0, 203.0)
-        w_far = oracles.localization(solve_double_well(far, ELECTRON), far)
-        w_near = oracles.localization(solve_double_well(near, ELECTRON), near)
+        w_far, w_near = (
+            oracles.localization(solve_well((4.5, barrier, 239.0, 203.0),
+                                            ELECTRON), 4.5, barrier)
+            for barrier in (9.5, 3.0))
         assert w_near[0, 1] > w_far[0, 1]
 
     def test_weights_bounded_by_one(self):
-        spectrum = solve_double_well(DEFAULT_WELL, ELECTRON, TWO_STATES)
-        total = oracles.localization(spectrum, DEFAULT_WELL).sum(axis=1)
+        spectrum = solve_well(DEFAULT_WELL, ELECTRON, TWO_STATES)
+        total = oracles.localization(spectrum, 4.5, 7.0).sum(axis=1)
         assert np.all(total <= 1.0 + 1e-12)
         # deficit is the weight living in the barrier and padding
-        h = spectrum.grid.step
-        z = oracles.nodes(spectrum.grid)
+        h = spectrum.step
         psi0 = spectrum.wavefunctions[:, 0]
+        z = oracles.nodes(len(psi0), h)
         in_wells = ((z > -3.5 - 4.5) & (z <= -3.5)) | ((z >= 3.5) & (z < 8.0))
         rest = np.sum(psi0[~in_wells] ** 2) * h
         assert total[0] + rest == pytest.approx(1.0, abs=1e-9)
@@ -356,12 +380,12 @@ class TestClassification:
 
 class TestDzMatrix:
     def test_antisymmetric_with_zero_diagonal(self):
-        spectrum = solve_double_well(DEFAULT_WELL, ELECTRON, TWO_STATES)
+        spectrum = solve_well(DEFAULT_WELL, ELECTRON, TWO_STATES)
         d = dz_matrix(spectrum)
         assert d[0, 0] == 0.0 and d[1, 1] == 0.0
         assert np.array_equal(d, -d.T)
         # raw integrals are antisymmetric before symmetrization too
-        h = spectrum.grid.step
+        h = spectrum.step
         psi = spectrum.wavefunctions
         dpsi = np.gradient(psi, h, axis=0)
         raw01 = np.trapezoid(psi[:, 0] * dpsi[:, 1], dx=h)
@@ -371,8 +395,7 @@ class TestDzMatrix:
     def test_parity_selection_rule(self):
         # deep wide symmetric well holds two states per dot; states of
         # equal parity are not connected by d/dz
-        spec = DoubleWellSpec(6.0, 4.0, 600.0, 600.0)
-        spectrum = solve_double_well(spec, ELECTRON)
+        spectrum = solve_well((6.0, 4.0, 600.0, 600.0), ELECTRON)
         assert len(spectrum.energies) == 4
         d = dz_matrix(spectrum)
         assert abs(d[0, 1]) > 1e-3
@@ -381,11 +404,11 @@ class TestDzMatrix:
 
     def test_commutator_identity(self):
         # [H, z] relates <0|dz|1> to (E1 - E0) <0|z|1> / (2 hbar^2/2m)
-        spectrum = solve_double_well(DEFAULT_WELL, ELECTRON, TWO_STATES)
+        spectrum = solve_well(DEFAULT_WELL, ELECTRON, TWO_STATES)
         d = dz_matrix(spectrum)
-        h = spectrum.grid.step
-        z = oracles.nodes(spectrum.grid)
+        h = spectrum.step
         psi = spectrum.wavefunctions
+        z = oracles.nodes(len(psi), h)
         z01 = np.trapezoid(psi[:, 0] * z * psi[:, 1], dx=h)
         de = spectrum.energies[1] - spectrum.energies[0]
         c = 1269.994  # hbar^2/2m for m = 0.03 m0
@@ -394,8 +417,7 @@ class TestDzMatrix:
     def test_coupling_decreases_with_l(self):
         values = []
         for barrier in (7.0, 9.5, 12.0):
-            spectrum = solve_double_well(
-                DoubleWellSpec(4.5, barrier, 239.0, 203.0), ELECTRON)
+            spectrum = solve_well((4.5, barrier, 239.0, 203.0), ELECTRON)
             values.append(abs(dz_matrix(spectrum)[0, 1]))
         assert values[0] > values[1] > values[2] > 0
 
@@ -411,9 +433,8 @@ class TestDzMatrix:
         assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_one_state_gives_the_1x1_zero(self):
-        spec = DoubleWellSpec(4.5, 10.0, 239.0, 0.0)
-        grid, runs = build_potential(spec)
-        spectrum = solve_vertical(runs, grid, ELECTRON, 1)
+        runs = build_potential(4.5, 10.0, 239.0, 0.0)
+        spectrum = solve_vertical(runs, STEP, ELECTRON, 1)
         d = dz_matrix(spectrum)
         assert d.shape == (1, 1) and d[0, 0] == 0.0
 
@@ -421,8 +442,8 @@ class TestDzMatrix:
 def lattice_wells():
     """The default device's wells at lattice distances across 2.5-15 nm."""
     for barrier_l in np.round(np.linspace(2.5, 15.0, 6), 2):
-        yield DoubleWellSpec(4.5, float(barrier_l), 239.0, 203.0), ELECTRON
-        yield DoubleWellSpec(4.5, float(barrier_l), 119.5, 101.5), HOLE
+        yield (4.5, float(barrier_l), 239.0, 203.0), ELECTRON
+        yield (4.5, float(barrier_l), 119.5, 101.5), HOLE
 
 
 def fd_matrix(potential, species, step):
@@ -432,10 +453,9 @@ def fd_matrix(potential, species, step):
 
 
 def tridiagonal(spec, species):
-    """Diagonal, off-diagonal, grid and runs of the FD problem for a
-    well."""
-    grid, runs = build_potential(spec)
-    return (*fd_matrix(sampled(runs), species, grid.step), grid, runs)
+    """Diagonal, off-diagonal and runs of the FD problem for a well."""
+    runs = build_potential(*spec)
+    return (*fd_matrix(sampled(runs), species, STEP), runs)
 
 
 def certificate_tolerance(diag, off):
@@ -462,9 +482,9 @@ class TestEigenvectorsOnDemand:
         and within eps; the vectors built from the runs agree with LAPACK
         stein's inverse iteration at those energies, and with
         eigh_tridiagonal's own vectors."""
-        diag, off, grid, runs = tridiagonal(spec, species)
+        diag, off, runs = tridiagonal(spec, species)
         eps = certificate_tolerance(diag, off)
-        spectrum = solve_double_well(spec, species)
+        spectrum = solve_well(spec, species)
         energies = spectrum.energies
         # the default device binds 2 states per carrier at every L
         assert len(energies) == 2
@@ -476,15 +496,15 @@ class TestEigenvectorsOnDemand:
         reference, vectors = eigh_tridiagonal(
             diag, off, select="i", select_range=(0, len(energies) - 1))
         assert np.max(np.abs(energies - reference)) <= eps
-        stein = oracles.stein_vectors(runs, grid, species, energies)
-        assert np.all(unit_overlaps(spectrum.wavefunctions, stein, grid)
+        stein = oracles.stein_vectors(runs, STEP, species, energies)
+        assert np.all(unit_overlaps(spectrum.wavefunctions, stein, STEP)
                       >= 1 - 1e-12)
         dz, stein_dz = dz_matrix(spectrum), dz_of(spectrum, stein)
         assert np.abs(dz - stein_dz).max() <= 1e-10 * np.abs(dz).max()
         # same normalization and sign convention; overlaps of unit vectors
         assert np.all(unit_overlaps(spectrum.wavefunctions,
-                                    signed_unit_columns(vectors, grid.step),
-                                    grid) >= 1 - 1e-12)
+                                    signed_unit_columns(vectors, STEP),
+                                    STEP) >= 1 - 1e-12)
 
     def test_vectors_computed_once_without_second_bisection(self,
                                                              monkeypatch):
@@ -500,13 +520,13 @@ class TestEigenvectorsOnDemand:
 
         for name in ("_lowest_eigenvalues", "_shoot", "_eigenvector"):
             monkeypatch.setattr(vertical, name, counted(name))
-        spectrum = solve_double_well(DEFAULT_WELL, ELECTRON)
+        spectrum = solve_well(DEFAULT_WELL, ELECTRON)
         solved = dict(calls)
         # one energy solve, which counts its shoots, and no vector
         assert solved["_lowest_eigenvalues"] == 1
         assert spectrum.shoots == solved["_shoot"]
         assert "_eigenvector" not in solved
-        oracles.localization(spectrum, DEFAULT_WELL)
+        oracles.localization(spectrum, 4.5, 7.0)
         spectrum.wavefunctions
         dz_matrix(spectrum)
         # every read after the first reuses one vector per state, built
@@ -553,9 +573,9 @@ class TestEigenvectorsOnDemand:
         assert np.max(np.abs(spectrum.energies - reference)) <= 5e-12
 
 
-def unit_overlaps(psi, reference, grid):
+def unit_overlaps(psi, reference, step):
     """Per column the overlap of two sets of grid-normalized states."""
-    return np.sum(psi * reference, axis=0) * grid.step
+    return np.sum(psi * reference, axis=0) * step
 
 
 def dz_of(spectrum, wavefunctions):
@@ -600,16 +620,16 @@ class TestRunWiseVectors:
                                                depth2, step, species,
                                                n_states):
         # depth2 None draws equal wells
-        spec = DoubleWellSpec(width, barrier, depth1,
-                              depth1 if depth2 is None else depth2)
-        grid, runs = build_potential(spec, SolverOptions(grid_step=step))
-        diag, off = fd_matrix(sampled(runs), species, grid.step)
+        runs = build_potential(width, barrier, depth1,
+                               depth1 if depth2 is None else depth2,
+                               SolverOptions(grid_step=step))
+        diag, off = fd_matrix(sampled(runs), species, step)
         # a bound ground state, not one on the E = 0 edge
         assume(lowest_eigh(diag, off, 1)[0] < -certificate_tolerance(diag,
                                                                       off))
-        spectrum = solve_vertical(runs, grid, species, n_states)
+        spectrum = solve_vertical(runs, step, species, n_states)
         k = len(spectrum.energies)
-        psi = spectrum.wavefunctions * np.sqrt(grid.step)
+        psi = spectrum.wavefunctions * np.sqrt(step)
         # orthonormal eigenpairs of T = diag + off: a vector joined at j
         # leaves a residual of the energy's error, within the solver's
         # 2 eps c/h^2 bracket, over its |psi_j| >= n^-1/2
@@ -628,8 +648,8 @@ class TestRunWiseVectors:
         with np.errstate(divide="ignore"):
             slack = 4 * np.finfo(float).eps * np.abs(diag).max() / gaps
         kept = slack < 1.0
-        stein = oracles.stein_vectors(runs, grid, species, spectrum.energies)
-        overlaps = unit_overlaps(spectrum.wavefunctions, stein, grid)
+        stein = oracles.stein_vectors(runs, step, species, spectrum.energies)
+        overlaps = unit_overlaps(spectrum.wavefunctions, stein, step)
         assert np.all(np.abs(overlaps[kept]) >= 1 - 1e-12 - slack[kept] ** 2)
         # equal wells leave the overall sign of a state to rounding
         signs = np.sign(overlaps)
@@ -679,9 +699,9 @@ class TestRunWiseVectors:
                                                step, species):
         # mirror-symmetric runs give states of alternating parity, and
         # d/dz, odd under the mirror, joins only opposite ones
-        spec = DoubleWellSpec(width, barrier, depth, depth)
-        grid, runs = build_potential(spec, SolverOptions(grid_step=step))
-        spectrum = solve_vertical(runs, grid, species, 4)
+        runs = build_potential(width, barrier, depth, depth,
+                               SolverOptions(grid_step=step))
+        spectrum = solve_vertical(runs, step, species, 4)
         k = len(spectrum.energies)
         assume(k >= 3)
         dz = np.abs(dz_matrix(spectrum))
@@ -699,11 +719,11 @@ def lowest_eigh(diag, off, n_states):
                             select_range=(0, k - 1))
 
 
-def assert_matches_eigh(potential, grid, species, n_states):
+def assert_matches_eigh(potential, step, species, n_states):
     """solve_vertical and eigh_tridiagonal agree on the count and order of
     the bound states, and on each energy within eps; a potential
     with none raises NoBoundStateError with the ground energy."""
-    diag, off = fd_matrix(potential, species, grid.step)
+    diag, off = fd_matrix(potential, species, step)
     eps = certificate_tolerance(diag, off)
     reference = lowest_eigh(diag, off, n_states)
     assume(np.all(np.abs(reference) > eps))  # no level on the E = 0 edge
@@ -712,13 +732,13 @@ def assert_matches_eigh(potential, grid, species, n_states):
         with pytest.raises(NoBoundStateError,
                            match=r"^ground state energy -?\d+\.\d{3} meV "
                                  r"is not bound$") as caught:
-            solve_vertical(oracles.diff_runs(potential), grid, species,
+            solve_vertical(oracles.diff_runs(potential), step, species,
                            n_states=n_states)
         assert caught.value.exit_code == 3
         ground = float(str(caught.value).split()[3])
         assert abs(ground - reference[0]) <= 5e-4 + eps
         return
-    spectrum = solve_vertical(oracles.diff_runs(potential), grid, species,
+    spectrum = solve_vertical(oracles.diff_runs(potential), step, species,
                               n_states=n_states)
     assert len(spectrum.energies) == len(bound)
     assert np.all(np.diff(spectrum.energies) > 0)
@@ -776,9 +796,7 @@ class TestTransferMatrixEigenvalues:
                                                   n_states):
         potential = np.concatenate([np.full(m, -depth) for m, depth in runs])
         assume(len(potential) >= 3)
-        step = 0.01
-        grid = Grid1D(0.0, (len(potential) - 1) * step, len(potential))
-        assert_matches_eigh(potential, grid, species, n_states)
+        assert_matches_eigh(potential, STEP, species, n_states)
 
     @settings(deadline=None, max_examples=30)
     @given(barrier=st.floats(2.5, 30.0), depth=st.floats(50.0, 600.0),
@@ -788,9 +806,8 @@ class TestTransferMatrixEigenvalues:
     @example(barrier=30.0, depth=598.0, species=HOLE)
     def test_symmetric_double_wells(self, barrier, depth, species):
         # at large L the bonding/antibonding pair is closer than any scan
-        spec = DoubleWellSpec(4.5, barrier, depth, depth)
-        grid, runs = build_potential(spec)
-        assert_matches_eigh(sampled(runs), grid, species, 4)
+        runs = build_potential(4.5, barrier, depth, depth)
+        assert_matches_eigh(sampled(runs), STEP, species, 4)
 
     @settings(deadline=None, max_examples=30)
     @given(n=st.integers(3, 3000), n_states=st.integers(1, 6),
@@ -798,14 +815,12 @@ class TestTransferMatrixEigenvalues:
     def test_floored_boxes(self, n, n_states, species):
         # a uniform floor -v0 between the k-th and (k + 1)-th FD box levels
         # binds exactly the lowest k, each shifted down by v0
-        step = 0.01
-        grid = Grid1D(0.0, (n - 1) * step, n)
-        c_h2 = kinetic_coefficient(species) / step ** 2
+        c_h2 = kinetic_coefficient(species) / STEP ** 2
         k = min(n_states, n - 1)
         v0 = oracles.box_floor(n, c_h2, k)
-        spectrum = solve_vertical([(-v0, n)], grid, species,
+        spectrum = solve_vertical([(-v0, n)], STEP, species,
                                   n_states=n_states)
-        diag, off = fd_matrix(np.full(n, -v0), species, step)
+        diag, off = fd_matrix(np.full(n, -v0), species, STEP)
         eps = certificate_tolerance(diag, off)
         assert len(spectrum.energies) == k
         assert np.max(np.abs(spectrum.energies
