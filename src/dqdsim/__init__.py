@@ -20,8 +20,7 @@ from .core import (CYCLOTRON_COEFF, ELECTRON, HBAR2_OVER_2M0, HOLE,
 from .fitting import (CalibrationResult, CalibrationTarget, PowerLawParams,
                       calibrate_depths, eval_powerlaw, fit_powerlaw)
 from .lateral import renormalized_y_quantum
-from .molecular import (MolecularSpectrum, ProductBasis, adiabatic_sweep,
-                        diagonalize)
+from .molecular import MolecularSpectrum, adiabatic_sweep, diagonalize
 from .spectroscopy import (EmissionLine, GapCurve, SolvePoint,
                            effective_interdot_distance, emission_lines,
                            solve_point, sweep_b, sweep_l)

@@ -5,19 +5,20 @@ lateral motions through (sign) * i * hbar*Omega_c * y * d/dz, a kron of
 the d/dz matrix with the y ladder over the product basis {vertical bound
 states} x {lateral oscillator states}, ordered (v, n_x, n_y). H splits
 into symmetry sectors, the connected components of its coupling graph;
-the y ladder conserves n_x, so each sector lies in one n_x block, and
-each block's components are read off that block's transitive closure.
+the y ladder conserves n_x, so each sector lies in one n_x block, split
+in two by the parity of v + n_y when the d/dz graph is bipartite.
 In the gauge |v, n_y> -> (-sign*i)^n_y |v, n_y> a sector is real
 symmetric, diag(e0(B)) + hbar*Omega_c(B) <0|y|1>(B) K, with
 K = kron(d/dz, ladder) * sign(n_y' - n_y) field-free and the same for
 either sign, which phases the eigenvectors and moves no level: a spectrum
 is real levels and their labels, and no eigenvector is kept. The sectors
-of equal size are stacked, and each size is solved in one real batched
-eigensolve over all the requested fields (FieldChunk) when a level in it
-is first read, so the emission lines, B:s and A:s, cost the one size
-that holds them. At B = 0 H is diagonal: B = 0 alone is its closed form,
-with no eigensolve and no d/dz matrix; among other fields it is a row of
-their stacks, whose diagonal matrices give the same levels bit for bit.
+of equal size are stacked, and each size is solved in real batched
+eigensolves over the requested fields, SLICE_FIELDS at a time
+(FieldChunk), when a level in it is first read, so the emission lines,
+B:s and A:s, cost the one size that holds them. At B = 0 H is diagonal:
+B = 0 alone is its closed form, with no eigensolve and no d/dz matrix;
+among other fields it is a row of their stacks, whose diagonal matrices
+give the same levels bit for bit.
 
 adiabatic_sweep is the one way from fields to labeled spectra. With two
 bound vertical states a sector is a Jacobi matrix (tridiagonal, nonzero
@@ -44,6 +45,9 @@ from .lateral import lateral_states, renormalized_y_quantum, y_ladder, \
 from .vertical import VerticalSpectrum, dz_matrix
 
 
+SLICE_FIELDS = 1024  # the most fields one stack holds: bounded memory
+
+
 def shell_name(nx: int, ny: int) -> str:
     total = nx + ny
     if total == 0:
@@ -55,33 +59,19 @@ def shell_name(nx: int, ny: int) -> str:
     return f"{nx}.{ny}"
 
 
-@dataclass(frozen=True)
-class ProductBasis:
-    """Composite indices (v, n_x, n_y), v-major then n_x then n_y, and the
-    names of the vertical states."""
-
-    entries: tuple[tuple[int, int, int], ...]
-    vertical_labels: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 @lru_cache(maxsize=16)
 def basis_parts(vertical_labels: tuple[str, ...], lateral_quanta: int):
-    """The lateral states, the product basis, n_x + 1/2, n_y, n_y + 1/2
-    and the name of each basis state, and each name's position, built once
-    and shared (read-only)."""
+    """The lateral states, then n_x + 1/2, n_y, n_y + 1/2 and the name of
+    each state of the product basis, ordered (v, n_x, n_y), and each
+    name's position, built once and shared (read-only)."""
     states = lateral_states(lateral_quanta)
-    basis = ProductBasis(tuple((v, *lateral) for v in range(
-        len(vertical_labels)) for lateral in states), vertical_labels)
     nx, ny = np.tile(np.array(states).T, len(vertical_labels))
     names = np.array([f"{v}:{shell_name(*lateral)}" for v in vertical_labels
                       for lateral in states], dtype=object)
     arrays = (nx + 0.5, ny, ny + 0.5, names)
     for array in arrays:
         array.flags.writeable = False
-    return (states, basis) + arrays + (
+    return (states,) + arrays + (
         {name: p for p, name in enumerate(names)},)
 
 
@@ -155,14 +145,14 @@ class MolecularSpectrum:
 
 class FieldChunk:
     """The levels of one sweep's distinct fields, one sector size
-    diagonalized on the first read of a level it holds, in one call over
-    every field, and kept. levels[f, p] is the level at field f named
-    after basis state p, the k-th level of a sector at the position of its
-    k-th member; members[s] are the members (k, m) of the sectors of size
-    index s, and solved[s] says whether their levels are known. B = 0
-    among other fields is one more row of the stacks. At B = 0 alone H is
-    diagonal: the levels are its diagonal, each state a sector of one, and
-    nothing is solved or kept of the Hamiltonian."""
+    diagonalized on the first read of a level it holds, in one call per
+    SLICE_FIELDS fields, and kept. levels[f, p] is the level at field f
+    named after basis state p, the k-th level of a sector at the position
+    of its k-th member; members[s] are the members (k, m) of the sectors
+    of size index s, and solved[s] says whether their levels are known.
+    B = 0 among other fields is one more row of the stacks. At B = 0 alone
+    H is diagonal: the levels are its diagonal, each state a sector of
+    one, and nothing is solved or kept of the Hamiltonian."""
 
     def __init__(self, ham: BlockHamiltonian, b_values: list[float]):
         self.names, self.positions = ham.names, ham.positions
@@ -182,8 +172,10 @@ class FieldChunk:
 
     def solve(self, size: int) -> None:
         if not self.solved[size]:
-            self.levels[:, self.members[size]], _ = diagonalize(
-                self.ham.hamiltonians(self.b_values, size))
+            for f in range(0, len(self.b_values), SLICE_FIELDS):
+                fields = self.b_values[f:f + SLICE_FIELDS]
+                self.levels[f:f + len(fields), self.members[size]], _ = \
+                    diagonalize(self.ham.hamiltonians(fields, size))
             self.solved[size] = True
 
     def solve_all(self) -> None:
@@ -213,9 +205,9 @@ class BlockHamiltonian:
 
     def __init__(self, vertical: VerticalSpectrum, species: ParticleSpecies,
                  options: SolverOptions = SolverOptions()):
-        (self.states, self.basis, self.half_nx, self.ny, self.half_ny,
-         self.names, self.positions) = basis_parts(vertical.labels,
-                                                   options.lateral_quanta)
+        (self.states, self.half_nx, self.ny, self.half_ny, self.names,
+         self.positions) = basis_parts(vertical.labels,
+                                       options.lateral_quanta)
         self.vertical = vertical
         self.species = species
         self.vertical_energy = np.repeat(vertical.energies, len(self.states))
@@ -223,7 +215,7 @@ class BlockHamiltonian:
         self.diagonal = self.e0(species.lateral_quantum)
 
     def __len__(self) -> int:
-        return len(self.basis)
+        return len(self.names)
 
     def e0(self, q_y) -> np.ndarray:
         """The diagonal of H over the basis for the y quantum q_y, a
@@ -256,42 +248,35 @@ class BlockHamiltonian:
         ascending order of zero-field energy, and their real symmetric
         couplings K (k, m, m).
 
-        K = kron(d/dz, ladder) * sign(n_y' - n_y) over the whole product
-        basis. In mirror-image wells (runs == runs[::-1]) state i has
-        parity (-1)^i, so the d/dz entries with i + j even are set to
-        exactly 0: they sum to rounding, 5e-16 to 1e-13 of the largest,
-        not to 0. Every other entry is kept as computed, so K's nonzero
-        entries are the edges of the coupling graph and a sector is a
-        connected component of that graph. The y ladder is zero across
-        n_x, so every sector lies in one n_x block, and each block is
-        closed on its own: its reach R = (K != 0) | I is squared,
-        R <- (R @ R) > 0, until it stops changing (about log2 n BLAS
-        products on n <= vertical_cap * (lateral_quanta + 1) states).
-        Then R[i, j] holds exactly when j is in i's component, and the
-        first True of row i, the component's smallest index, names it.
-        Sectors come in ascending order of that index, the order a graph
-        search that scans the states numbers them in.
+        K = kron(d/dz, ladder) * sign(n_y' - n_y): the tensor product of
+        the vertical states' d/dz graph with the n_y path of each n_x block
+        (the ladder is zero across n_x). A state whose row of K is zero
+        (n_x = lateral_quanta, or one bound state) is a sector alone. By
+        Weichsel's theorem (Proc. AMS 13, 47, 1962) the rest of a block is
+        one sector, or two when the d/dz graph is bipartite: the states of
+        even and of odd v + n_y. v % 2 colours it for mirror-image wells
+        (runs == runs[::-1]), where state v has parity (-1)^v, and for two
+        bound states; unequal wells binding three or more hold a triangle.
+        The rule assumes that every d/dz entry parity allows is nonzero.
+        The entries parity forbids (i + j even) sum to rounding, 5e-16 to
+        1e-13 of the largest, not to 0, but join states of opposite
+        v + n_y parity, so no sector reads them. A sector is named by its
+        smallest member, and the sectors of a size come in ascending order
+        of that name, the order a graph search scanning the states numbers
+        them in.
         """
         dz = dz_matrix(self.vertical)
-        runs = self.vertical.runs
-        if runs == runs[::-1]:
-            i = np.arange(len(dz))
-            dz[(i[:, None] + i) % 2 == 0] = 0.0
         coupling = np.kron(dz, y_ladder(self.states)) * np.sign(
             self.ny - self.ny[:, None])
-        component = np.empty(len(coupling), dtype=int)
-        for half_nx in np.unique(self.half_nx):
-            block = np.flatnonzero(self.half_nx == half_nx)
-            reach = (coupling[block[:, None], block] != 0) | np.eye(
-                len(block), dtype=bool)
-            while True:
-                closed = (reach.astype(float) @ reach) > 0
-                if (closed == reach).all():
-                    break
-                reach = closed
-            component[block] = block[reach.argmax(axis=1)]
+        group = 2 * self.half_nx  # 2 n_x + 1: one group per n_x block
+        runs = self.vertical.runs
+        if runs == runs[::-1] or len(dz) == 2:  # bipartite: v % 2 colours
+            group += (np.arange(len(group)) // len(self.states) + self.ny) % 2
+        lone = ~coupling.any(axis=1)
+        group[lone] = -1 - np.flatnonzero(lone)  # a sector of its own each
         order = np.argsort(self.diagonal, kind="stable")
-        sectors = [order[component[order] == c] for c in np.unique(component)]
+        sectors = sorted((order[group[order] == g] for g in np.unique(group)),
+                         key=min)
         out = []
         for m in sorted({len(s) for s in sectors}, reverse=True):
             rows = np.array([s for s in sectors if len(s) == m])
@@ -305,10 +290,11 @@ def adiabatic_sweep(vertical: VerticalSpectrum, species: ParticleSpecies,
     """Labeled spectra at the requested fields, each solved on its own.
 
     The distinct fields share one FieldChunk, one batched eigensolve per
-    sector size read, and are labeled by rank within their sectors; B = 0
-    alone takes the closed form. A field's spectrum does not depend on
-    which other fields are requested or read. A NaN, infinite or negative
-    field raises ValueError here, before anything is solved.
+    sector size read and SLICE_FIELDS fields, and are labeled by rank
+    within their sectors; B = 0 alone takes the closed form. A field's
+    spectrum does not depend on which other fields are requested or read.
+    A NaN, infinite or negative field raises ValueError here, before
+    anything is solved.
     """
     # rounded to 1e-9 T, so every field below 5e-10 T is exactly B = 0,
     # subnormal ones too: a subnormal hbar*Omega_c does not scale by a

@@ -15,10 +15,11 @@ at them and the well weights of the vertical states (nodes, well_masks,
 sampled_wells, localization), the bound states of a well given by its
 numbers (solve_well), the dense Hamiltonian over
 the whole product basis (build_basis, y_matrix, product_basis, assemble,
-label_of), which the symmetry sectors are checked against, the sectors
+label_of), which the symmetry sectors are checked against, the indices
+(v, n_x, n_y) of a BlockHamiltonian's basis (basis_of), the sectors
 one at a time with their gauge phases (QUARTER_TURNS, sector_list), the
 sectors found by scipy's graph search (component_sectors), which the
-library's closure search is checked against, the dense eigenvectors that
+library's parity rule is checked against, the dense eigenvectors that
 one eigensolve per sector scatters over the product basis
 (scattered_vectors), which paired with a library spectrum's levels and
 labels (dense_spectra) must solve the dense complex H (gauge_residual),
@@ -34,13 +35,13 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dstein
 from scipy.optimize import brentq, linear_sum_assignment
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from dqdsim.core import FieldPoint, ParticleSpecies, SolverOptions, \
     cyclotron_energy, kinetic_coefficient
 from dqdsim.lateral import renormalized_y_quantum, y_ladder, y_zero_point
-from dqdsim.molecular import BlockHamiltonian, ProductBasis, \
-    diagonalize, shell_name
+from dqdsim.molecular import BlockHamiltonian, diagonalize, shell_name
 from dqdsim.vertical import VerticalSpectrum, build_potential, dz_matrix, \
     solve_vertical
 
@@ -337,14 +338,20 @@ def y_matrix(basis: LateralBasis, species: ParticleSpecies) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DenseProductBasis(ProductBasis):
-    """The product basis with the field-free part of the energy of each
-    entry (vertical plus dressed lateral)."""
+class DenseProductBasis:
+    """Composite indices (v, n_x, n_y), v-major then n_x then n_y, the
+    names of the vertical states, and the field-free part of the energy of
+    each entry (vertical plus dressed lateral)."""
 
+    entries: tuple[tuple[int, int, int], ...]
+    vertical_labels: tuple[str, ...]
     e0: tuple[float, ...]
 
+    def __len__(self) -> int:
+        return len(self.entries)
 
-def label_of(basis: ProductBasis, index: int) -> str:
+
+def label_of(basis: DenseProductBasis, index: int) -> str:
     """The name "vertical:shell" of basis state `index`."""
     v, nx, ny = basis.entries[index]
     return f"{basis.vertical_labels[v]}:{shell_name(nx, ny)}"
@@ -361,6 +368,15 @@ def product_basis(vertical: VerticalSpectrum,
             e0.append(energy + el)
     return DenseProductBasis(entries=tuple(entries), e0=tuple(e0),
                              vertical_labels=vertical.labels)
+
+
+def basis_of(ham: BlockHamiltonian) -> DenseProductBasis:
+    """The product basis of ham, v-major over its lateral states, with its
+    zero-field diagonal as e0."""
+    entries = tuple((v, nx, ny) for v in range(len(ham.vertical.labels))
+                    for nx, ny in ham.states)
+    return DenseProductBasis(entries=entries, e0=tuple(ham.diagonal),
+                             vertical_labels=ham.vertical.labels)
 
 
 def assemble(vertical: VerticalSpectrum, dz: np.ndarray,
@@ -415,9 +431,11 @@ def component_sectors(ham: BlockHamiltonian) -> list[np.ndarray]:
     if runs == runs[::-1]:  # parity forbids d/dz between i, j of one parity
         v = np.arange(len(dz))
         dz = np.where((v[:, None] + v) % 2 == 0, 0.0, dz)
-    ny = np.array([n_y for _, _, n_y in ham.basis.entries])
+    ny = np.array([n_y for _, _, n_y in basis_of(ham).entries])
     coupling = np.kron(dz, y_ladder(ham.states)) * np.sign(ny - ny[:, None])
-    n, component = connected_components(coupling, directed=False)
+    # sparse: a dense graph drops every edge within 1e-8 of 0
+    # (np.ma.masked_values' atol), which far wells' d/dz entries reach
+    n, component = connected_components(csr_array(coupling), directed=False)
     order = np.argsort(ham.diagonal, kind="stable")
     sectors = [order[component[order] == c] for c in range(n)]
     return sorted(sectors, key=len, reverse=True)  # stable: c within a size
@@ -464,7 +482,7 @@ class DenseSpectrum:
     """Levels at one field with their eigenvectors over the product basis
     as dense columns; labels are None until the march assigns them."""
 
-    basis: ProductBasis
+    basis: DenseProductBasis
     b: float
     energies: np.ndarray
     vectors: np.ndarray
@@ -474,7 +492,7 @@ class DenseSpectrum:
 def dense_hamiltonians(ham: BlockHamiltonian, b_values) -> np.ndarray:
     """The dense complex H of assemble at each field, over ham's basis."""
     dz = dz_matrix(ham.vertical)
-    quanta = max(nx + ny for _, nx, ny in ham.basis.entries)
+    quanta = max(nx + ny for nx, ny in ham.states)
     stack = []
     for b in b_values:
         field = FieldPoint(b)
@@ -490,7 +508,8 @@ def dense_spectra(ham: BlockHamiltonian, spectra) -> list[DenseSpectrum]:
     energies and labels, with column j of its field's scattered_vectors
     as the eigenvector of level j."""
     vectors = scattered_vectors(ham, [spec.b for spec in spectra])
-    return [DenseSpectrum(ham.basis, spec.b, spec.energies, v, spec.labels)
+    basis = basis_of(ham)
+    return [DenseSpectrum(basis, spec.b, spec.energies, v, spec.labels)
             for spec, v in zip(spectra, vectors)]
 
 
@@ -503,7 +522,7 @@ def gauge_residual(ham: BlockHamiltonian, spectrum) -> float:
     return float(np.abs(residual).max() / np.abs(h).max())
 
 
-def nx_blocks(basis: ProductBasis) -> list[np.ndarray]:
+def nx_blocks(basis: DenseProductBasis) -> list[np.ndarray]:
     """The positions of each n_x block in the product basis, by n_x."""
     nx = np.array([nx for _, nx, _ in basis.entries])
     return [np.flatnonzero(nx == n) for n in np.unique(nx)]
@@ -523,13 +542,14 @@ def block_spectra(ham: BlockHamiltonian, b_values) -> list[DenseSpectrum]:
     energies = np.empty((len(b_values), dim))
     vectors = np.zeros((len(b_values), dim, dim), dtype=complex)
     dense = dense_hamiltonians(ham, b_values)
-    for index in nx_blocks(ham.basis):
+    basis = basis_of(ham)
+    for index in nx_blocks(basis):
         energies[:, index], vectors[:, index[:, None], index] = diagonalize(
             dense[:, index[:, None], index])
     spectra = []
     for b, e, v in zip(b_values, energies, vectors):
         order = np.argsort(e, kind="stable")
-        spectrum = DenseSpectrum(basis=ham.basis, b=b, energies=e[order],
+        spectrum = DenseSpectrum(basis=basis, b=b, energies=e[order],
                                  vectors=v[:, order])
         if b == 0.0:
             spectrum.labels = dominant_labels(spectrum)

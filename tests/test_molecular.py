@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -14,15 +15,16 @@ from dqdsim import (ELECTRON, HOLE, FieldPoint, ParticleSpecies,
                     diagonalize, molecular)
 from dqdsim.errors import EigenResidualError, NotHermitianError
 from dqdsim.config import DEFAULT_B_VALUES
-from dqdsim.molecular import BlockHamiltonian, ProductBasis, shell_name
+from dqdsim.molecular import BlockHamiltonian, shell_name
 from dqdsim.spectroscopy import vertical_spectrum
 from dqdsim import default_device, solve_point
 from dqdsim.lateral import y_ladder
 from dqdsim.vertical import dz_matrix
-from oracles import (AmbiguousContinuation, OVERLAP_THRESHOLD, DenseSpectrum,
-                     assemble, block_spectra, build_basis, dominant_labels,
-                     label_of, label_states, product_basis, sector_list,
-                     solve_well, y_matrix)
+from oracles import (AmbiguousContinuation, OVERLAP_THRESHOLD,
+                     DenseProductBasis, DenseSpectrum, assemble, basis_of,
+                     block_spectra, build_basis, dominant_labels, label_of,
+                     label_states, product_basis, sector_list, solve_well,
+                     y_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +209,8 @@ class TestBlockHamiltonian:
             assert (np.abs(scattered - dense).max()
                     <= 4 * np.finfo(float).eps * np.abs(dense).max())
             assert np.all(dense[scattered == 0] == 0)
-            assert ham.basis.entries == product_basis(vert, lateral).entries
+            assert basis_of(ham).entries == product_basis(vert,
+                                                          lateral).entries
 
     @pytest.mark.parametrize("quanta", [0, 2, 8])
     def test_lateral_basis_from_options(self, electron_vertical, quanta):
@@ -215,12 +218,12 @@ class TestBlockHamiltonian:
         ham = BlockHamiltonian(vert, ELECTRON,
                                SolverOptions(lateral_quanta=quanta))
         lateral = build_basis(ELECTRON, FieldPoint(3.0), quanta)
-        assert ham.basis.entries == product_basis(vert, lateral).entries
+        assert basis_of(ham).entries == product_basis(vert, lateral).entries
         spectrum = adiabatic_sweep(vert, ELECTRON, [3.0],
                                    SolverOptions(lateral_quanta=quanta))[0]
         # two bound states: every n_x block is two sectors
         assert len(sector_list(ham)) == 2 * (quanta + 1)
-        assert spectrum.energies.shape == (len(ham.basis),)
+        assert spectrum.energies.shape == (len(ham),)
         assert sorted(spectrum.labels) == sorted(ham.names)
 
     @pytest.mark.parametrize("quanta", range(7))
@@ -231,10 +234,10 @@ class TestBlockHamiltonian:
         vert = solve_well(well, ELECTRON)
         ham = BlockHamiltonian(vert, ELECTRON,
                                SolverOptions(lateral_quanta=quanta))
-        assert len(ham.names) == len(ham.basis) == (
+        assert len(ham.names) == len(ham) == (
             len(vert.energies) * (quanta + 1) * (quanta + 2) // 2)
         for i, name in enumerate(ham.names):
-            assert name == label_of(ham.basis, i)
+            assert name == label_of(basis_of(ham), i)
 
     def test_one_field_solves_match_batched_rows(self, hole_vertical):
         # the zero-field sweep takes the closed form and the 5 T solve is
@@ -446,22 +449,54 @@ class TestFieldLocality:
                 adiabatic_sweep(electron_vertical, ELECTRON, b_values)
 
 
+    def test_sweep_solves_its_fields_in_slices(self, electron_vertical):
+        # 2,500 fields are three slices of SLICE_FIELDS: a field in the
+        # first, the middle and the last has the bits of its own sweep
+        size = molecular.SLICE_FIELDS
+        fields = np.linspace(0.0, 8.0, 2500).tolist()
+        assert 2 * size < len(fields) <= 3 * size
+        spectra = adiabatic_sweep(electron_vertical, ELECTRON, fields)
+        for k in (1, size + size // 2, len(fields) - 1):
+            one = adiabatic_sweep(electron_vertical, ELECTRON, [fields[k]])[0]
+            assert spectra[k].labels == one.labels
+            assert spectra[k].energies.tobytes() == one.energies.tobytes()
+
+    def test_sweep_memory_is_bounded(self, electron_vertical):
+        # the kept levels of 20,000 fields take 9 MB, and one slice of
+        # SLICE_FIELDS fields stacks little; one stack of all takes ~80 MB
+        fields = np.linspace(0.0, 8.0, 20_000).tolist()
+        tracemalloc.start()
+        try:
+            spectra = adiabatic_sweep(electron_vertical, ELECTRON, fields)
+            assert spectra[-1].energy_of_label("A:s") is not None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
+
+
 class TestSectors:
     @settings(deadline=None, max_examples=60)
-    @given(width=st.floats(3.0, 9.0), l=st.floats(0.5, 15.0),
-           depth1=st.floats(100.0, 450.0),
-           depth2=st.none() | st.floats(100.0, 450.0),
+    @given(width=st.floats(3.0, 9.0), l=st.floats(0.5, 50.0),
+           depth1=st.floats(100.0, 450.0) | st.floats(40.0, 60.0),
+           depth2=st.none() | st.floats(40.0, 450.0),
            species=st.sampled_from([ELECTRON, HOLE]),
            cap=st.integers(2, 4), quanta=st.integers(0, 6))
     @example(width=9.0, l=7.0, depth1=400.0, depth2=None, species=ELECTRON,
              cap=4, quanta=6)
     @example(width=9.0, l=7.0, depth1=400.0, depth2=300.0, species=ELECTRON,
              cap=4, quanta=12)
-    def test_closure_matches_graph_search(self, width, l, depth1, depth2,
-                                          species, cap, quanta):
-        # equal wells (depth2 None) zero the parity-forbidden d/dz entries
-        # and split the sectors; the closure search must give the members
-        # of scipy's connected components, in the same order
+    @example(width=4.5, l=7.0, depth1=40.0, depth2=None, species=ELECTRON,
+             cap=2, quanta=6)
+    @example(width=3.0, l=0.5, depth1=60.0, depth2=45.0, species=HOLE,
+             cap=4, quanta=3)
+    def test_parity_rule_matches_graph_search(self, width, l, depth1, depth2,
+                                              species, cap, quanta):
+        # equal wells (depth2 None) and two bound states split each n_x
+        # block by the parity of v + n_y, unequal wells binding three or
+        # more keep it whole, and shallow wells binding one state leave
+        # every state alone: the members of scipy's connected components,
+        # in the same order
         well = (width, l, depth1, depth1 if depth2 is None else depth2)
         options = SolverOptions(vertical_cap=cap, lateral_quanta=quanta)
         ham = BlockHamiltonian(solve_well(well, species, options),
@@ -469,6 +504,34 @@ class TestSectors:
         found = [members for members, _, _ in sector_list(ham)]
         expected = oracles.component_sectors(ham)
         assert [m.tolist() for m in found] == [m.tolist() for m in expected]
+
+    @pytest.mark.parametrize("quanta", [0, 1, 6])
+    @pytest.mark.parametrize("species", [ELECTRON, HOLE], ids=["e", "h"])
+    @pytest.mark.parametrize("well", [
+        (4.5, 7.0, 40.0, 40.0), (4.5, 7.0, 239.0, 239.0),
+        (6.0, 7.0, 400.0, 400.0), (9.0, 7.0, 400.0, 400.0)],
+        ids=["4.5nm-40meV", "4.5nm-239meV", "6nm-400meV", "9nm-400meV"])
+    def test_sectors_never_read_a_parity_forbidden_entry(
+            self, monkeypatch, well, species, quanta):
+        # mirror wells: d/dz entries with i + j even, grown from rounding
+        # to 1e-3 of the largest, change no sector's members or K
+        options = SolverOptions(vertical_cap=4, lateral_quanta=quanta)
+        vert = solve_well(well, species, options)
+        assert vert.runs == vert.runs[::-1]
+        plain = BlockHamiltonian(vert, species, options).sectors
+
+        def forbidden_grown(spectrum):
+            dz = dz_matrix(spectrum)
+            v = np.arange(len(dz))
+            even = (v[:, None] + v) % 2 == 0
+            return dz + even * 1e-3 * np.abs(dz).max()
+
+        monkeypatch.setattr(molecular, "dz_matrix", forbidden_grown)
+        grown = BlockHamiltonian(vert, species, options).sectors
+        assert len(grown) == len(plain)
+        for (members, k), (m0, k0) in zip(grown, plain):
+            assert np.array_equal(members, m0)
+            assert np.array_equal(k, k0)
 
     @pytest.mark.parametrize("species", [ELECTRON, HOLE], ids=["e", "h"])
     def test_two_jacobi_sectors_per_block(self, species):
@@ -479,7 +542,8 @@ class TestSectors:
                                                  species), species)
         assert len(ham.vertical.energies) == 2
         dense = oracles.dense_hamiltonians(ham, [8.0])[0]
-        for block in oracles.nx_blocks(ham.basis):
+        entries = basis_of(ham).entries
+        for block in oracles.nx_blocks(basis_of(ham)):
             sectors = [s for s in sector_list(ham)
                        if np.isin(s[0], block).all()]
             assert len(sectors) == 2
@@ -488,7 +552,7 @@ class TestSectors:
             assert np.all(dense[np.ix_(first, second)] == 0)
             for members, k, _ in sectors:
                 assert k.dtype == float and (k == k.T).all()
-                ny = np.array([ham.basis.entries[i][2] for i in members])
+                ny = np.array([entries[i][2] for i in members])
                 order = np.argsort(ny)
                 assert np.all(np.diff(ny[order]) == 1)
                 path = k[np.ix_(order, order)]
@@ -507,10 +571,11 @@ class TestSectors:
         # two parity sectors per n_x block; the last block, n_y = 0 only,
         # has no y coupling and four single-state sectors
         quanta = SolverOptions().lateral_quanta
-        per_nx = Counter(ham.basis.entries[members[0]][1]
+        entries = basis_of(ham).entries
+        per_nx = Counter(entries[members[0]][1]
                          for members, _, _ in sector_list(ham))
         assert [per_nx[n] for n in range(quanta + 1)] == [2] * quanta + [4]
-        parity = np.array([v % 2 for v, _, _ in ham.basis.entries])
+        parity = np.array([v % 2 for v, _, _ in entries])
         for members, coupling, _ in sector_list(ham):
             same = parity[members][:, None] == parity[members]
             assert np.all(coupling[same] == 0)
@@ -533,7 +598,7 @@ class TestSectors:
         vert = solve_well((width, l, depth1, depth2), species, options)
         assert vert.runs != vert.runs[::-1]
         ham = BlockHamiltonian(vert, species, options)
-        ny = np.array([n_y for _, _, n_y in ham.basis.entries])
+        ny = np.array([n_y for _, _, n_y in basis_of(ham).entries])
         full = np.kron(dz_matrix(vert), y_ladder(ham.states)) * np.sign(
             ny - ny[:, None])
         sector = np.empty(len(ham), dtype=int)
@@ -569,12 +634,13 @@ class TestSectors:
         for vert in (vertical_spectrum(default_device(7.0), species),
                      solve_well((9.0, 7.0, 400.0, 400.0), species)):
             ham = BlockHamiltonian(vert, species)
+            entries = basis_of(ham).entries
             every = np.concatenate([s[0] for s in sector_list(ham)])
             assert sorted(every) == list(range(len(ham)))
             stacks = [stack[0, i] for stack in oracles.size_stacks(ham, [0.0])
                       for i in range(stack.shape[1])]
             for (members, _, _), h in zip(sector_list(ham), stacks):
-                assert len({ham.basis.entries[i][1] for i in members}) == 1
+                assert len({entries[i][1] for i in members}) == 1
                 levels = list(zip(np.diag(h), members))
                 assert sorted(levels) == levels
 
@@ -584,7 +650,7 @@ class TestSectors:
         # in basis order (v, n_x, n_y); at L = 2.5 nm and B = 0 the A:d
         # shell is threefold degenerate
         vert = vertical_spectrum(default_device(2.5), species)
-        basis = BlockHamiltonian(vert, species).basis
+        basis = basis_of(BlockHamiltonian(vert, species))
         position = {label_of(basis, k): k for k in range(len(basis))}
         zero, high = adiabatic_sweep(vert, species, [0.0, 8.0])
         for spec in (zero, high):
@@ -715,7 +781,7 @@ class TestSolveMolecular:
         # labels and the lateral basis size
         electron = BlockHamiltonian(electron_vertical, ELECTRON)
         hole = BlockHamiltonian(hole_vertical, HOLE)
-        assert electron.basis is hole.basis
+        assert electron.names is hole.names
         for name in ("half_nx", "ny", "half_ny", "names"):
             array = getattr(electron, name)
             assert array is getattr(hole, name)
@@ -724,7 +790,7 @@ class TestSolveMolecular:
                 array[0] = array[1]
         wider = BlockHamiltonian(electron_vertical, ELECTRON,
                                  SolverOptions(lateral_quanta=4))
-        assert wider.basis is not electron.basis
+        assert wider.names is not electron.names
         assert len(wider) == 2 * 15 < len(electron)
 
     def test_eigenvector_unitarity(self, electron_vertical):
@@ -872,9 +938,9 @@ class TestLabeling:
     # against
 
     def test_ambiguous_continuation_raises(self):
-        basis_stub = ProductBasis(
+        basis_stub = DenseProductBasis(
             entries=((0, 0, 0), (0, 0, 1), (1, 0, 0)),
-            vertical_labels=("B", "A"))
+            vertical_labels=("B", "A"), e0=(0.0, 1.0, 2.0))
         # one state spread evenly over three ancestors: best overlap
         # 1/sqrt(3) ~ 0.58, below the continuation threshold
         m = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [1.0, 0.0, -1.0]])

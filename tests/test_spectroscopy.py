@@ -276,7 +276,8 @@ def test_label_reads_equal_the_sorted_levels(l, width, depths, cap, quanta,
     _, points = sweep_b(device, fields, options, ELECTRON, hole)
     for carrier, ham in enumerate(hams):
         spectra = [(point.electron, point.hole)[carrier] for point in points]
-        names = [oracles.label_of(ham.basis, i) for i in range(len(ham))]
+        basis = oracles.basis_of(ham)
+        names = [oracles.label_of(basis, i) for i in range(len(ham))]
         for spec in spectra:
             rnd.shuffle(names)
             first = [spec.energy_of_label(name) for name in names]
